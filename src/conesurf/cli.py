@@ -16,7 +16,7 @@ import math
 import sys
 import time
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, load_tolerance_overrides
 from .corpus import BUILDERS
 from .covering import CoverSpec, build_cover, default_odd_degree, find_monodromy, riemann_hurwitz_check
 from .cylinders import density_experiment, find_closed_geodesic
@@ -129,18 +129,6 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _load_tolerances(args) -> Tolerances:
-    if not getattr(args, "tolerance_overrides", None):
-        return DEFAULT_TOLERANCES
-    with open(args.tolerance_overrides, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    known = {f.name for f in dataclasses.fields(Tolerances)}
-    bad = sorted(set(overrides) - known)
-    if bad:
-        raise ConeSurfaceError(f"unknown tolerance fields: {bad}; known: {sorted(known)}")
-    return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
-
-
 def _load(args, tol) -> "ConeSurface":
     return load_surface(args.surface, tol)
 
@@ -166,7 +154,7 @@ def _state_from_dict(data: dict) -> GeodesicState:
 
 
 def cmd_validate(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     report = validate_gauss_bonnet(surface)
     kinds = classify_singularities(surface)
@@ -194,7 +182,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     start = GeodesicState(args.chart, (args.x, args.y), (args.dx, args.dy))
     options = TraceOptions(stop_on_cone=args.stop_on_cone,
@@ -233,7 +221,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_saddles(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     if args.base == "all":
         bases = sorted(vc.id for vc in surface.singular_classes)
@@ -266,7 +254,7 @@ def _witness_dicts(witnesses) -> list[dict]:
 
 
 def cmd_cylinders(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     if (args.direction is None) == (args.from_saddle is None):
         raise ConeSurfaceError("exactly one of --direction or --from-saddle is required")
@@ -331,7 +319,7 @@ def _run_density(surface, target, lengths, window, eta, chain_budget, tol):
 
 
 def cmd_density(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     with open(args.target_spec, "r", encoding="utf-8") as fh:
         target = _state_from_dict(json.load(fh))
@@ -360,7 +348,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     degree = default_odd_degree(surface) if args.degree == "auto" else int(args.degree)
     if args.monodromy == "search":
@@ -393,7 +381,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     surface = _load(args, tol)
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -444,7 +432,7 @@ def cmd_experiment(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
-    tol = _load_tolerances(args)
+    tol = args.tolerances
     seed = args.seed
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool, str]] = []
@@ -625,6 +613,8 @@ def run(argv=None) -> int:
     if getattr(args, "command", None) == "experiment" and args.report is None:
         args.report = f"{args.scenario.replace('-', '_')}_report.json"
     try:
+        args.tolerances = (load_tolerance_overrides(args.tolerance_overrides)
+                           if args.tolerance_overrides else DEFAULT_TOLERANCES)
         return args.func(args)
     except ConeSurfaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace, fields
 
 
@@ -19,7 +20,6 @@ class Tolerances:
     tau_rec: float = 1e-7        # state-recurrence match (point and direction)
     tau_dev: float = 1e-8        # developed collinearity residual per unit length
     tau_exit: float = 1e-12      # minimum advance when solving for a chart exit
-    sample_ds: float = 0.01      # sampling interval for min-distance telemetry
     distance_step: float = 1e-3  # quadrature step for the compact-open distance
     w_max_factor: float = 1e3    # strip-width cap, in units of max chart diameter
     unfolding_budget: int = 10**6   # max developed chart copies
@@ -43,4 +43,9 @@ def load_tolerance_overrides(path) -> Tolerances:
     unknown = set(data) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown tolerance keys in {path}: {sorted(unknown)}")
+    bad = sorted(k for k, v in data.items()
+                 if isinstance(v, bool) or not isinstance(v, (int, float))
+                 or not math.isfinite(v))
+    if bad:
+        raise ValueError(f"tolerance values in {path} must be finite numbers: {bad}")
     return Tolerances(**data)

@@ -237,18 +237,3 @@ def segment_intersection(p0, p1, q0, q1, eps: float = 1e-12):
         pt = (p0[0] + s * d1[0], p0[1] + s * d1[1])
         return (s, t, pt)
     return None
-
-
-def min_distance_to_points_on_segment(points: np.ndarray, p0, p1) -> float:
-    """min over rows w of dist(w, segment p0 p1); points is an (n, 2) array."""
-    if len(points) == 0:
-        return math.inf
-    p0 = np.asarray(p0, dtype=float)
-    seg = np.asarray(p1, dtype=float) - p0
-    l2 = float(seg @ seg)
-    rel = points - p0
-    if l2 == 0.0:
-        return float(np.sqrt((rel * rel).sum(axis=1)).min())
-    t = np.clip(rel @ seg / l2, 0.0, 1.0)
-    feet = rel - t[:, None] * seg
-    return float(np.sqrt((feet * feet).sum(axis=1)).min())

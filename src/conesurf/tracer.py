@@ -14,6 +14,7 @@ weighted compact-open distance between two traced paths.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +35,6 @@ from .errors import (
 from .geometry import (
     Isometry,
     angle_of,
-    min_distance_to_points_on_segment,
     norm,
     point_in_polygon,
     point_segment_distance,
@@ -121,6 +121,7 @@ class TraceResult:
     termination: str
     recurrence: dict | None
     min_distance_series: list  # (arclength, running min distance to singular set)
+                               # at arclength 0 and at each segment end
 
     _bounds: np.ndarray | None = field(default=None, repr=False)
     _p0: np.ndarray | None = field(default=None, repr=False)
@@ -183,12 +184,13 @@ class TraceResult:
                              (float(u[0]), float(u[1])), t)
 
     def min_distance_at(self, T: float) -> float:
-        """Running minimum of the recorded series at arclength T."""
-        best = math.inf
-        for s, m in self.min_distance_series:
-            if s <= T + 1e-12 and m < best:
-                best = m
-        return best
+        """m(T): the running minimum at the last sample at or before T.
+
+        The series holds one sample per segment end, so this is a bisection;
+        inf when nothing was recorded up to T.
+        """
+        k = bisect.bisect_right(self.min_distance_series, T + 1e-12, key=lambda row: row[0])
+        return self.min_distance_series[k - 1][1] if k else math.inf
 
 
 # -- stepping -------------------------------------------------------------------
@@ -263,55 +265,55 @@ def _outward_edge(geo, p, d, tau_hit: float):
     return arg
 
 
-class _MinDistTracker:
-    """Exact running distance from the traced path to the singular set.
+def _segment_distance(cands: np.ndarray, p0, p1, length: float, reach: float) -> float:
+    """Distance from the candidate singular images to a piece of a segment.
 
-    Per segment the minimum over candidate singular images (own chart corners
-    plus one unfolded ring) is computed in closed form; a series sampled at the
-    configured interval plus every segment end is kept for telemetry. Values
-    are capped at the max chart diameter, the radius within which the one-ring
-    candidate set is meaningful.
+    The piece is [0, reach] along the segment p0 -> p1 of arclength ``length``.
+    In closed form, with u = (p1 - p0) / length, a candidate at along-track
+    offset t and squared perpendicular distance h2 lies at
+    sqrt(h2 + (t - clip(t, 0, reach))^2). A segment of length 0 is its start
+    point. Returns inf when there are no candidates.
+
+    h2 = |w - p0|^2 - t^2 cancels for a candidate near the line, so a result
+    m carries an absolute error of order eps * |w - p0|^2 / m; the exported
+    m(T) digits depend on it, including on the exact ``length`` passed.
     """
+    if len(cands) == 0:
+        return math.inf
+    p0a = np.asarray(p0, dtype=float)
+    if length <= 0.0:
+        return float(np.sqrt(((cands - p0a) ** 2).sum(axis=1)).min())
+    u = (np.asarray(p1, dtype=float) - p0a) / length
+    rel = cands - p0a
+    t_w = rel @ u
+    perp2 = np.maximum((rel * rel).sum(axis=1) - t_w * t_w, 0.0)
+    gap = t_w - np.clip(t_w, 0.0, reach)
+    return float(np.sqrt(perp2 + gap ** 2).min())
 
-    def __init__(self, surface: ConeSurface, sample_ds: float):
-        self.surface = surface
-        self.ds = sample_ds
-        self.cap = surface.max_diameter
-        self.best = math.inf
-        self.series: list[tuple[float, float]] = []
 
-    def add_segment(self, chart, p0, p1, s0, s1):
-        cands = self.surface.singular_images(chart)
-        seg_len = s1 - s0
-        if len(cands) == 0:
-            self.series.append((s1, min(self.best, self.cap) if self.best < math.inf else math.inf))
-            return
-        p0a = np.asarray(p0, dtype=float)
-        if seg_len <= 0.0:
-            d0 = float(np.sqrt(((cands - p0a) ** 2).sum(axis=1)).min())
-            self.best = min(self.best, d0)
-            self.series.append((s1, min(self.best, self.cap)))
-            return
-        u = (np.asarray(p1, dtype=float) - p0a) / seg_len
-        rel = cands - p0a
-        t_w = rel @ u
-        perp2 = np.maximum((rel * rel).sum(axis=1) - t_w * t_w, 0.0)
+def _record_min_distance(series: list, surface: ConeSurface, chart, p0, p1,
+                         s0: float, s1: float) -> None:
+    """Append the running distance to the singular set at the segment end s1.
 
-        # sample grid: multiples of ds falling in (s0, s1], plus the segment end
-        k0 = math.floor(s0 / self.ds) + 1
-        k1 = math.floor(s1 / self.ds)
-        sig = [self.ds * k - s0 for k in range(k0, k1 + 1)]
-        if s0 == 0.0:
-            sig.insert(0, 0.0)
-        if not sig or sig[-1] < seg_len:
-            sig.append(seg_len)
-        sig_arr = np.array(sig)
-        foot = np.clip(t_w[:, None], 0.0, sig_arr[None, :])
-        dist = np.sqrt(perp2[:, None] + (t_w[:, None] - foot) ** 2)
-        run = np.minimum.accumulate(dist.min(axis=0))
-        for offset, m in zip(sig, run):
-            self.best = min(self.best, float(m))
-            self.series.append((s0 + offset, min(self.best, self.cap)))
+    The segment that starts at arclength 0 also adds the sample at 0. Values
+    are capped at the max chart diameter, the radius within which the one-ring
+    candidate set (own chart corners plus one unfolded ring) is meaningful.
+    """
+    cands = surface.singular_images(chart)
+    cap = surface.max_diameter
+    best = series[-1][1] if series else math.inf
+    length = s1 - s0
+    ends = [(0.0, 0.0), (s1, length)] if s0 == 0.0 and length > 0.0 else [(s1, length)]
+    for s, reach in ends:
+        best = min(best, _segment_distance(cands, p0, p1, length, reach))
+        series.append((s, min(best, cap) if best < math.inf else math.inf))
+
+
+def _edge_cross_event(s: float, chart: str, edge: int, nb) -> TraceEvent:
+    return TraceEvent(EVENT_EDGE_CROSS, s, {
+        "gluing": nb.gluing_index, "side": nb.side,
+        "from_chart": chart, "from_edge": edge,
+        "to_chart": nb.chart, "to_edge": nb.edge})
 
 
 def _vertex_alignment(v_cur, v_next, d_cur, d_next) -> Isometry:
@@ -385,12 +387,15 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     segments: list = []
     transitions: list = []
     events: list[TraceEvent] = []
-    tracker = _MinDistTracker(surface, tol.sample_ds) if options.record_min_distance else None
+    series = [] if options.record_min_distance else None
     crossings: dict[str, list] = {}
     recurrence = None
     s = 0.0
     termination = None
     end_state = None
+    # A guard, not a knob: each pass ends at a chart boundary, so a trace of
+    # length L makes about L / (chart width) passes (0.7 per unit length on
+    # the octagon); only a stalled state gets near 10**7.
     max_iter = 10_000_000
 
     hops = 0
@@ -400,64 +405,57 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         remaining = max_length - s
         if hit is None:
             # a state on a gluing edge pointing out of this chart expression
-            # continues in the partner chart (zero-length crossing)
+            # continues in the partner chart (zero-length crossing). A guard,
+            # not a knob: a point on an edge needs one hop and a corner a few,
+            # so the cap of 8 only stops ping-pong between partner charts
+            # when rounding makes the direction look outward on both sides.
             oe = _outward_edge(geo, p, d, tol.tau_hit)
             if oe is not None and hops < 8:
                 hops += 1
                 nb = surface.edge_lookup[(cid, oe)]
                 segments.append((cid, p, p))
-                events.append(TraceEvent(EVENT_EDGE_CROSS, s, {
-                    "gluing": nb.gluing_index, "side": nb.side,
-                    "from_chart": cid, "from_edge": oe,
-                    "to_chart": nb.chart, "to_edge": nb.edge}))
+                events.append(_edge_cross_event(s, cid, oe, nb))
                 transitions.append(nb.iso.inverse())
                 cid, p, d = nb.chart, nb.iso.apply(p), nb.iso.rotate(d)
                 continue
             if remaining > geo.diameter + 1.0:
                 raise TraceNumericalError(
                     f"no chart exit from {p} along {d} in chart {cid!r}")
-        if hit is None or hit[1] >= remaining:
-            end = (p[0] + remaining * d[0], p[1] + remaining * d[1])
-            if hit is None and not point_in_polygon(geo.vertices, end, tol.tau_hit):
+
+        # the next stop: a chart corner (vtx), an edge crossing, or max_length
+        vtx = None
+        done = hit is None or hit[1] >= remaining
+        if not done:
+            edge, step, _ = hit
+            x = (p[0] + step * d[0], p[1] + step * d[1])
+            for cand in (edge, (edge + 1) % geo.n):
+                v = geo.vertices[cand]
+                if math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit:
+                    vtx = cand
+                    x = (float(v[0]), float(v[1]))
+                    step = math.hypot(x[0] - p[0], x[1] - p[1])
+                    done = step >= remaining
+                    break
+        if done:
+            x = (p[0] + remaining * d[0], p[1] + remaining * d[1])
+            if hit is None and not point_in_polygon(geo.vertices, x, tol.tau_hit):
                 raise TraceNumericalError(
                     f"no chart exit from {p} along {d} in chart {cid!r}, "
-                    f"yet the endpoint {end} leaves the chart")
-            segments.append((cid, p, end))
-            if tracker:
-                tracker.add_segment(cid, p, end, s, max_length)
+                    f"yet the endpoint {x} leaves the chart")
+        segments.append((cid, p, x))
+        if series is not None:
+            _record_min_distance(series, surface, cid, p, x, s,
+                                 max_length if done else s + step)
+        if done:
             s = max_length
             events.append(TraceEvent(EVENT_MAX_LENGTH, s, {}))
             termination = EVENT_MAX_LENGTH
-            end_state = GeodesicState(cid, end, d, s)
+            end_state = GeodesicState(cid, x, d, s)
             break
-
-        edge, hs, hu = hit
-        x = (p[0] + hs * d[0], p[1] + hs * d[1])
-        vtx = None
-        for cand in (edge, (edge + 1) % geo.n):
-            v = geo.vertices[cand]
-            if math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit:
-                vtx = cand
-                break
+        s += math.hypot(x[0] - p[0], x[1] - p[1])
+        hops = 0
 
         if vtx is not None:
-            v = (float(geo.vertices[vtx][0]), float(geo.vertices[vtx][1]))
-            ds = math.hypot(v[0] - p[0], v[1] - p[1])
-            if ds >= remaining:
-                end = (p[0] + remaining * d[0], p[1] + remaining * d[1])
-                segments.append((cid, p, end))
-                if tracker:
-                    tracker.add_segment(cid, p, end, s, max_length)
-                s = max_length
-                events.append(TraceEvent(EVENT_MAX_LENGTH, s, {}))
-                termination = EVENT_MAX_LENGTH
-                end_state = GeodesicState(cid, end, d, s)
-                break
-            segments.append((cid, p, v))
-            if tracker:
-                tracker.add_segment(cid, p, v, s, s + ds)
-            s += ds
-            hops = 0
             vc = surface.corner_class[(cid, vtx)]
             sector = continuation_sector(surface, vc.id, d, corner=(cid, vtx))
             terminal = vc.singular and (options.stop_on_cone or vc.kind != KIND_MARKED)
@@ -467,66 +465,46 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 "incoming": d, "terminal": terminal, "sector": sector}))
             if terminal:
                 termination = EVENT_CONE_HIT
-                end_state = GeodesicState(cid, v, d, s)
+                end_state = GeodesicState(cid, x, d, s)
                 break
             # flat passage: unique straight continuation through a 2*pi corner
             t_in = vc.cone_coordinate(cid, vtx, (-d[0], -d[1]))
             t_out = (t_in + math.pi) % vc.angle
             ncid, nvtx, nd = vc.direction_at(t_out)
             nv = surface.geometry[ncid].vertices[nvtx]
-            transitions.append(_vertex_alignment(v, (float(nv[0]), float(nv[1])), d, nd))
-            cid, p, d = ncid, (float(nv[0]), float(nv[1])), nd
-            if options.detect_recurrence and recurrence is None:
-                hit_rec = _check_recurrence(crossings, cid, p, d, s, tol.tau_rec)
-                if hit_rec is not None:
-                    recurrence = hit_rec
-                    events.append(TraceEvent(EVENT_SELF_RECURRENCE,
-                                             recurrence["period"], dict(recurrence)))
-                    if options.stop_on_recurrence:
-                        termination = EVENT_SELF_RECURRENCE
-                        end_state = GeodesicState(cid, p, d, s)
-                        break
-                else:
-                    crossings.setdefault(cid, []).append([p[0], p[1], d[0], d[1], s])
-            continue
+            nv = (float(nv[0]), float(nv[1]))
+            transitions.append(_vertex_alignment(x, nv, d, nd))
+            cid, p, d = ncid, nv, nd
+        else:
+            nb = surface.edge_lookup[(cid, edge)]
+            events.append(_edge_cross_event(s, cid, edge, nb))
+            transitions.append(nb.iso.inverse())
+            cid, p, d = nb.chart, nb.iso.apply(x), nb.iso.rotate(d)
 
-        segments.append((cid, p, x))
-        if tracker:
-            tracker.add_segment(cid, p, x, s, s + hs)
-        s += math.hypot(x[0] - p[0], x[1] - p[1])
-        hops = 0
-        nb = surface.edge_lookup[(cid, edge)]
-        events.append(TraceEvent(EVENT_EDGE_CROSS, s, {
-            "gluing": nb.gluing_index, "side": nb.side,
-            "from_chart": cid, "from_edge": edge,
-            "to_chart": nb.chart, "to_edge": nb.edge}))
-        p2 = nb.iso.apply(x)
-        d2 = nb.iso.rotate(d)
-        transitions.append(nb.iso.inverse())
         if options.detect_recurrence and recurrence is None:
-            hit_rec = _check_recurrence(crossings, nb.chart, p2, d2, s, tol.tau_rec)
+            hit_rec = _check_recurrence(crossings, cid, p, d, s, tol.tau_rec)
             if hit_rec is not None:
                 recurrence = hit_rec
                 events.append(TraceEvent(EVENT_SELF_RECURRENCE,
                                          recurrence["period"], dict(recurrence)))
                 if options.stop_on_recurrence:
                     termination = EVENT_SELF_RECURRENCE
-                    end_state = GeodesicState(nb.chart, p2, d2, s)
+                    end_state = GeodesicState(cid, p, d, s)
                     break
             else:
-                crossings.setdefault(nb.chart, []).append([p2[0], p2[1], d2[0], d2[1], s])
-        cid, p, d = nb.chart, p2, d2
+                crossings.setdefault(cid, []).append([p[0], p[1], d[0], d[1], s])
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
     events.sort(key=lambda e: e.arclength)
-    if tracker and not tracker.series:
-        tracker.add_segment(norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)
+    if series is not None and not series:
+        _record_min_distance(series, surface, norm_start.chart, norm_start.point,
+                             norm_start.point, 0.0, 0.0)
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
         events=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence,
-        min_distance_series=tracker.series if tracker else [])
+        min_distance_series=series if series is not None else [])
 
 
 # -- developing map ---------------------------------------------------------------
@@ -740,11 +718,8 @@ def min_singular_distance_up_to(surface: ConeSurface, trace_result: TraceResult,
         seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
         if s0 >= T:
             break
-        if s0 + seg_len > T:
-            f = (T - s0) / seg_len
-            b = (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
-        cands = surface.singular_images(cid)
-        dist = min_distance_to_points_on_segment(cands, a, b)
+        dist = _segment_distance(surface.singular_images(cid), a, b, seg_len,
+                                 min(T - s0, seg_len))
         if dist < best:
             best = dist
         s0 += seg_len

@@ -92,8 +92,8 @@ def test_02_tracer_soundness_random_octagon_traces(capsys):
                               (math.cos(dir_ang), math.sin(dir_ang)))
         result = trace(surface, state, length)
         developed = develop(result)
-        worst_col = max(worst_col,
-                        developed.collinearity_residual / max(result.total_length, 1e-9))
+        # collinearity_residual is already per unit length
+        worst_col = max(worst_col, developed.collinearity_residual)
         worst_len = max(worst_len, developed.length_residual)
     elapsed = time.perf_counter() - t0
     ok = worst_col <= 1e-8 and worst_len <= 1e-7 and elapsed < 30.0

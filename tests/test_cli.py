@@ -82,6 +82,12 @@ def test_usage_errors_exit_2():
 def test_tolerance_overrides(tmp_path):
     bad = write_json(tmp_path / "tol.json", {"bogus_field": 1})
     assert run(["--tolerance-overrides", bad, "validate", "--surface", TORUS]) == 2
+    not_object = write_json(tmp_path / "list.json", ["tau_hit"])
+    assert run(["--tolerance-overrides", not_object, "validate", "--surface", TORUS]) == 2
+    not_number = write_json(tmp_path / "str.json", {"tau_hit": "abc"})
+    assert run(["--tolerance-overrides", not_number, "validate", "--surface", TORUS]) == 2
+    not_finite = write_json(tmp_path / "nan.json", {"tau_hit": float("nan")})
+    assert run(["--tolerance-overrides", not_finite, "validate", "--surface", TORUS]) == 2
     good = write_json(tmp_path / "tol2.json", {"tau_hit": 1e-8})
     assert run(["--quiet", "--tolerance-overrides", good,
                 "validate", "--surface", TORUS]) == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 from conesurf import (
     GeodesicState,
+    build_cover,
     build_surface,
     continuation_sector,
     develop,
+    find_monodromy,
     geodesic_distance,
     min_distance_experiment,
     predict_self_intersection,
@@ -29,6 +33,7 @@ from conesurf.errors import (
     UnknownVertexClass,
     ZeroDirection,
 )
+from conesurf.tracer import min_singular_distance_up_to
 
 import oracles
 
@@ -292,6 +297,54 @@ def test_min_distance_strict_mode_refuses_small_cones(pcase, mtorus):
                                 mode="banana")
     with pytest.raises(DomainError):
         min_distance_experiment(mtorus, state("sq", 0.3, 0.4, 1, 0), [])
+
+
+def _random_start(surface, rng):
+    chart = rng.choice(sorted(surface.charts))
+    geo = surface.geometry[chart]
+    v = geo.vertices[rng.randrange(geo.n)]
+    w = rng.uniform(0.0, 0.9)
+    point = (geo.centroid[0] * (1 - w) + v[0] * w, geo.centroid[1] * (1 - w) + v[1] * w)
+    ang = rng.uniform(-math.pi, math.pi)
+    return GeodesicState(chart, point, (math.cos(ang), math.sin(ang)), 0.0)
+
+
+@pytest.fixture(scope="module")
+def triple_cover(pcase):
+    return build_cover(pcase, find_monodromy(pcase, 3))[0]
+
+
+@pytest.mark.parametrize("name, length", [("octagon", 200.0), ("mtorus", 100.0),
+                                          ("triple_cover", 60.0)])
+def test_min_distance_at_segment_ends_matches_recomputation(name, length, request):
+    surface = request.getfixturevalue(name)
+    rng = random.Random(20260814)
+    for _ in range(8):
+        tr = trace(surface, _random_start(surface, rng), length)
+        # one sample at 0, then one per segment except the zero-length hops
+        assert tr.min_distance_series[0][0] == 0.0
+        assert len(tr.min_distance_series) == 1 + sum(a != b for _, a, b in tr.segments)
+        s = 0.0
+        for _, a, b in tr.segments:
+            s += math.dist(a, b)
+            m_series = tr.min_distance_at(s)
+            m_direct = min_singular_distance_up_to(surface, tr, s)
+            # Both evaluate the same closed form, which works with squared
+            # distances: |w - p0|^2 - t^2 cancels near a cone point, so the two
+            # arclength conventions (ray parameter vs segment hypot) agree to
+            # 1e-12 in m^2, i.e. to 1e-12 / (2 m) in m itself.
+            assert abs(m_series ** 2 - m_direct ** 2) <= 1e-12, (s, m_series, m_direct)
+
+
+def test_octagon_min_distance_matches_oracle(octagon):
+    rng = random.Random(20260814)
+    for _ in range(4):
+        start = _random_start(octagon, rng)
+        tr = trace(octagon, start, 100.0)
+        ends = list(itertools.accumulate(math.dist(a, b) for _, a, b in tr.segments))
+        for s in ends[::15] + ends[-1:]:
+            expected = oracles.octagon_min_distance(start.point, start.direction, s)
+            assert math.isclose(tr.min_distance_at(s), expected, rel_tol=0, abs_tol=1e-9)
 
 
 # --------------------------------------------------------------------------
