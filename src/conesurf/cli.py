@@ -44,6 +44,8 @@ EXIT_INVALID = 2
 EXIT_FAIL = 3
 
 _SELFTEST_SEED = 20260814
+# no recurrence scan, no m(T) series: for callers that read neither
+_PLAIN_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
 @dataclasses.dataclass
@@ -401,8 +403,9 @@ def cmd_experiment(args) -> int:
     state = _state_from_dict(cfg.start)
 
     if args.scenario == "no-strips":
+        # the rows come from min_singular_distance_up_to, not the trace's series
         rep = min_distance_experiment(surface, state, cfg.lengths, threshold=cfg.threshold,
-                                      tolerances=tol)
+                                      options=_PLAIN_OPTIONS, tolerances=tol)
         metrics = {"rows": [[L, m] for L, m in rep.rows], "threshold": cfg.threshold}
         passed = rep.passed
         for L, m in rep.rows:
@@ -454,8 +457,7 @@ def cmd_selftest(args) -> int:
         a = rng.uniform(0.0, 2.0 * math.pi)
         st = GeodesicState("oct", p, (math.cos(a), math.sin(a)))
         tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)),
-                   options=TraceOptions(detect_recurrence=False, record_min_distance=False),
-                   tolerances=tol)
+                   options=_PLAIN_OPTIONS, tolerances=tol)
         dv = develop(tr)
         worst_col = max(worst_col, dv.collinearity_residual)
         seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)

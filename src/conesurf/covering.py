@@ -328,6 +328,9 @@ def project_trace(cover_trace: TraceResult) -> TraceResult:
         termination=cover_trace.termination,
         recurrence=cover_trace.recurrence,
         min_distance_series=list(cover_trace.min_distance_series),
+        # the cover has every sheet of every base chart, so this is the base's
+        chart_index={c: k for k, c in enumerate(
+            sorted({split_sheet(c)[0] for c in cover_trace.chart_index}))},
     )
 
 
@@ -400,7 +403,11 @@ def find_monodromy(base: ConeSurface, degree: int,
         assigned[idx] = None
         return False
 
-    if not backtrack(0):
+    found = backtrack(0)
+    # backtrack's closure refers to itself; the cycle would hold all d!
+    # candidates until the cyclic collector runs
+    del backtrack
+    if not found:
         raise SearchBudgetExceeded(
             f"no degree-{d} monodromy realizes full branching at {branch_classes} "
             f"(searched {nodes} nodes)")

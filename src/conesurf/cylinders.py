@@ -267,7 +267,7 @@ def _flood_up(surface: ConeSurface, roots, cap: float, tol: Tolerances,
                 if min(y0, y1) > min(best, cap) + 1e-8:
                     continue
                 nb = surface.edge_lookup[(chart, e)]
-                queue.append((nb.chart, iso.compose(nb.iso.inverse()),
+                queue.append((nb.chart, iso.compose(nb.inv),
                               jlo, jhi, False))
     if best > cap:
         return math.inf, []
@@ -466,6 +466,8 @@ class PeriodicPath:
         return (-math.inf, math.inf)
 
     def positions(self, ts):
+        """Chart codes and coordinates at the given parameters, taken modulo
+        the circumference (path protocol)."""
         return self.core.positions(np.mod(np.asarray(ts, dtype=float),
                                           self.core.total_length))
 
@@ -489,21 +491,20 @@ class ChainPath:
         return (-math.inf, math.inf)
 
     def positions(self, ts):
+        """Chart codes and coordinates at the given parameters, taken modulo
+        the chain length (path protocol)."""
         ts = np.mod(np.asarray(ts, dtype=float), self.pg.total_length)
         idx = np.clip(np.searchsorted(self.offsets, ts, side="right") - 1,
                       0, len(self.pg.links) - 1)
-        charts: list = [None] * len(ts)
+        codes = np.empty(len(ts), dtype=np.int64)
         xy = np.empty((len(ts), 2))
         for j, link in enumerate(self.pg.links):
             sel = idx == j
             if not sel.any():
                 continue
             local = np.minimum(ts[sel] - self.offsets[j], link.path.total_length)
-            c, p = link.path.positions(local)
-            xy[sel] = p
-            for slot, cc in zip(np.nonzero(sel)[0], c):
-                charts[slot] = cc
-        return charts, xy
+            codes[sel], xy[sel] = link.path.positions(local)
+        return codes, xy
 
 
 # -- density experiment ----------------------------------------------------------------
@@ -523,9 +524,9 @@ class DensityReport:
 def _anchor_on_chain(surface: ConeSurface, path: ChainPath, point, samples: int = 128) -> float:
     """Chain parameter whose position is nearest to a (chart, xy) point."""
     ts = np.linspace(0.0, path.length, samples, endpoint=False)
-    charts, xy = path.positions(ts)
+    codes, xy = path.positions(ts)
     best_t, best_d = 0.0, math.inf
-    for t, c, p in zip(ts, charts, xy):
+    for t, c, p in zip(ts, surface.chart_names[codes], xy):
         dist = surface_point_distance(surface, point, (c, (p[0], p[1])))
         if dist < best_d:
             best_d, best_t = dist, float(t)

@@ -97,7 +97,7 @@ def _unfold_disk(surface: ConeSurface, root_chart: str, center, radius: float,
                     f"{tol.unfolding_budget} chart copies at radius {radius}")
             for e in range(surface.geometry[chart].n):
                 nb = surface.edge_lookup[(chart, e)]
-                niso = iso.compose(nb.iso.inverse())
+                niso = iso.compose(nb.inv)
                 key = (nb.chart, niso.rounded_key())
                 if key not in seen:
                     seen.add(key)

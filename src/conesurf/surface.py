@@ -79,6 +79,7 @@ class EdgeNeighbor:
     iso: Isometry        # this chart's coords -> neighbor chart's coords
     gluing_index: int
     side: str            # 'a' or 'b': which side of the stored gluing we are
+    inv: Isometry        # iso.inverse(): neighbor chart's coords -> this chart's
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,16 @@ class ConeSurface:
 
         self.geometry: dict[str, ChartGeometry] = {
             cid: _chart_geometry(v) for cid, v in charts.items()}
+        # chart codes: position in the sorted chart ids, as path samples report them
+        self.chart_names: np.ndarray = np.array(sorted(charts), dtype=object)
+        self.chart_names.flags.writeable = False
+        self.chart_index: dict[str, int] = {c: k for k, c in enumerate(self.chart_names)}
         self.edge_lookup: dict[EdgeRef, EdgeNeighbor] = {}
         for g in gluings:
-            self.edge_lookup[g.a] = EdgeNeighbor(g.b[0], g.b[1], g.iso, g.index, "a")
-            self.edge_lookup[g.b] = EdgeNeighbor(g.a[0], g.a[1], g.iso.inverse(), g.index, "b")
+            back = g.iso.inverse()
+            self.edge_lookup[g.a] = EdgeNeighbor(g.b[0], g.b[1], g.iso, g.index, "a", back)
+            self.edge_lookup[g.b] = EdgeNeighbor(g.a[0], g.a[1], back, g.index, "b",
+                                                 back.inverse())
         self.corner_class: dict[CornerRef, VertexClass] = {}
         for vc in vertex_classes.values():
             for corner in vc.members:
@@ -208,11 +215,10 @@ class ConeSurface:
                 pts.append(tuple(geo.vertices[i]))
         for e in range(geo.n):
             nb = self.edge_lookup[(chart, e)]
-            back = nb.iso.inverse()
             ngeo = self.geometry[nb.chart]
             for i in range(ngeo.n):
                 if self.corner_class[(nb.chart, i)].singular:
-                    pts.append(back.apply(tuple(ngeo.vertices[i])))
+                    pts.append(nb.inv.apply(tuple(ngeo.vertices[i])))
         dedup: dict[tuple[float, float], tuple[float, float]] = {}
         for p in pts:
             dedup[(round(p[0], 12), round(p[1], 12))] = p
@@ -257,7 +263,7 @@ class ConeSurface:
                     out.append(iso)
                 for e in range(self.geometry[chart].n):
                     nb = self.edge_lookup[(chart, e)]
-                    niso = iso.compose(nb.iso.inverse())
+                    niso = iso.compose(nb.inv)
                     k = (nb.chart, niso.rounded_key())
                     if k not in seen:
                         seen.add(k)

@@ -10,6 +10,15 @@ The module also provides the developing map for a traced path (the unfolded
 straight segment), closed-form self-intersection parameters for passage near a
 small cone point, distance-to-singularities telemetry, and the exponentially
 weighted compact-open distance between two traced paths.
+
+Path protocol. Every path that ``geodesic_distance`` compares -- a
+``TraceResult``, a ``TwoSidedPath`` here, a ``PeriodicPath`` or ``ChainPath``
+in ``cylinders`` -- offers ``param_range()``, the (lo, hi) arclength interval
+it covers, and ``positions(ts)``, which returns ``(codes, xy)`` for an array
+of arclengths: an int64 array of chart codes and an (n, 2) array of points in
+those charts' frames. A chart code indexes ``surface.chart_names``, the sorted
+chart ids of the surface the path was traced on (``surface.chart_index`` maps
+back), so samples are grouped by chart pair with integer arithmetic.
 """
 
 from __future__ import annotations
@@ -122,11 +131,11 @@ class TraceResult:
     recurrence: dict | None
     min_distance_series: list  # (arclength, running min distance to singular set)
                                # at arclength 0 and at each segment end
+    chart_index: dict = field(repr=False)  # chart id -> code: the traced surface's
 
     _bounds: np.ndarray | None = field(default=None, repr=False)
     _p0: np.ndarray | None = field(default=None, repr=False)
     _dirs: np.ndarray | None = field(default=None, repr=False)
-    _chart_ids: list | None = field(default=None, repr=False)
     _chart_codes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -145,20 +154,18 @@ class TraceResult:
         p1 = np.array([b for _, _, b in self.segments], dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             dirs = (p1 - p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
-        ids = sorted({c for c, _, _ in self.segments})
-        code = {c: k for k, c in enumerate(ids)}
         self._bounds = bounds
         self._p0 = p0
         self._dirs = dirs
-        self._chart_ids = ids
-        self._chart_codes = np.array([code[c] for c, _, _ in self.segments])
+        self._chart_codes = np.array([self.chart_index[c] for c, _, _ in self.segments],
+                                     dtype=np.int64)
 
     def positions(self, ts: np.ndarray):
-        """Chart ids and coordinates at the given arclengths.
+        """Chart codes and coordinates at the given arclengths (path protocol).
 
-        Returns (charts, xy) where charts is a list of chart ids per sample and
-        xy an (n, 2) array. Arclengths must lie in [0, total_length] up to a
-        small slack.
+        Returns (codes, xy): an int64 array of codes into the traced surface's
+        ``chart_names``, one per sample, and an (n, 2) array. Arclengths must
+        lie in [0, total_length] up to a small slack.
         """
         self._ensure_arrays()
         ts = np.asarray(ts, dtype=float)
@@ -170,8 +177,7 @@ class TraceResult:
                       0, len(self.segments) - 1)
         rel = np.clip(ts - self._bounds[idx], 0.0, None)
         xy = self._p0[idx] + rel[:, None] * self._dirs[idx]
-        charts = [self._chart_ids[c] for c in self._chart_codes[idx]]
-        return charts, xy
+        return self._chart_codes[idx], xy
 
     def state_at(self, t: float) -> GeodesicState:
         self._ensure_arrays()
@@ -415,7 +421,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 nb = surface.edge_lookup[(cid, oe)]
                 segments.append((cid, p, p))
                 events.append(_edge_cross_event(s, cid, oe, nb))
-                transitions.append(nb.iso.inverse())
+                transitions.append(nb.inv)
                 cid, p, d = nb.chart, nb.iso.apply(p), nb.iso.rotate(d)
                 continue
             if remaining > geo.diameter + 1.0:
@@ -478,7 +484,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         else:
             nb = surface.edge_lookup[(cid, edge)]
             events.append(_edge_cross_event(s, cid, edge, nb))
-            transitions.append(nb.iso.inverse())
+            transitions.append(nb.inv)
             cid, p, d = nb.chart, nb.iso.apply(x), nb.iso.rotate(d)
 
         if options.detect_recurrence and recurrence is None:
@@ -504,7 +510,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         start=norm_start, segments=segments, transitions=transitions,
         events=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence,
-        min_distance_series=series if series is not None else [])
+        min_distance_series=series if series is not None else [],
+        chart_index=surface.chart_index)
 
 
 # -- developing map ---------------------------------------------------------------
@@ -590,31 +597,38 @@ def surface_point_distance(surface: ConeSurface, a, b, depth: int = 2) -> float:
 
 @dataclass
 class TwoSidedPath:
-    """A trajectory extended both ways from an anchor state (parameter 0)."""
+    """A trajectory extended both ways from an anchor state (parameter 0).
+
+    ``positions`` keeps its last grid and result: the density experiment
+    compares one target against every candidate on the same grid.
+    """
 
     forward: TraceResult
     backward: TraceResult
+    _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def param_range(self) -> tuple[float, float]:
         return (-self.backward.total_length, self.forward.total_length)
 
     def positions(self, ts: np.ndarray):
-        ts = np.asarray(ts, dtype=float)
-        charts: list = [None] * len(ts)
+        """Chart codes and coordinates at signed parameters (path protocol):
+        t >= 0 on the forward trace, t < 0 at arclength -t on the backward one.
+        The returned arrays are read-only; a repeated grid returns them again."""
+        ts = np.array(ts, dtype=float)
+        if self._last is not None and np.array_equal(self._last[0], ts):
+            return self._last[1], self._last[2]
+        codes = np.empty(len(ts), dtype=np.int64)
         xy = np.empty((len(ts), 2))
         pos = ts >= 0.0
         if pos.any():
-            c, p = self.forward.positions(ts[pos])
-            xy[pos] = p
-            for slot, cc in zip(np.nonzero(pos)[0], c):
-                charts[slot] = cc
+            codes[pos], xy[pos] = self.forward.positions(ts[pos])
         neg = ~pos
         if neg.any():
-            c, p = self.backward.positions(-ts[neg])
-            xy[neg] = p
-            for slot, cc in zip(np.nonzero(neg)[0], c):
-                charts[slot] = cc
-        return charts, xy
+            codes[neg], xy[neg] = self.backward.positions(-ts[neg])
+        codes.flags.writeable = False
+        xy.flags.writeable = False
+        self._last = (ts, codes, xy)
+        return codes, xy
 
 
 def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: float, *,
@@ -625,6 +639,18 @@ def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: flo
                                (-state.direction[0], -state.direction[1]))
     bwd = trace(surface, back_state, half_length, options=options, tolerances=tolerances)
     return TwoSidedPath(fwd, bwd)
+
+
+def _chart_pair_distance(isos, p1: np.ndarray, p2: np.ndarray, cap: float) -> np.ndarray:
+    """Per-sample min over the aligned copies of p2's chart of |p1 - iso(p2)|,
+    capped; the cap when no copy is within reach."""
+    best = np.full(len(p1), np.inf if isos else cap)
+    x1, y1, x2, y2 = p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1]
+    for iso in isos:
+        qx = iso.c * x2 - iso.s * y2 + iso.tx
+        qy = iso.s * x2 + iso.c * y2 + iso.ty
+        np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
+    return np.minimum(best, cap, out=best)
 
 
 @dataclass
@@ -664,40 +690,23 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
 
     count = max(2, int(round((w1 - w0) / step)) + 1)
     ts = np.linspace(w0, w1, count)
-    c1, xy1 = path1.positions(ts + anchor1)
-    c2, xy2 = path2.positions(ts + anchor2)
-
-    def chart_dist(ca: str, cb: str, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        isos = surface.alignment_isos(ca, cb, depth)
-        if not isos:
-            return np.full(len(p1), diameter_bound)
-        best = np.full(len(p1), np.inf)
-        for iso in isos:
-            q = iso.apply_array(p2)
-            best = np.minimum(best, np.hypot(p1[:, 0] - q[:, 0], p1[:, 1] - q[:, 1]))
-        return np.minimum(best, diameter_bound)
-
-    un1, un2 = sorted(set(c1)), sorted(set(c2))
-    if len(un1) == 1 and len(un2) == 1:
-        dists = chart_dist(un1[0], un2[0], xy1, xy2)
-    else:
-        arr1 = np.array(c1, dtype=object)
-        arr2 = np.array(c2, dtype=object)
-        code = np.zeros(len(ts), dtype=np.int64)
-        for j, cc in enumerate(un1):
-            code[arr1 == cc] += j * len(un2)
-        for j, cc in enumerate(un2):
-            code[arr2 == cc] += j
-        dists = np.full(len(ts), diameter_bound)
-        for key in np.unique(code):
-            sel = code == key
-            dists[sel] = chart_dist(un1[key // len(un2)], un2[key % len(un2)],
-                                    xy1[sel], xy2[sel])
+    k1, xy1 = path1.positions(ts + anchor1)
+    k2, xy2 = path2.positions(ts + anchor2)
+    names = surface.chart_names
 
     i0 = int(np.argmin(np.abs(ts)))
-    if not surface.alignment_isos(c1[i0], c2[i0], depth):
+    if not surface.alignment_isos(names[k1[i0]], names[k2[i0]], depth):
         raise IncomparableTraces(
-            f"no chart alignment between {c1[i0]!r} and {c2[i0]!r} at time 0")
+            f"no chart alignment between {names[k1[i0]]!r} and {names[k2[i0]]!r} "
+            f"at time 0")
+
+    # one group of samples per (chart of path1, chart of path2) pair
+    keys, group = np.unique(k1 * len(names) + k2, return_inverse=True)
+    dists = np.empty(count)
+    for j, key in enumerate(keys):
+        sel = slice(None) if len(keys) == 1 else group == j
+        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)], depth)
+        dists[sel] = _chart_pair_distance(isos, xy1[sel], xy2[sel], diameter_bound)
 
     value = float(_trapezoid(dists * np.exp(-np.abs(ts)), ts))
     w_eff = min(-w0, w1)

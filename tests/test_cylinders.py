@@ -8,19 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from conesurf import (
     ChainPath,
     GeodesicState,
     PeriodicPath,
+    TraceOptions,
+    build_cover,
     build_surface,
     chain,
     density_experiment,
     enumerate_saddles,
     find_closed_geodesic,
+    find_monodromy,
     geodesic_distance,
+    lift_trace,
     offset_state,
+    project_trace,
     strip_quadrangle,
     strip_width,
+    two_sided_trace,
 )
 from conesurf.errors import DomainError
 
@@ -201,6 +209,92 @@ def test_chain_path_wraps_closed_chains(mtorus):
     cp = ChainPath(chain(mtorus, [diag, diag]))
     assert cp.param_range() == (-math.inf, math.inf)
     assert geodesic_distance(mtorus, cp, cp, window=5.0).value == 0.0
+
+
+PLAIN = TraceOptions(detect_recurrence=False, record_min_distance=False)
+
+
+@pytest.fixture(scope="module")
+def pcover(pcase):
+    return build_cover(pcase, find_monodromy(pcase, 3))[0]
+
+
+def _path_kinds(surface):
+    """A two-sided target plus one path of each kind on the surface:
+    another two-sided trajectory, a closed geodesic and a closed chain."""
+    charts = sorted(surface.charts)
+    geo = surface.geometry[charts[0]]
+    cx, cy = geo.centroid
+    v = geo.vertices[1]
+    target = two_sided_trace(surface, GeodesicState(
+        charts[0], (0.6 * cx + 0.4 * v[0], 0.6 * cy + 0.4 * v[1]), unit(1.0, GOLDEN)),
+        4.0, options=PLAIN)
+    geo = surface.geometry[charts[-1]]
+    other = two_sided_trace(surface, GeodesicState(
+        charts[-1], (0.7 * geo.centroid[0] + 0.3 * geo.vertices[0][0],
+                     0.7 * geo.centroid[1] + 0.3 * geo.vertices[0][1]), unit(-0.3, 1.0)),
+        4.0, options=PLAIN)
+    core = find_closed_geodesic(surface, (2.0, 1.0), compute_widths=False).core
+    conns = [c for vc in surface.singular_classes for c in enumerate_saddles(surface, vc.id, 1.5)]
+    links = next(([a, b] for a in conns for b in conns
+                  if a is not b and a.end == b.start and b.end == a.start), None)
+    links = links or [next(c for c in conns if c.start == c.end)]
+    return target, {"two_sided": other, "periodic": PeriodicPath(core),
+                    "chain": ChainPath(chain(surface, links))}
+
+
+@pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
+def test_distance_matches_per_sample_oracle(request, name):
+    surface = request.getfixturevalue(name)
+    target, others = _path_kinds(surface)
+    for kind, path in others.items():
+        for anchor2 in (0.0, 0.37):
+            fast = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2, step=5e-3)
+            slow = oracles.compact_open_distance(surface, target, path, 3.0,
+                                                 anchor2=anchor2, step=5e-3)
+            assert abs(fast.value - slow) <= 1e-12, (kind, anchor2, fast.value, slow)
+
+
+@pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
+def test_path_protocol_chart_codes(request, name):
+    surface = request.getfixturevalue(name)
+    target, others = _path_kinds(surface)
+    ts = np.linspace(-3.7, 3.9, 777)
+    paths = [target, target.forward, *others.values()]
+    for path in paths:
+        grid = (ts - ts[0]) / 2.0 if path is target.forward else ts
+        codes, xy = path.positions(grid)
+        assert codes.dtype == np.int64 and xy.shape == (len(grid), 2)
+        want = [oracles.path_sample(path, t) for t in grid]
+        assert list(surface.chart_names[codes]) == [c for c, _ in want]
+        assert np.abs(xy - np.array([p for _, p in want])).max() <= 1e-12
+
+
+def test_two_sided_positions_follow_a_changed_grid(pcase):
+    target, _ = _path_kinds(pcase)
+    fresh = lambda grid: type(target)(target.forward, target.backward).positions(grid)
+    grid = np.linspace(-3.0, 3.0, 301)
+    first = target.positions(grid)
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    for changed in (grid + 0.25, np.linspace(-2.0, 3.0, 11), grid):
+        codes, xy = target.positions(changed)
+        want_codes, want_xy = fresh(changed)
+        assert np.array_equal(codes, want_codes) and np.array_equal(xy, want_xy)
+    # the memo compares values, not the caller's array object
+    moving = grid.copy()
+    target.positions(moving)
+    moving += 0.5
+    assert np.array_equal(target.positions(moving)[1], fresh(grid + 0.5)[1])
+
+
+def test_projected_trace_reports_base_chart_codes(pcase, pcover):
+    base = two_sided_trace(pcase, GeodesicState("back", (0.3, -0.6), unit(1.0, GOLDEN)),
+                           3.0, options=PLAIN).forward
+    down = project_trace(lift_trace(pcover, base, 2))
+    ts = np.linspace(0.0, 3.0, 200)
+    (codes, xy), (want_codes, want_xy) = down.positions(ts), base.positions(ts)
+    assert np.array_equal(codes, want_codes)
+    assert np.abs(xy - want_xy).max() <= 1e-9
 
 
 # --------------------------------------------------------------------------
