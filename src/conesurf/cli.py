@@ -30,6 +30,7 @@ from .surface import (
 )
 from .svgout import write_trace_svg
 from .tracer import (
+    PLAIN_TRACE_OPTIONS,
     GeodesicState,
     TraceOptions,
     continuation_sector,
@@ -44,8 +45,6 @@ EXIT_INVALID = 2
 EXIT_FAIL = 3
 
 _SELFTEST_SEED = 20260814
-# no recurrence scan, no m(T) series: for callers that read neither
-_PLAIN_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
 @dataclasses.dataclass
@@ -90,12 +89,6 @@ class RunReport:
         return dataclasses.asdict(self)
 
 
-def _json_default(obj):
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _sanitize(obj):
     """Replace non-finite floats so json stays standards-compliant."""
     if isinstance(obj, float):
@@ -131,10 +124,6 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _load(args, tol) -> "ConeSurface":
-    return load_surface(args.surface, tol)
-
-
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -156,8 +145,7 @@ def _state_from_dict(data: dict) -> GeodesicState:
 
 
 def cmd_validate(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     report = validate_gauss_bonnet(surface)
     kinds = classify_singularities(surface)
     payload = {
@@ -184,13 +172,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     start = GeodesicState(args.chart, (args.x, args.y), (args.dx, args.dy))
     options = TraceOptions(stop_on_cone=args.stop_on_cone,
                            detect_recurrence=args.recurrence,
                            record_min_distance=True)
-    result = trace(surface, start, args.max_length, options=options, tolerances=tol)
+    result = trace(surface, start, args.max_length, options=options)
     dev = develop(result)
     m_final = result.min_distance_at(result.total_length)
     _say(args, f"termination {result.termination} at arclength {result.total_length:.12g}")
@@ -222,17 +209,23 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def cmd_saddles(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
-    if args.base == "all":
+def _saddle_inventory(surface, base: str, max_length: float):
+    """The base class ids (every singular class for 'all') and their saddle
+    connections up to max_length, sorted by (length, angle, start, end)."""
+    if base == "all":
         bases = sorted(vc.id for vc in surface.singular_classes)
     else:
-        bases = [args.base]
+        bases = [base]
     connections = []
-    for base in bases:
-        connections.extend(enumerate_saddles(surface, base, args.max_length, tolerances=tol))
+    for b in bases:
+        connections.extend(enumerate_saddles(surface, b, max_length))
     connections.sort(key=lambda c: (c.length, c.angle, c.start, c.end))
+    return bases, connections
+
+
+def cmd_saddles(args) -> int:
+    surface = load_surface(args.surface, args.tolerances)
+    bases, connections = _saddle_inventory(surface, args.base, args.max_length)
     _say(args, f"{len(connections)} saddle connections up to length {args.max_length:.12g} "
                f"from {', '.join(bases)}")
     if args.csv:
@@ -241,7 +234,7 @@ def cmd_saddles(args) -> int:
                     for c in connections])
         _say(args, f"wrote {args.csv}")
     if args.spectrum:
-        spec = direction_spectrum(surface, args.max_length, tolerances=tol)
+        spec = direction_spectrum(surface, args.max_length)
         _write_csv(args.spectrum, ["angle", "multiplicity"],
                    list(zip(spec.angles, spec.multiplicities)))
         _say(args, f"wrote {args.spectrum} (max gap {spec.max_gap:.12g})")
@@ -256,18 +249,13 @@ def _witness_dicts(witnesses) -> list[dict]:
 
 
 def cmd_cylinders(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     if (args.direction is None) == (args.from_saddle is None):
         raise ConeSurfaceError("exactly one of --direction or --from-saddle is required")
     if args.direction is not None:
         direction = _parse_direction(args.direction)
     else:
-        bases = sorted(vc.id for vc in surface.singular_classes)
-        connections = []
-        for base in bases:
-            connections.extend(enumerate_saddles(surface, base, args.max_length, tolerances=tol))
-        connections.sort(key=lambda c: (c.length, c.angle, c.start, c.end))
+        _, connections = _saddle_inventory(surface, "all", args.max_length)
         if not 0 <= args.from_saddle < len(connections):
             raise ConeSurfaceError(
                 f"--from-saddle {args.from_saddle} out of range; "
@@ -276,7 +264,7 @@ def cmd_cylinders(args) -> int:
     start = None
     if args.chart is not None:
         start = (args.chart, (args.x, args.y))
-    cyl = find_closed_geodesic(surface, direction, start, tolerances=tol)
+    cyl = find_closed_geodesic(surface, direction, start)
     if cyl is None:
         payload = {"found": False, "direction": list(direction)}
         _say(args, "no closed geodesic found in that direction")
@@ -307,9 +295,9 @@ def cmd_cylinders(args) -> int:
     return EXIT_OK
 
 
-def _run_density(surface, target, lengths, window, eta, chain_budget, tol):
+def _run_density(surface, target, lengths, window, eta, chain_budget):
     report = density_experiment(surface, target, lengths, window=window, eta=eta,
-                                chain_budget=chain_budget, tolerances=tol)
+                                chain_budget=chain_budget)
     metrics = {
         "rows": [dict(r) for r in report.rows],
         "inventory": dict(report.inventory),
@@ -321,14 +309,13 @@ def _run_density(surface, target, lengths, window, eta, chain_budget, tol):
 
 
 def cmd_density(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     with open(args.target_spec, "r", encoding="utf-8") as fh:
         target = _state_from_dict(json.load(fh))
     lengths = [float(v) for v in args.lengths.split(",")]
     started = time.perf_counter()
     passed, metrics = _run_density(surface, target, lengths, args.window, args.eta,
-                                   args.chain_budget, tol)
+                                   args.chain_budget)
     report = RunReport(
         scenario="density",
         inputs={"surface": args.surface, "target_spec": args.target_spec,
@@ -350,16 +337,15 @@ def cmd_density(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     degree = default_odd_degree(surface) if args.degree == "auto" else int(args.degree)
     if args.monodromy == "search":
-        spec = find_monodromy(surface, degree, tolerances=tol)
+        spec = find_monodromy(surface, degree)
     else:
         with open(args.monodromy, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         spec = CoverSpec(degree, {int(k): tuple(v) for k, v in raw.items()})
-    cover, report = build_cover(surface, spec, tolerances=tol)
+    cover, report = build_cover(surface, spec)
     residual = riemann_hurwitz_check(surface, cover, report)
     payload = report.to_dict()
     payload["riemann_hurwitz_residual"] = residual
@@ -383,8 +369,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tol = args.tolerances
-    surface = _load(args, tol)
+    surface = load_surface(args.surface, args.tolerances)
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     cfg = ExperimentConfig(
@@ -405,14 +390,14 @@ def cmd_experiment(args) -> int:
     if args.scenario == "no-strips":
         # the rows come from min_singular_distance_up_to, not the trace's series
         rep = min_distance_experiment(surface, state, cfg.lengths, threshold=cfg.threshold,
-                                      options=_PLAIN_OPTIONS, tolerances=tol)
+                                      options=PLAIN_TRACE_OPTIONS)
         metrics = {"rows": [[L, m] for L, m in rep.rows], "threshold": cfg.threshold}
         passed = rep.passed
         for L, m in rep.rows:
             _say(args, f"  m({L:g}) = {m:.12g}")
     else:
         passed, metrics = _run_density(surface, state, cfg.lengths, cfg.window,
-                                       cfg.threshold, cfg.chain_budget, tol)
+                                       cfg.threshold, cfg.chain_budget)
         for row in metrics["rows"]:
             _say(args, f"  L={row['length_bound']:g}: distance {row['distance']:.6g}")
 
@@ -435,13 +420,12 @@ def cmd_experiment(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
-    tol = args.tolerances
     seed = args.seed
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, bool, str]] = []
     started = time.perf_counter()
 
-    surfaces = {name: builder(tolerances=tol) for name, builder in BUILDERS.items()}
+    surfaces = {name: builder(tolerances=args.tolerances) for name, builder in BUILDERS.items()}
 
     worst = max(validate_gauss_bonnet(s).residual for s in surfaces.values())
     checks.append(("gauss-bonnet residual <= 1e-9 on corpus", worst <= 1e-9, f"{worst:.3e}"))
@@ -456,8 +440,7 @@ def cmd_selftest(args) -> int:
         p = (geo.centroid[0] * (1 - w) + v[0] * w, geo.centroid[1] * (1 - w) + v[1] * w)
         a = rng.uniform(0.0, 2.0 * math.pi)
         st = GeodesicState("oct", p, (math.cos(a), math.sin(a)))
-        tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)),
-                   options=_PLAIN_OPTIONS, tolerances=tol)
+        tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)), options=PLAIN_TRACE_OPTIONS)
         dv = develop(tr)
         worst_col = max(worst_col, dv.collinearity_residual)
         seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)
@@ -487,7 +470,7 @@ def cmd_selftest(args) -> int:
                    f"t'={pred['parameter_offset']:.12g} T={pred['intersection_distance']:.12g}"))
 
     torus = surfaces["torus_marked"]
-    conns = enumerate_saddles(torus, "v0", 5.0, tolerances=tol)
+    conns = enumerate_saddles(torus, "v0", 5.0)
     checks.append(("48 torus saddle connections at L=5", len(conns) == 48, str(len(conns))))
 
     all_ok = all(ok for _, ok, _ in checks)

@@ -1,10 +1,17 @@
-"""Tolerances and resource limits, overridable per call or via a JSON file."""
+"""Tolerances and resource limits.
+
+A surface is built with one ``Tolerances`` object (``build_surface``,
+``surface_from_dict``, ``load_surface`` and the ``corpus`` builders take it)
+and every algorithm on the surface reads ``surface.tolerances``; a branched
+cover inherits its base's. ``load_tolerance_overrides`` builds one from a JSON
+file, as the CLI's ``--tolerance-overrides`` does for the surface it loads.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -18,15 +25,11 @@ class Tolerances:
     tau_angle: float = 1e-9      # angle comparisons
     tau_hit: float = 1e-9        # vertex-proximity that counts as a cone hit
     tau_rec: float = 1e-7        # state-recurrence match (point and direction)
-    tau_dev: float = 1e-8        # developed collinearity residual per unit length
     tau_exit: float = 1e-12      # minimum advance when solving for a chart exit
     distance_step: float = 1e-3  # quadrature step for the compact-open distance
     w_max_factor: float = 1e3    # strip-width cap, in units of max chart diameter
     unfolding_budget: int = 10**6   # max developed chart copies
     search_budget: int = 10**5      # max nodes in monodromy backtracking
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

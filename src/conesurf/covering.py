@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     BranchPointOnPath,
     InvalidPermutation,
@@ -23,11 +22,11 @@ from .errors import (
     SearchBudgetExceeded,
     TraceNumericalError,
 )
-from .surface import KIND_MARKED, KIND_SMALL, ConeSurface, build_surface
+from .surface import KIND_SMALL, ConeSurface, build_surface
 from .tracer import (
     EVENT_CONE_HIT,
+    PLAIN_TRACE_OPTIONS,
     GeodesicState,
-    TraceOptions,
     TraceResult,
     trace,
 )
@@ -80,21 +79,6 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
             n += 1
         cycles.append(n)
     return tuple(sorted(cycles, reverse=True))
-
-
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
-    out = []
-    for s in range(1, len(perm) + 1):
-        if seen[s - 1]:
-            continue
-        cyc, cur = [], s
-        while not seen[cur - 1]:
-            seen[cur - 1] = True
-            cyc.append(cur)
-            cur = perm[cur - 1]
-        out.append(tuple(cyc))
-    return out
 
 
 @dataclass(frozen=True)
@@ -182,15 +166,14 @@ def default_odd_degree(surface: ConeSurface) -> int:
     return d
 
 
-def build_cover(base: ConeSurface, spec: CoverSpec,
-                tolerances: Tolerances | None = None) -> tuple[ConeSurface, BranchReport]:
+def build_cover(base: ConeSurface, spec: CoverSpec) -> tuple[ConeSurface, BranchReport]:
     """Assemble the degree-d cover described by ``spec``.
 
-    Returns the cover surface plus a BranchReport.  Disconnected covers are
-    allowed and flagged in the report, not rejected.
+    Returns the cover surface, which carries the base's tolerances, plus a
+    BranchReport.  Disconnected covers are allowed and flagged in the report,
+    not rejected.
     """
     spec = spec.validated(base)
-    tol = tolerances or base.tolerances
     d = spec.degree
 
     polygons = [(sheet_chart(cid, s), verts)
@@ -206,7 +189,7 @@ def build_cover(base: ConeSurface, spec: CoverSpec,
     # First pass resolves the cover's corner orbits; marked points are then
     # lifted onto the unbranched (local degree 1) preimages and the surface is
     # rebuilt so those classes count as singular.
-    cover = build_surface(polygons, gluings, marked=(), tolerances=tol,
+    cover = build_surface(polygons, gluings, marked=(), tolerances=base.tolerances,
                           allow_disconnected=True, allow_sheet_ids=True)
     base_marked = {base.corner_class[c].id for c in base.marked_corners}
     cover_marked = []
@@ -225,7 +208,8 @@ def build_cover(base: ConeSurface, spec: CoverSpec,
         if bvc.id in base_marked and local == 1:
             cover_marked.append(cvc.members[0])
     if cover_marked:
-        cover = build_surface(polygons, gluings, marked=cover_marked, tolerances=tol,
+        cover = build_surface(polygons, gluings, marked=cover_marked,
+                              tolerances=base.tolerances,
                               allow_disconnected=True, allow_sheet_ids=True)
 
     base_info: dict[str, dict] = {}
@@ -257,30 +241,26 @@ def riemann_hurwitz_check(base: ConeSurface, cover: ConeSurface,
                - report.degree * base.euler_characteristic + excess)
 
 
-def lift_trace(cover: ConeSurface, base_trace: TraceResult, start_sheet: int = 1, *,
-               options: TraceOptions | None = None,
-               tolerances: Tolerances | None = None) -> TraceResult:
+def lift_trace(cover: ConeSurface, base_trace: TraceResult, start_sheet: int = 1) -> TraceResult:
     """Re-trace a base trajectory on the cover, starting on ``start_sheet``.
 
     Cover charts are congruent copies of the base charts, so the lifted trace
     reproduces the base segment-by-segment; a branched preimage met along the
     way terminates the lift early and raises BranchPointOnPath.
     """
-    tol = tolerances or cover.tolerances
     st = base_trace.start
     lifted_start = GeodesicState(sheet_chart(st.chart, start_sheet), st.point, st.direction)
     length = base_trace.total_length
     if length <= 0.0:
         raise BranchPointOnPath("cannot lift a zero-length trace")
-    opts = options or TraceOptions(detect_recurrence=False, record_min_distance=False)
-    lifted = trace(cover, lifted_start, length, options=opts, tolerances=tol)
+    lifted = trace(cover, lifted_start, length, options=PLAIN_TRACE_OPTIONS)
 
     if lifted.termination == EVENT_CONE_HIT and base_trace.termination != EVENT_CONE_HIT:
         detail = lifted.events[-1].detail
         raise BranchPointOnPath(
             f"the trajectory meets branched class {detail.get('vertex_class')} at "
             f"arclength {lifted.total_length:.9g}; its lift is ambiguous there")
-    if abs(lifted.total_length - length) > tol.tau_len * (len(lifted.segments) + 1):
+    if abs(lifted.total_length - length) > cover.tolerances.tau_len * (len(lifted.segments) + 1):
         raise TraceNumericalError(
             f"lift length {lifted.total_length} differs from base {length}")
     for (bc, ba, bb), (cc, ca, cb) in zip(base_trace.segments, lifted.segments):
@@ -335,8 +315,7 @@ def project_trace(cover_trace: TraceResult) -> TraceResult:
 
 
 def find_monodromy(base: ConeSurface, degree: int,
-                   branch_classes: tuple[str, ...] | None = None, *,
-                   tolerances: Tolerances | None = None) -> CoverSpec:
+                   branch_classes: tuple[str, ...] | None = None) -> CoverSpec:
     """Search gluing permutations realizing full branching at chosen classes.
 
     Targets a single ``degree``-cycle at every class in ``branch_classes``
@@ -345,7 +324,6 @@ def find_monodromy(base: ConeSurface, degree: int,
     first, so unconstrained gluings stay trivial; prunes as soon as every
     gluing in some class walk is assigned and the cycle type is wrong.
     """
-    tol = tolerances or base.tolerances
     d = int(degree)
     if d < 1:
         raise InvalidPermutation(f"cover degree must be >= 1, got {degree}")
@@ -371,7 +349,7 @@ def find_monodromy(base: ConeSurface, degree: int,
     identity = _identity(d)
     candidates = [identity] + sorted(p for p in itertools.permutations(range(1, d + 1))
                                      if p != identity)
-    budget = tol.search_budget
+    budget = base.tolerances.search_budget
     nodes = 0
 
     def product_type(vc_id: str, assigned: list) -> tuple[int, ...]:

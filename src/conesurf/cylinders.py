@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import DomainError, NotClosed, TraceNumericalError, UnfoldingBudgetExceeded
 from .geometry import Isometry, angle_of, normalize
 from .saddles import (
@@ -32,6 +31,7 @@ from .tracer import (
     EVENT_CONE_HIT,
     EVENT_MAX_LENGTH,
     EVENT_SELF_RECURRENCE,
+    PLAIN_TRACE_OPTIONS,
     GeodesicState,
     TraceOptions,
     TraceResult,
@@ -44,7 +44,6 @@ from .tracer import (
 
 _CORE_OPTIONS = TraceOptions(detect_recurrence=True, stop_on_recurrence=True,
                              record_min_distance=False)
-_PLAIN_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 # lateral launch offsets (fractions of the max chart diameter) tried when the
 # initial trace runs into a cone point; irrational-ish values avoid re-hitting
@@ -129,8 +128,7 @@ def _state_gap(surface: ConeSurface, a: GeodesicState, b: GeodesicState) -> floa
     return best
 
 
-def offset_state(surface: ConeSurface, state: GeodesicState, u: float, *,
-                 tolerances: Tolerances | None = None) -> GeodesicState:
+def offset_state(surface: ConeSurface, state: GeodesicState, u: float) -> GeodesicState:
     """Translate a state perpendicular to its direction (u > 0 moves left),
     parallel-transporting the direction along the perpendicular geodesic."""
     d = normalize(state.direction)
@@ -138,7 +136,7 @@ def offset_state(surface: ConeSurface, state: GeodesicState, u: float, *,
         return GeodesicState(state.chart, state.point, d)
     n = (-d[1], d[0]) if u > 0.0 else (d[1], -d[0])
     tr = trace(surface, GeodesicState(state.chart, state.point, n), abs(u),
-               options=_PLAIN_OPTIONS, tolerances=tolerances)
+               options=PLAIN_TRACE_OPTIONS)
     if tr.termination != EVENT_MAX_LENGTH:
         raise DomainError(
             f"perpendicular offset by {u} blocked at arclength {tr.total_length:.6g} "
@@ -199,8 +197,7 @@ def _interval_add(covered: list, lo: float, hi: float) -> None:
     covered[:] = merged
 
 
-def _flood_up(surface: ConeSurface, roots, cap: float, tol: Tolerances,
-              root_guard: bool):
+def _flood_up(surface: ConeSurface, roots, cap: float, root_guard: bool):
     """Develop the region vertically above the x axis reachable from the root
     intervals, crossing only upward through edges. Only points whose whole
     vertical segment down to the roots is singularity-free are reached, which
@@ -210,6 +207,7 @@ def _flood_up(surface: ConeSurface, roots, cap: float, tol: Tolerances,
     swept verticals (inf when none at height <= cap) and every singular image
     found at essentially that height, as (x, y, class_id, chart, vertex).
     """
+    budget = surface.tolerances.unfolding_budget
     covered: dict = {}
     best = math.inf
     blockers: list = []
@@ -230,9 +228,8 @@ def _flood_up(surface: ConeSurface, roots, cap: float, tol: Tolerances,
         n = len(pts)
         for plo, phi in parts:
             cells += 1
-            if cells > tol.unfolding_budget:
-                raise UnfoldingBudgetExceeded(
-                    f"strip development exceeded {tol.unfolding_budget} cells")
+            if cells > budget:
+                raise UnfoldingBudgetExceeded(f"strip development exceeded {budget} cells")
             for i in range(n):
                 x, y = float(pts[i, 0]), float(pts[i, 1])
                 if x < plo - 1e-9 or x > phi + 1e-9:
@@ -275,9 +272,7 @@ def _flood_up(surface: ConeSurface, roots, cap: float, tol: Tolerances,
     return best, keep
 
 
-def strip_width(surface: ConeSurface, core: TraceResult, *,
-                w_max: float | None = None,
-                tolerances: Tolerances | None = None):
+def strip_width(surface: ConeSurface, core: TraceResult, *, w_max: float | None = None):
     """Distances from a closed geodesic to the nearest singular image on each
     side of its flat strip, with the witnesses realizing them.
 
@@ -288,7 +283,7 @@ def strip_width(surface: ConeSurface, core: TraceResult, *,
     image exists within w_max (default: the configured width factor times the
     max chart diameter).
     """
-    tol = tolerances or surface.tolerances
+    tol = surface.tolerances
     _require_convex(surface)
     seg0 = core.segments[0]
     d0 = normalize((seg0[2][0] - seg0[1][0], seg0[2][1] - seg0[1][1]))
@@ -317,8 +312,8 @@ def strip_width(surface: ConeSurface, core: TraceResult, *,
         left_roots.append((cid, iso, s[j], s[j + 1]))
         right_roots.append((cid, flip.compose(iso), -s[j + 1], -s[j]))
 
-    d_l, blk_l = _flood_up(surface, left_roots, w_max, tol, root_guard=True)
-    d_r, blk_r = _flood_up(surface, right_roots, w_max, tol, root_guard=False)
+    d_l, blk_l = _flood_up(surface, left_roots, w_max, root_guard=True)
+    d_r, blk_r = _flood_up(surface, right_roots, w_max, root_guard=False)
 
     def pack(blockers, sign):
         byx: dict = {}
@@ -335,8 +330,7 @@ def strip_width(surface: ConeSurface, core: TraceResult, *,
 
 
 def _boundary_saddles(surface: ConeSurface, core: TraceResult,
-                      witnesses: list[StripWitness], circ: float,
-                      tolerances) -> list[SaddleConnection]:
+                      witnesses: list[StripWitness], circ: float) -> list[SaddleConnection]:
     """Certify the segments joining consecutive boundary witnesses.
 
     Each segment is reached from the core by a perpendicular offset to its
@@ -359,12 +353,11 @@ def _boundary_saddles(surface: ConeSurface, core: TraceResult,
             xm = (wi.x + dx * f) % circ
             u = math.copysign(abs(wi.y) + (abs(wn.y) - abs(wi.y)) * f, wi.y)
             try:
-                mid = offset_state(surface, core.state_at(xm), u,
-                                   tolerances=tolerances)
+                mid = offset_state(surface, core.state_at(xm), u)
                 back = trace(surface,
                              GeodesicState(mid.chart, mid.point,
                                            (-mid.direction[0], -mid.direction[1])),
-                             length, options=_PLAIN_OPTIONS, tolerances=tolerances)
+                             length, options=PLAIN_TRACE_OPTIONS)
             except (DomainError, TraceNumericalError):
                 continue
             if (back.termination != EVENT_CONE_HIT
@@ -373,8 +366,7 @@ def _boundary_saddles(surface: ConeSurface, core: TraceResult,
             hit = back.events[-1].detail
             inc = hit["incoming"]
             sc = trace_connection(surface, (hit["chart"], hit["vertex"]),
-                                  (-inc[0], -inc[1]), length,
-                                  expected_end=wn.class_id, tolerances=tolerances)
+                                  (-inc[0], -inc[1]), length, expected_end=wn.class_id)
             if sc is not None:
                 break
         if sc is not None:
@@ -384,8 +376,8 @@ def _boundary_saddles(surface: ConeSurface, core: TraceResult,
 
 def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
                          max_circumference: float | None = None,
-                         allow_offset: bool = True, compute_widths: bool = True,
-                         tolerances: Tolerances | None = None) -> Cylinder | None:
+                         allow_offset: bool = True,
+                         compute_widths: bool = True) -> Cylinder | None:
     """Search for a closed regular geodesic in a given direction.
 
     Traces from the start point (default: centroid of the first chart) until
@@ -394,7 +386,7 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     perpendicular to the direction. Returns None when nothing closes within
     the circumference bound.
     """
-    tol = tolerances or surface.tolerances
+    tol = surface.tolerances
     diam = surface.max_diameter
     if max_circumference is None:
         max_circumference = 128.0 * diam
@@ -412,23 +404,20 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     if allow_offset:
         for f in _JIGGLE_FRACTIONS:
             try:
-                attempts.append(offset_state(surface, base_state, f * diam,
-                                             tolerances=tolerances))
+                attempts.append(offset_state(surface, base_state, f * diam))
             except DomainError:
                 continue
 
     budget = 2.0 * max_circumference + 4.0 * diam
     for state in attempts:
-        tr = trace(surface, state, budget, options=_CORE_OPTIONS,
-                   tolerances=tolerances)
+        tr = trace(surface, state, budget, options=_CORE_OPTIONS)
         if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
             continue
         period = tr.recurrence["period"]
         if period > max_circumference + tol.tau_len:
             continue
         s0 = tr.state_at(tr.recurrence["matched_at"])
-        core = trace(surface, s0, period, options=_PLAIN_OPTIONS,
-                     tolerances=tolerances)
+        core = trace(surface, s0, period, options=PLAIN_TRACE_OPTIONS)
         if core.termination == EVENT_CONE_HIT:
             continue
         gap = _state_gap(surface, s0, core.end_state)
@@ -437,12 +426,11 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
         cyl = Cylinder(core=core, circumference=core.total_length, start=s0,
                        direction=s0.direction, closure_error=gap)
         if compute_widths:
-            d_l, d_r, wit = strip_width(surface, core, tolerances=tolerances)
+            d_l, d_r, wit = strip_width(surface, core)
             cyl.width_left, cyl.width_right = d_l, d_r
             cyl.witnesses = wit
             cyl.bounding = {
-                side: _boundary_saddles(surface, core, wit[side],
-                                        core.total_length, tolerances)
+                side: _boundary_saddles(surface, core, wit[side], core.total_length)
                 for side in ("left", "right")
             }
         return cyl
@@ -557,8 +545,7 @@ def _inventory_directions(surface: ConeSurface, anchor_chart: str,
 
 def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
                        window: float = 5.0, eta: float = 0.05,
-                       chain_budget: int = 200,
-                       tolerances: Tolerances | None = None) -> DensityReport:
+                       chain_budget: int = 200) -> DensityReport:
     """Approximate a geodesic by closed geodesics and chains of bounded length.
 
     For each length bound L, evaluates the exponentially weighted distance
@@ -569,7 +556,7 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     Passes when the best distance is non-increasing in L and the final value
     drops below eta.
     """
-    tol = tolerances or surface.tolerances
+    tol = surface.tolerances
     lengths = [float(L) for L in lengths]
     if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("length bounds must be strictly increasing and non-empty")
@@ -577,7 +564,7 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     diam = surface.max_diameter
 
     tgt = two_sided_trace(surface, target, window + 2.0 + 2.0 * diam,
-                          options=_PLAIN_OPTIONS, tolerances=tolerances)
+                          options=PLAIN_TRACE_OPTIONS)
     for side, res in (("forward", tgt.forward), ("backward", tgt.backward)):
         if res.total_length < window:
             raise DomainError(
@@ -586,8 +573,7 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
 
     connections: list[SaddleConnection] = []
     for vc in surface.singular_classes:
-        connections.extend(enumerate_saddles(surface, vc.id, L_max,
-                                             tolerances=tolerances))
+        connections.extend(enumerate_saddles(surface, vc.id, L_max))
 
     # closed geodesics through the target start, one per direction mod sign,
     # re-traced from the anchor so parameter 0 aligns with the target's
@@ -595,12 +581,11 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     for d in _inventory_directions(surface, target.chart, connections):
         cyl = find_closed_geodesic(surface, d, (target.chart, target.point),
                                    max_circumference=L_max, allow_offset=False,
-                                   compute_widths=False, tolerances=tolerances)
+                                   compute_widths=False)
         if cyl is None:
             continue
         anchored = trace(surface, GeodesicState(target.chart, target.point, d),
-                         cyl.circumference, options=_PLAIN_OPTIONS,
-                         tolerances=tolerances)
+                         cyl.circumference, options=PLAIN_TRACE_OPTIONS)
         if (anchored.termination != EVENT_MAX_LENGTH
                 or _state_gap(surface, anchored.start, anchored.end_state)
                 > 100.0 * tol.tau_rec):

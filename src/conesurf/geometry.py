@@ -62,10 +62,6 @@ class Isometry:
         return Isometry(1.0, 0.0, 0.0, 0.0)
 
     @staticmethod
-    def rotation_translation(angle: float, tx: float = 0.0, ty: float = 0.0) -> "Isometry":
-        return Isometry(math.cos(angle), math.sin(angle), tx, ty)
-
-    @staticmethod
     def from_segments(a0, a1, b0, b1) -> "Isometry":
         """The proper rigid motion mapping directed segment (a0,a1) onto (b0,b1).
 

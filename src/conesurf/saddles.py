@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import Tolerances
 from .errors import DomainError, EndpointMismatch, UnfoldingBudgetExceeded
 from .geometry import (
     TWO_PI,
@@ -28,13 +27,11 @@ from .geometry import (
 from .surface import KIND_LARGE, ConeSurface, CornerRef
 from .tracer import (
     EVENT_CONE_HIT,
+    PLAIN_TRACE_OPTIONS,
     GeodesicState,
-    TraceOptions,
     TraceResult,
     trace,
 )
-
-_ENUM_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,10 @@ class DirectionSpectrum:
     total: int
 
 
-def _unfold_disk(surface: ConeSurface, root_chart: str, center, radius: float,
-                 tol: Tolerances) -> list[tuple[str, Isometry]]:
+def _unfold_disk(surface: ConeSurface, root_chart: str, center,
+                 radius: float) -> list[tuple[str, Isometry]]:
     """Chart copies whose polygons meet the disk, as (chart, iso to root frame)."""
+    budget = surface.tolerances.unfolding_budget
     copies = []
     seen = set()
     ident = Isometry.identity()
@@ -91,10 +89,10 @@ def _unfold_disk(surface: ConeSurface, root_chart: str, center, radius: float,
             if not inside and distance_to_polygon_boundary(verts, local) > radius:
                 continue
             copies.append((chart, iso))
-            if len(copies) > tol.unfolding_budget:
+            if len(copies) > budget:
                 raise UnfoldingBudgetExceeded(
                     f"unfolding around {root_chart!r} exceeded "
-                    f"{tol.unfolding_budget} chart copies at radius {radius}")
+                    f"{budget} chart copies at radius {radius}")
             for e in range(surface.geometry[chart].n):
                 nb = surface.edge_lookup[(chart, e)]
                 niso = iso.compose(nb.inv)
@@ -107,14 +105,12 @@ def _unfold_disk(surface: ConeSurface, root_chart: str, center, radius: float,
 
 
 def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
-                     length: float, expected_end: str | None = None, *,
-                     tolerances: Tolerances | None = None) -> SaddleConnection | None:
+                     length: float, expected_end: str | None = None) -> SaddleConnection | None:
     """Certify a saddle connection by tracing from a singular corner.
 
     Returns the connection when the trace ends in a cone hit at the stated
     length (and class, when given); None otherwise.
     """
-    tol = tolerances or surface.tolerances
     chart, k = corner
     start_cls = surface.corner_class[corner]
     v = surface.charts[chart][k]
@@ -122,7 +118,7 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
     d = (direction[0] / n, direction[1] / n)
     slack = max(1e-7, 1e-9 * length)
     tr = trace(surface, GeodesicState(chart, v, d), length + slack,
-               options=_ENUM_OPTIONS, tolerances=tolerances)
+               options=PLAIN_TRACE_OPTIONS)
     if tr.termination != EVENT_CONE_HIT:
         return None
     if abs(tr.total_length - length) > slack:
@@ -136,8 +132,7 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
         start_corner=corner, direction=d, path=tr, pieces=(tr,))
 
 
-def enumerate_saddles(surface: ConeSurface, base: str, L: float, *,
-                      tolerances: Tolerances | None = None) -> list[SaddleConnection]:
+def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleConnection]:
     """All saddle connections from ``base`` of length at most L.
 
     Complete up to the configured unfolding budget: every geodesic segment of
@@ -146,7 +141,7 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float, *,
     length) rounded to 1e-9 and certified by re-tracing; connections are
     returned sorted by length, then direction angle.
     """
-    tol = tolerances or surface.tolerances
+    tol = surface.tolerances
     vc = surface.vertex_class(base)
     if not vc.singular:
         raise DomainError(f"class {base!r} is not singular; saddle connections "
@@ -159,7 +154,7 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float, *,
         b = surface.charts[chart][k]
         beta = vc.angles[m_idx]
         sray = vc.start_rays[m_idx]
-        copies = _unfold_disk(surface, chart, b, L, tol)
+        copies = _unfold_disk(surface, chart, b, L)
         candidates: dict[tuple, tuple] = {}
         for ccid, iso in copies:
             geo = surface.geometry[ccid]
@@ -181,8 +176,7 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float, *,
                 rel = 0.0
             if rel >= beta - tol.tau_angle:
                 continue
-            sc = trace_connection(surface, (chart, k), (hx, hy), dist,
-                                  expected_end=cls_id, tolerances=tolerances)
+            sc = trace_connection(surface, (chart, k), (hx, hy), dist, expected_end=cls_id)
             if sc is None:
                 continue
             key = (sc.start, sc.end, round(sc.holonomy[0], 9),
@@ -191,8 +185,7 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float, *,
     return sorted(found.values(), key=lambda s: (s.length, s.angle))
 
 
-def direction_spectrum(surface: ConeSurface, L: float, *,
-                       tolerances: Tolerances | None = None) -> DirectionSpectrum:
+def direction_spectrum(surface: ConeSurface, L: float) -> DirectionSpectrum:
     """Union of saddle holonomy directions over all singular base classes.
 
     Angles are atan2 values in (-pi, pi], merged within 1e-9, each with the
@@ -201,7 +194,7 @@ def direction_spectrum(surface: ConeSurface, L: float, *,
     """
     angles: list[float] = []
     for vc in surface.singular_classes:
-        for sc in enumerate_saddles(surface, vc.id, L, tolerances=tolerances):
+        for sc in enumerate_saddles(surface, vc.id, L):
             angles.append(sc.angle)
     if not angles:
         return DirectionSpectrum([], [], TWO_PI, 0)

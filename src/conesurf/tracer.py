@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-from .config import Tolerances
 from .errors import (
     AngleOutOfRange,
     DomainError,
@@ -48,7 +47,7 @@ from .geometry import (
     point_in_polygon,
     point_segment_distance,
 )
-from .surface import KIND_LARGE, KIND_MARKED, ConeSurface, VertexClass
+from .surface import KIND_LARGE, KIND_MARKED, ConeSurface
 
 EVENT_EDGE_CROSS = "EdgeCross"
 EVENT_CONE_HIT = "ConeHit"
@@ -117,6 +116,8 @@ class TraceOptions:
 
 
 DEFAULT_TRACE_OPTIONS = TraceOptions()
+# no recurrence scan, no m(T) series: for callers that read neither
+PLAIN_TRACE_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
 @dataclass
@@ -137,10 +138,6 @@ class TraceResult:
     _p0: np.ndarray | None = field(default=None, repr=False)
     _dirs: np.ndarray | None = field(default=None, repr=False)
     _chart_codes: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def recurrence_period(self) -> float | None:
-        return self.recurrence["period"] if self.recurrence else None
 
     def param_range(self) -> tuple[float, float]:
         return (0.0, self.total_length)
@@ -367,15 +364,14 @@ def continuation_sector(surface: ConeSurface, class_id: str, incoming,
 
 
 def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
-          options: TraceOptions = DEFAULT_TRACE_OPTIONS,
-          tolerances: Tolerances | None = None) -> TraceResult:
+          options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TraceResult:
     """Trace the geodesic from ``start`` for at most ``max_length``.
 
     Stops at singular cone hits (unless the class is marked and
     ``options.stop_on_cone`` is false), at ``max_length``, or -- when
     ``options.stop_on_recurrence`` -- at the first detected state recurrence.
     """
-    tol = tolerances or surface.tolerances
+    tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
         raise DomainError(f"max_length must be positive and finite, got {max_length}")
     cid = start.chart
@@ -632,12 +628,11 @@ class TwoSidedPath:
 
 
 def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: float, *,
-                    options: TraceOptions = DEFAULT_TRACE_OPTIONS,
-                    tolerances: Tolerances | None = None) -> TwoSidedPath:
-    fwd = trace(surface, state, half_length, options=options, tolerances=tolerances)
+                    options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TwoSidedPath:
+    fwd = trace(surface, state, half_length, options=options)
     back_state = GeodesicState(state.chart, state.point,
                                (-state.direction[0], -state.direction[1]))
-    bwd = trace(surface, back_state, half_length, options=options, tolerances=tolerances)
+    bwd = trace(surface, back_state, half_length, options=options)
     return TwoSidedPath(fwd, bwd)
 
 
@@ -745,8 +740,7 @@ class MinDistanceReport:
 
 def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
                             threshold: float | None = None, mode: str = "extended", *,
-                            options: TraceOptions = DEFAULT_TRACE_OPTIONS,
-                            tolerances: Tolerances | None = None) -> MinDistanceReport:
+                            options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> MinDistanceReport:
     """Trace once and tabulate m(T) = min distance to the singular set up to T.
 
     The tabulated sequence is non-increasing by construction. ``strict`` mode
@@ -762,7 +756,7 @@ def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
     lengths = sorted(float(L) for L in lengths)
     if not lengths or lengths[0] <= 0.0:
         raise DomainError("lengths must be positive")
-    tr = trace(surface, start, lengths[-1], options=options, tolerances=tolerances)
+    tr = trace(surface, start, lengths[-1], options=options)
     rows = [(L, min_singular_distance_up_to(surface, tr, min(L, tr.total_length)))
             for L in lengths]
     monotone = all(rows[i + 1][1] <= rows[i][1] + 1e-15 for i in range(len(rows) - 1))

@@ -93,6 +93,17 @@ def test_tolerance_overrides(tmp_path):
                 "validate", "--surface", TORUS]) == 0
 
 
+def test_tolerance_overrides_reach_the_algorithms(tmp_path, capsys):
+    unfolding = write_json(tmp_path / "unfold.json", {"unfolding_budget": 50})
+    assert run(["--quiet", "--tolerance-overrides", unfolding,
+                "saddles", "--surface", OCTAGON, "--max-length", "1.45"]) == 2
+    assert "exceeded 50 chart copies" in capsys.readouterr().err
+    search = write_json(tmp_path / "search.json", {"search_budget": 3})
+    assert run(["--quiet", "--tolerance-overrides", search,
+                "cover", "--surface", PILLOW, "--degree", "3"]) == 2
+    assert "monodromy search exceeded 3 nodes" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # trace
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from conesurf import (
     riemann_hurwitz_check,
     trace,
 )
-from conesurf.corpus import flat_torus, pillowcase
+from conesurf.corpus import flat_torus, marked_torus, pillowcase
 from conesurf.errors import (
     BranchPointOnPath,
     InvalidPermutation,
@@ -138,10 +138,19 @@ def test_default_odd_degree_requires_small_cones(torus):
         default_odd_degree(torus)
 
 
-def test_monodromy_search_budget(pcase):
-    tiny = dataclasses.replace(DEFAULT_TOLERANCES, search_budget=3)
+def test_monodromy_search_budget():
+    pcase = pillowcase(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, search_budget=3))
     with pytest.raises(SearchBudgetExceeded):
-        find_monodromy(pcase, 3, tolerances=tiny)
+        find_monodromy(pcase, 3)
+
+
+def test_cover_inherits_base_tolerances():
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=1234)
+    # the pillowcase cover is built once; the marked torus lifts its marked
+    # point, so its cover is built a second time
+    for base, spec in ((pillowcase(tolerances=tol), CoverSpec(3, {0: (2, 3, 1)})),
+                       (marked_torus(tolerances=tol), CoverSpec(2, {}))):
+        assert build_cover(base, spec)[0].tolerances is base.tolerances
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from conesurf import (
     find_monodromy,
     trace_connection,
 )
+from conesurf.corpus import regular_octagon
 from conesurf.errors import (
     DomainError,
     EndpointMismatch,
@@ -78,12 +79,13 @@ def test_enumeration_input_validation(torus, mtorus):
         enumerate_saddles(mtorus, "v0", math.inf)
 
 
-def test_unfolding_budget_guard(octagon):
+def test_unfolding_budget_guard():
     # Disk unfolding around a 6*pi cone grows exponentially; the budget makes
     # the enumeration refuse instead of hanging.
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=2000)
+    octagon = regular_octagon(
+        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=2000))
     with pytest.raises(UnfoldingBudgetExceeded):
-        enumerate_saddles(octagon, "v0", 1.45, tolerances=tol)
+        enumerate_saddles(octagon, "v0", 1.45)
 
 
 # --------------------------------------------------------------------------

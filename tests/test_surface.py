@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conesurf
+import conesurf.cli
 from conesurf import (
     build_surface,
     classify_singularities,
@@ -17,6 +20,7 @@ from conesurf import (
     surface_to_dict,
     validate_gauss_bonnet,
 )
+from conesurf import corpus
 from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle
 from conesurf.errors import (
     DisconnectedSurface,
@@ -249,6 +253,33 @@ def test_file_roundtrip(tmp_path, mtorus):
     assert rebuilt.marked_corners == mtorus.marked_corners
     (vc,) = rebuilt.vertex_classes.values()
     assert vc.singular and vc.kind == "marked"
+
+
+# --------------------------------------------------------------------------
+# Tolerances are fixed when a surface is built
+# --------------------------------------------------------------------------
+
+def test_only_surface_builders_take_tolerances():
+    # every algorithm reads surface.tolerances; ConeSurface stores what the
+    # builders pass it, _vertex_classes is build_surface's helper, and the
+    # corpus builders forward theirs
+    allowed = {"build_surface", "surface_from_dict", "load_surface", "ConeSurface",
+               "_vertex_classes"}
+    takers = []
+    for module in (conesurf, conesurf.cli, conesurf.covering, conesurf.cylinders,
+                   conesurf.saddles, conesurf.surface, conesurf.tracer):
+        for name, obj in vars(module).items():
+            if name.startswith("__") or not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "tolerances" in params and name not in allowed:
+                takers.append(f"{module.__name__}.{name}")
+    assert takers == []
+    for builder in corpus.BUILDERS.values():
+        assert "tolerances" in inspect.signature(builder).parameters
 
 
 # --------------------------------------------------------------------------
