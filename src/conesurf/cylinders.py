@@ -119,7 +119,7 @@ def _state_gap(surface: ConeSurface, a: GeodesicState, b: GeodesicState) -> floa
     """Position-plus-direction mismatch between states, minimized over chart
     alignments (a boundary point is the same surface point in either chart)."""
     best = math.inf
-    for iso in surface.alignment_isos(a.chart, b.chart, 2):
+    for iso in surface.alignment_isos(a.chart, b.chart):
         q = iso.apply(b.point)
         u = iso.rotate(b.direction)
         gap = (math.hypot(a.point[0] - q[0], a.point[1] - q[1])
@@ -272,7 +272,7 @@ def _flood_up(surface: ConeSurface, roots, cap: float, root_guard: bool):
     return best, keep
 
 
-def strip_width(surface: ConeSurface, core: TraceResult, *, w_max: float | None = None):
+def strip_width(surface: ConeSurface, core: TraceResult):
     """Distances from a closed geodesic to the nearest singular image on each
     side of its flat strip, with the witnesses realizing them.
 
@@ -280,8 +280,8 @@ def strip_width(surface: ConeSurface, core: TraceResult, *, w_max: float | None 
     and flood-fills vertically from it, so only singular images genuinely
     inside the strip count. Requires convex charts. Returns
     (d_left, d_right, witnesses); a distance is math.inf when no singular
-    image exists within w_max (default: the configured width factor times the
-    max chart diameter).
+    image exists within the surface's ``w_max_factor`` times its max chart
+    diameter.
     """
     tol = surface.tolerances
     _require_convex(surface)
@@ -291,8 +291,7 @@ def strip_width(surface: ConeSurface, core: TraceResult, *, w_max: float | None 
     if gap > 100.0 * tol.tau_rec:
         raise NotClosed(f"trace does not return to its start state (gap {gap:.3g})")
     circ = core.total_length
-    if w_max is None:
-        w_max = tol.w_max_factor * surface.max_diameter
+    w_max = tol.w_max_factor * surface.max_diameter
     if not surface.singular_classes:
         return math.inf, math.inf, {"left": [], "right": []}
 
@@ -532,7 +531,7 @@ def _inventory_directions(surface: ConeSurface, anchor_chart: str,
             cands = [sc.direction]
         else:
             cands = [iso.rotate(sc.direction)
-                     for iso in surface.alignment_isos(anchor_chart, root, 2)]
+                     for iso in surface.alignment_isos(anchor_chart, root)]
         for d in cands:
             if d[1] < 0.0 or (d[1] == 0.0 and d[0] < 0.0):
                 d = (-d[0], -d[1])

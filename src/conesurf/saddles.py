@@ -75,32 +75,20 @@ def _unfold_disk(surface: ConeSurface, root_chart: str, center,
                  radius: float) -> list[tuple[str, Isometry]]:
     """Chart copies whose polygons meet the disk, as (chart, iso to root frame)."""
     budget = surface.tolerances.unfolding_budget
+
+    def meets_disk(chart, iso):
+        local = iso.inverse().apply(center)
+        verts = surface.charts[chart]
+        return (point_in_polygon(verts, local, tol=1e-12)
+                or distance_to_polygon_boundary(verts, local) <= radius)
+
     copies = []
-    seen = set()
-    ident = Isometry.identity()
-    frontier = [(root_chart, ident)]
-    seen.add((root_chart, ident.rounded_key()))
-    while frontier:
-        nxt = []
-        for chart, iso in frontier:
-            local = iso.inverse().apply(center)
-            verts = surface.charts[chart]
-            inside = point_in_polygon(verts, local, tol=1e-12)
-            if not inside and distance_to_polygon_boundary(verts, local) > radius:
-                continue
-            copies.append((chart, iso))
-            if len(copies) > budget:
-                raise UnfoldingBudgetExceeded(
-                    f"unfolding around {root_chart!r} exceeded "
-                    f"{budget} chart copies at radius {radius}")
-            for e in range(surface.geometry[chart].n):
-                nb = surface.edge_lookup[(chart, e)]
-                niso = iso.compose(nb.inv)
-                key = (nb.chart, niso.rounded_key())
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((nb.chart, niso))
-        frontier = nxt
+    for _, chart, iso in surface.unfold(root_chart, meets_disk):
+        copies.append((chart, iso))
+        if len(copies) > budget:
+            raise UnfoldingBudgetExceeded(
+                f"unfolding around {root_chart!r} exceeded "
+                f"{budget} chart copies at radius {radius}")
     return copies
 
 

@@ -188,7 +188,7 @@ class ConeSurface:
                 self.corner_class[corner] = vc
         self.max_diameter: float = max(g.diameter for g in self.geometry.values())
         self._singular_images: dict[str, np.ndarray] = {}
-        self._alignments: dict[tuple[str, str, int], list[Isometry]] = {}
+        self._alignments: dict[str, dict[str, list[Isometry]]] = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -208,20 +208,13 @@ class ConeSurface:
         cached = self._singular_images.get(chart)
         if cached is not None:
             return cached
-        pts: list[tuple[float, float]] = []
-        geo = self.geometry[chart]
-        for i in range(geo.n):
-            if self.corner_class[(chart, i)].singular:
-                pts.append(tuple(geo.vertices[i]))
-        for e in range(geo.n):
-            nb = self.edge_lookup[(chart, e)]
-            ngeo = self.geometry[nb.chart]
-            for i in range(ngeo.n):
-                if self.corner_class[(nb.chart, i)].singular:
-                    pts.append(nb.inv.apply(tuple(ngeo.vertices[i])))
         dedup: dict[tuple[float, float], tuple[float, float]] = {}
-        for p in pts:
-            dedup[(round(p[0], 12), round(p[1], 12))] = p
+        for _, c, iso in self.unfold(chart, max_level=1):
+            geo = self.geometry[c]
+            for i in range(geo.n):
+                if self.corner_class[(c, i)].singular:
+                    p = iso.apply(tuple(geo.vertices[i]))
+                    dedup[(round(p[0], 12), round(p[1], 12))] = p
         arr = np.array(list(dedup.values()), dtype=float).reshape(-1, 2)
         self._singular_images[chart] = arr
         return arr
@@ -245,32 +238,49 @@ class ConeSurface:
             steps.append((nb.gluing_index, nb.side))
         return steps
 
-    def alignment_isos(self, c_from: str, c_to: str, depth: int = 2) -> list[Isometry]:
-        """Isometries mapping c_to coords into c_from's frame, over all unfolded
-        copies of c_to within ``depth`` gluing crossings of c_from."""
-        key = (c_from, c_to, depth)
-        cached = self._alignments.get(key)
-        if cached is not None:
-            return cached
-        seen: set[tuple] = set()
-        out: list[Isometry] = []
-        frontier = [(c_from, Isometry.identity())]
-        seen.add((c_from, Isometry.identity().rounded_key()))
-        for _ in range(depth + 1):
+    def unfold(self, root: str, keep=None, max_level: int | None = None):
+        """Develop the surface into ``root``'s frame, breadth-first.
+
+        Yields (level, chart, iso) once per chart copy, deduplicated by
+        (chart, iso.rounded_key()): iso maps the copy into root's frame and
+        level counts gluing crossings from root. A copy for which
+        ``keep(chart, iso)`` is false is neither yielded nor crossed, and
+        nothing is crossed beyond ``max_level``; with neither, the caller
+        must stop the generator.
+        """
+        ident = Isometry.identity()
+        seen = {(root, ident.rounded_key())}
+        frontier = [(root, ident)]
+        level = 0
+        while frontier:
             nxt = []
             for chart, iso in frontier:
-                if chart == c_to:
-                    out.append(iso)
+                if keep is not None and not keep(chart, iso):
+                    continue
+                yield level, chart, iso
+                if level == max_level:
+                    continue
                 for e in range(self.geometry[chart].n):
                     nb = self.edge_lookup[(chart, e)]
                     niso = iso.compose(nb.inv)
-                    k = (nb.chart, niso.rounded_key())
-                    if k not in seen:
-                        seen.add(k)
+                    key = (nb.chart, niso.rounded_key())
+                    if key not in seen:
+                        seen.add(key)
                         nxt.append((nb.chart, niso))
             frontier = nxt
-        self._alignments[key] = out
-        return out
+            level += 1
+
+    def alignment_isos(self, c_from: str, c_to: str) -> list[Isometry]:
+        """Isometries mapping c_to coords into c_from's frame, one per unfolded
+        copy of c_to within two gluing crossings of c_from, in breadth-first
+        order; empty when no copy is that close."""
+        by_chart = self._alignments.get(c_from)
+        if by_chart is None:
+            by_chart = {}
+            for _, chart, iso in self.unfold(c_from, max_level=2):
+                by_chart.setdefault(chart, []).append(iso)
+            self._alignments[c_from] = by_chart
+        return by_chart.get(c_to, [])
 
     def __repr__(self):
         return (f"ConeSurface({len(self.charts)} charts, {len(self.gluings)} gluings, "

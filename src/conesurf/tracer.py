@@ -382,7 +382,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         raise ZeroDirection(f"direction {start.direction} has no usable length")
     d = (start.direction[0] / dn, start.direction[1] / dn)
     p = (float(start.point[0]), float(start.point[1]))
-    if not point_in_polygon(surface.charts[cid], p, tol=max(tol.tau_hit, 1e-9)):
+    if not point_in_polygon(surface.charts[cid], p, tol=tol.tau_hit):
         raise StartOutsideSurface(f"point {p} is outside chart {cid!r}")
     norm_start = GeodesicState(cid, p, d, 0.0)
 
@@ -575,15 +575,15 @@ def predict_self_intersection(closest_approach: float, angle: float) -> dict:
 # -- distances ----------------------------------------------------------------------
 
 
-def surface_point_distance(surface: ConeSurface, a, b, depth: int = 2) -> float:
+def surface_point_distance(surface: ConeSurface, a, b) -> float:
     """Approximate surface distance between (chart, point) pairs via unfolding.
 
     Minimum straight-line distance over all developed copies of b's chart
-    within ``depth`` gluing crossings of a's chart; inf when no copy exists.
+    within two gluing crossings of a's chart; inf when no copy exists.
     """
     (ca, pa), (cb, pb) = a, b
     best = math.inf
-    for iso in surface.alignment_isos(ca, cb, depth):
+    for iso in surface.alignment_isos(ca, cb):
         q = iso.apply(pb)
         dist = math.hypot(pa[0] - q[0], pa[1] - q[1])
         if dist < best:
@@ -658,24 +658,23 @@ class DistanceResult:
 
 
 def geodesic_distance(surface: ConeSurface, path1, path2,
-                      window=5.0, anchor1: float = 0.0, anchor2: float = 0.0,
-                      step: float | None = None, depth: int = 2,
-                      diameter_bound: float | None = None) -> DistanceResult:
+                      window=5.0, anchor1: float = 0.0,
+                      anchor2: float = 0.0) -> DistanceResult:
     """Exponentially weighted compact-open distance between two paths.
 
     Numerically integrates dist(path1(t), path2(t)) * exp(-|t|) over the
     window, with t measured from per-path anchors (arclengths; default the
-    path starts). Pointwise distances use bounded unfolding and are capped at
-    the diameter bound, whose tail contribution 2*D*exp(-W) is reported.
+    path starts), by the trapezoid rule with the surface's ``distance_step``.
+    Pointwise distances minimize over the copies of the second chart within
+    two gluing crossings of the first and are capped at the diameter bound
+    D, the summed chart diameters, whose tail contribution 2*D*exp(-W) is
+    reported.
     """
-    tol = surface.tolerances
-    if step is None:
-        step = tol.distance_step
+    step = surface.tolerances.distance_step
     w0, w1 = (-float(window), float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
     if not w0 < w1:
         raise DomainError(f"empty window ({w0}, {w1})")
-    if diameter_bound is None:
-        diameter_bound = sum(g.diameter for g in surface.geometry.values())
+    diameter_bound = sum(g.diameter for g in surface.geometry.values())
     for path, anchor, name in ((path1, anchor1, "path1"), (path2, anchor2, "path2")):
         lo, hi = path.param_range()
         if anchor + w0 < lo - 1e-9 or anchor + w1 > hi + 1e-9:
@@ -690,7 +689,7 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     names = surface.chart_names
 
     i0 = int(np.argmin(np.abs(ts)))
-    if not surface.alignment_isos(names[k1[i0]], names[k2[i0]], depth):
+    if not surface.alignment_isos(names[k1[i0]], names[k2[i0]]):
         raise IncomparableTraces(
             f"no chart alignment between {names[k1[i0]]!r} and {names[k2[i0]]!r} "
             f"at time 0")
@@ -700,7 +699,7 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     dists = np.empty(count)
     for j, key in enumerate(keys):
         sel = slice(None) if len(keys) == 1 else group == j
-        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)], depth)
+        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)])
         dists[sel] = _chart_pair_distance(isos, xy1[sel], xy2[sel], diameter_bound)
 
     value = float(_trapezoid(dists * np.exp(-np.abs(ts)), ts))

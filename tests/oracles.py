@@ -2,7 +2,7 @@
 
 Everything here is deliberately written from scratch with elementary methods
 (lattice brute force, closed-form trigonometry, a translation-only stepper,
-high-precision recomposition) and shares no stepping or unfolding code with
+high-precision recomposition, a per-pair breadth-first unfolding) and shares no stepping or unfolding code with
 the package.
 """
 
@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 
 import mpmath
+
+from conesurf.geometry import Isometry
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,23 +265,51 @@ def path_sample(path, t: float):
     return trace_sample(path, t)
 
 
+def alignment_isos(surface, c_from: str, c_to: str) -> list:
+    """The copies of c_to within two gluing crossings of c_from, as isometries
+    into c_from's frame: one breadth-first search per chart pair, deduplicated
+    by rounded (chart, isometry), in visiting order."""
+    ident = Isometry.identity()
+    seen = {(c_from, ident.rounded_key())}
+    out = []
+    frontier = [(c_from, ident)]
+    for _ in range(3):                      # the root and two rings of neighbors
+        nxt = []
+        for chart, iso in frontier:
+            if chart == c_to:
+                out.append(iso)
+            for e in range(len(surface.charts[chart])):
+                nb = surface.edge_lookup[(chart, e)]
+                niso = iso.compose(nb.iso.inverse())
+                key = (nb.chart, niso.rounded_key())
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((nb.chart, niso))
+        frontier = nxt
+    return out
+
+
 def compact_open_distance(surface, path1, path2, window: float, *, anchor1: float = 0.0,
-                          anchor2: float = 0.0, step: float, depth: int = 2) -> float:
+                          anchor2: float = 0.0, step: float) -> float:
     """The weighted distance of ``geodesic_distance``, sample by sample.
 
     Each sample's distance is the minimum of math.hypot over the chart
-    alignments of its two charts, capped at the summed chart diameters; the
-    weighted samples are summed by the trapezoid rule with math.fsum.
+    alignments of its two charts (``alignment_isos`` above), capped at the
+    summed chart diameters; the weighted samples are summed by the trapezoid
+    rule with math.fsum.
     """
     cap = sum(g.diameter for g in surface.geometry.values())
     count = max(2, int(round(2.0 * window / step)) + 1)
     ts = [-window + 2.0 * window * i / (count - 1) for i in range(count)]
+    aligned: dict = {}
     values = []
     for t in ts:
         c1, (x1, y1) = path_sample(path1, t + anchor1)
         c2, (x2, y2) = path_sample(path2, t + anchor2)
+        if (c1, c2) not in aligned:
+            aligned[c1, c2] = alignment_isos(surface, c1, c2)
         best = cap
-        for iso in surface.alignment_isos(c1, c2, depth):
+        for iso in aligned[c1, c2]:
             qx = iso.c * x2 - iso.s * y2 + iso.tx
             qy = iso.s * x2 + iso.c * y2 + iso.ty
             best = min(best, math.hypot(x1 - qx, y1 - qy))

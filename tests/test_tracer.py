@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -23,7 +24,8 @@ from conesurf import (
     trace,
     two_sided_trace,
 )
-from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle, regular_octagon
+from conesurf.config import DEFAULT_TOLERANCES
+from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle, marked_torus, regular_octagon
 from conesurf.errors import (
     AngleOutOfRange,
     DomainError,
@@ -107,6 +109,13 @@ def test_trace_start_validation(torus):
         trace(torus, GeodesicState("nope", (0.5, 0.5), (1.0, 0.0), 0.0), 1.0)
     with pytest.raises(ZeroDirection):
         trace(torus, GeodesicState("sq", (0.5, 0.5), (0.0, 0.0), 0.0), 1.0)
+
+
+def test_trace_start_check_uses_tau_hit():
+    tight = marked_torus(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, tau_hit=1e-12))
+    with pytest.raises(StartOutsideSurface):
+        trace(tight, GeodesicState("sq", (-1e-10, 0.5), (1.0, 0.3)), 1.0)
+    trace(tight, GeodesicState("sq", (0.0, 0.5), (1.0, 0.3)), 1.0)
 
 
 # --------------------------------------------------------------------------
