@@ -1,8 +1,9 @@
 """conesurf: Euclidean cone surfaces from glued polygons.
 
-Geodesic tracing by straight-line flow across gluings, saddle-connection
-enumeration by bounded unfolding, flat cylinder widths, compact-open distance
-between trajectories, and branched covers driven by edge permutations.
+Geodesic tracing by straight-line flow across gluings; saddle connections and
+flat cylinder widths by one exact window sweep of the developed surface, whose
+chart copies ``unfolding_budget`` counts; compact-open distance between
+trajectories; branched covers driven by edge permutations.
 """
 
 from .config import Tolerances, DEFAULT_TOLERANCES, load_tolerance_overrides

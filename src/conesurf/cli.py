@@ -473,6 +473,15 @@ def cmd_selftest(args) -> int:
     conns = enumerate_saddles(torus, "v0", 5.0)
     checks.append(("48 torus saddle connections at L=5", len(conns) == 48, str(len(conns))))
 
+    # the octagon's saddle set is invariant under its rotation by pi/4
+    hol = [c.holonomy for c in enumerate_saddles(octagon, "v0", 2.0)]
+    key = lambda vs: sorted((round(x, 7) + 0.0, round(y, 7) + 0.0) for x, y in vs)
+    r = math.sqrt(0.5)
+    ok = (bool(hol) and key(hol) == key((r * (x - y), r * (x + y)) for x, y in hol)
+          and min(math.hypot(x, y) for x, y in hol) >= 2.0 * math.sin(math.pi / 8.0) - 1e-9)
+    checks.append(("octagon saddles at L=2: rotation-invariant, none below the side",
+                   ok, str(len(hol))))
+
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, note in checks:
         _say(args, f"[{'PASS' if ok else 'FAIL'}] {name} ({note})")
@@ -601,13 +610,8 @@ def run(argv=None) -> int:
         args.tolerances = (load_tolerance_overrides(args.tolerance_overrides)
                            if args.tolerance_overrides else DEFAULT_TOLERANCES)
         return args.func(args)
-    except ConeSurfaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ConeSurfaceError, FileNotFoundError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -12,7 +12,6 @@ k > 1).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     SearchBudgetExceeded,
     TraceNumericalError,
 )
+from .geometry import TWO_PI
 from .surface import KIND_SMALL, ConeSurface, build_surface
 from .tracer import (
     EVENT_CONE_HIT,
@@ -30,8 +30,6 @@ from .tracer import (
     TraceResult,
     trace,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def sheet_chart(chart: str, sheet: int) -> str:
@@ -64,6 +62,17 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(perm):
         inv[v - 1] = i + 1
     return tuple(inv)
+
+
+def _walk_monodromy(steps, permutation, degree: int) -> tuple[int, ...]:
+    """Sheet reached from each sheet along (gluing, side) steps; a b-side step inverts."""
+    sheets = range(1, degree + 1)
+    for gidx, side in steps:
+        perm = permutation(gidx)
+        if side != "a":
+            perm = _invert(perm)
+        sheets = [perm[s - 1] for s in sheets]
+    return tuple(sheets)
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -141,15 +150,7 @@ def class_monodromy(base: ConeSurface, spec: CoverSpec, class_id: str) -> tuple[
     order (a-side forward, b-side inverse); entry s of the result is the sheet
     on which the walk ends when it starts on sheet s.
     """
-    out = []
-    steps = base.class_walk(class_id)
-    for s in range(1, spec.degree + 1):
-        cur = s
-        for gidx, side in steps:
-            perm = spec.permutation(gidx)
-            cur = perm[cur - 1] if side == "a" else _invert(perm)[cur - 1]
-        out.append(cur)
-    return tuple(out)
+    return _walk_monodromy(base.class_walk(class_id), spec.permutation, spec.degree)
 
 
 def default_odd_degree(surface: ConeSurface) -> int:
@@ -352,16 +353,6 @@ def find_monodromy(base: ConeSurface, degree: int,
     budget = base.tolerances.search_budget
     nodes = 0
 
-    def product_type(vc_id: str, assigned: list) -> tuple[int, ...]:
-        out = []
-        for s in range(1, d + 1):
-            cur = s
-            for gidx, side in walks[vc_id]:
-                perm = assigned[gidx]
-                cur = perm[cur - 1] if side == "a" else _invert(perm)[cur - 1]
-            out.append(cur)
-        return _cycle_type(tuple(out))
-
     assigned: list = [None] * n_gluings
 
     def backtrack(idx: int):
@@ -374,8 +365,8 @@ def find_monodromy(base: ConeSurface, degree: int,
                 raise SearchBudgetExceeded(
                     f"monodromy search exceeded {budget} nodes at degree {d}")
             assigned[idx] = perm
-            ok = all(product_type(vc_id, assigned) == targets[vc_id]
-                     for vc_id in by_last.get(idx, ()))
+            ok = all(_cycle_type(_walk_monodromy(walks[vc_id], assigned.__getitem__, d))
+                     == targets[vc_id] for vc_id in by_last.get(idx, ()))
             if ok and backtrack(idx + 1):
                 return True
         assigned[idx] = None

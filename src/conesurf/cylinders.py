@@ -2,8 +2,8 @@
 
 A closed regular geodesic sits inside a maximal flat cylinder. The core is
 found by tracing until the trajectory revisits its own state; widths come from
-developing the surface into the strip around the core and measuring the
-nearest singular images on each side; the cylinder boundary decomposes into
+sweeping vertical rays out of the core with the window sweep, on convex and
+non-convex charts, to the nearest singular images; the boundary decomposes into
 saddle connections joining consecutive boundary witnesses. The density
 experiment approximates a target geodesic by closed geodesics and closed
 saddle-connection chains of bounded length.
@@ -12,12 +12,11 @@ saddle-connection chains of bounded length.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotClosed, TraceNumericalError, UnfoldingBudgetExceeded
+from .errors import DomainError, NotClosed, TraceNumericalError
 from .geometry import Isometry, angle_of, normalize
 from .saddles import (
     PiecewiseGeodesic,
@@ -26,7 +25,7 @@ from .saddles import (
     enumerate_saddles,
     trace_connection,
 )
-from .surface import ConeSurface
+from .surface import ConeSurface, VerticalPencil, WindowSweep
 from .tracer import (
     EVENT_CONE_HIT,
     EVENT_MAX_LENGTH,
@@ -149,142 +148,18 @@ def offset_state(surface: ConeSurface, state: GeodesicState, u: float) -> Geodes
     return GeodesicState(e.chart, e.point, d2)
 
 
-def _require_convex(surface: ConeSurface) -> None:
-    for cid, geo in surface.geometry.items():
-        v = geo.vertices
-        n = len(v)
-        for i in range(n):
-            a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
-            ab = (b[0] - a[0], b[1] - a[1])
-            bc = (c[0] - b[0], c[1] - b[1])
-            crz = ab[0] * bc[1] - ab[1] * bc[0]
-            scale = math.hypot(*ab) * math.hypot(*bc)
-            if crz < -1e-9 * scale:
-                raise DomainError(
-                    f"strip widths require convex charts; chart {cid!r} is "
-                    f"reflex at vertex {(i + 1) % n}. Subdivide the chart first.")
-
-
-def _interval_subtract(covered: list, lo: float, hi: float) -> list:
-    """Parts of [lo, hi] not already covered (covered: sorted disjoint)."""
-    parts = []
-    cur = lo
-    for a, b in covered:
-        if b <= cur:
-            continue
-        if a >= hi:
-            break
-        if a > cur:
-            parts.append((cur, min(a, hi)))
-        cur = max(cur, b)
-        if cur >= hi:
-            break
-    if cur < hi:
-        parts.append((cur, hi))
-    return parts
-
-
-def _interval_add(covered: list, lo: float, hi: float) -> None:
-    covered.append((lo, hi))
-    covered.sort()
-    merged = [covered[0]]
-    for a, b in covered[1:]:
-        la, lb = merged[-1]
-        if a <= lb:
-            merged[-1] = (la, max(lb, b))
-        else:
-            merged.append((a, b))
-    covered[:] = merged
-
-
-def _flood_up(surface: ConeSurface, roots, cap: float, root_guard: bool):
-    """Develop the region vertically above the x axis reachable from the root
-    intervals, crossing only upward through edges. Only points whose whole
-    vertical segment down to the roots is singularity-free are reached, which
-    is exactly the membership condition for the flat strip around the core.
-
-    Returns (d, blockers): the minimum height of a singular image over the
-    swept verticals (inf when none at height <= cap) and every singular image
-    found at essentially that height, as (x, y, class_id, chart, vertex).
-    """
-    budget = surface.tolerances.unfolding_budget
-    covered: dict = {}
-    best = math.inf
-    blockers: list = []
-    seen_blk: set = set()
-    queue = deque((c, iso, lo, hi, True) for c, iso, lo, hi in roots)
-    cells = 0
-    while queue:
-        chart, iso, lo, hi, is_root = queue.popleft()
-        if hi - lo <= 1e-12:
-            continue
-        key = (chart, iso.rounded_key())
-        ivals = covered.setdefault(key, [])
-        parts = _interval_subtract(ivals, lo, hi)
-        if not parts:
-            continue
-        _interval_add(ivals, lo, hi)
-        pts = iso.apply_array(surface.geometry[chart].vertices)
-        n = len(pts)
-        for plo, phi in parts:
-            cells += 1
-            if cells > budget:
-                raise UnfoldingBudgetExceeded(f"strip development exceeded {budget} cells")
-            for i in range(n):
-                x, y = float(pts[i, 0]), float(pts[i, 1])
-                if x < plo - 1e-9 or x > phi + 1e-9:
-                    continue
-                if not surface.corner_class[(chart, i)].singular:
-                    continue
-                if abs(y) <= 1e-12:
-                    if is_root and root_guard:
-                        raise NotClosed(
-                            f"singular point on the core line at arclength "
-                            f"{x:.6g}; not a regular closed geodesic")
-                    continue
-                if y < 0.0 or y > cap + 1e-9:
-                    continue
-                bkey = (round(x, 9), round(y, 9))
-                if bkey in seen_blk:
-                    continue
-                seen_blk.add(bkey)
-                blockers.append((x, y, surface.corner_class[(chart, i)].id,
-                                 chart, i))
-                best = min(best, y)
-            for e in range(n):
-                ax, ay = float(pts[e, 0]), float(pts[e, 1])
-                bx, by = float(pts[(e + 1) % n, 0]), float(pts[(e + 1) % n, 1])
-                if bx >= ax - 1e-12:       # upward-facing edges of a CCW chart
-                    continue               # run right to left
-                jlo, jhi = max(plo, bx), min(phi, ax)
-                if jhi - jlo <= 1e-12:
-                    continue
-                y0 = ay + (jlo - ax) / (bx - ax) * (by - ay)
-                y1 = ay + (jhi - ax) / (bx - ax) * (by - ay)
-                if min(y0, y1) > min(best, cap) + 1e-8:
-                    continue
-                nb = surface.edge_lookup[(chart, e)]
-                queue.append((nb.chart, iso.compose(nb.inv),
-                              jlo, jhi, False))
-    if best > cap:
-        return math.inf, []
-    keep = [b for b in blockers if b[1] <= best + 1e-9 * max(1.0, best)]
-    return best, keep
-
-
 def strip_width(surface: ConeSurface, core: TraceResult):
     """Distances from a closed geodesic to the nearest singular image on each
     side of its flat strip, with the witnesses realizing them.
 
-    Develops the surface into the frame where the core runs along the x axis
-    and flood-fills vertically from it, so only singular images genuinely
-    inside the strip count. Requires convex charts. Returns
-    (d_left, d_right, witnesses); a distance is math.inf when no singular
-    image exists within the surface's ``w_max_factor`` times its max chart
-    diameter.
+    In the frame where the core runs along the x axis, a WindowSweep sends
+    vertical rays up from the core's developed segments, so only singular
+    images genuinely inside the strip count, on convex and non-convex charts
+    alike; the surface's ``unfolding_budget`` bounds each side's sweep.
+    Returns (d_left, d_right, witnesses); a distance is math.inf when no
+    singular image lies within ``w_max_factor`` times the max chart diameter.
     """
     tol = surface.tolerances
-    _require_convex(surface)
     seg0 = core.segments[0]
     d0 = normalize((seg0[2][0] - seg0[1][0], seg0[2][1] - seg0[1][1]))
     gap = _state_gap(surface, GeodesicState(seg0[0], seg0[1], d0), core.end_state)
@@ -307,25 +182,37 @@ def strip_width(surface: ConeSurface, core: TraceResult):
         s.append(s[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
     left_roots, right_roots = [], []
     for j, (cid, _, _) in enumerate(core.segments):
+        if s[j + 1] - s[j] <= 1e-12:
+            continue
         iso = frame.compose(dev.isometries[j])
-        left_roots.append((cid, iso, s[j], s[j + 1]))
-        right_roots.append((cid, flip.compose(iso), -s[j + 1], -s[j]))
+        for i, (x, y) in enumerate(map(iso.apply, surface.charts[cid])):
+            if (abs(y) <= 1e-12 and s[j] - 1e-9 <= x <= s[j + 1] + 1e-9
+                    and surface.corner_class[(cid, i)].singular):
+                raise NotClosed(f"singular point on the core line at arclength {x:.6g}; "
+                                "not a regular closed geodesic")
+        left_roots.append((cid, iso, ((s[j], False), (s[j + 1], False))))
+        right_roots.append((cid, flip.compose(iso), ((-s[j + 1], False), (-s[j], False))))
 
-    d_l, blk_l = _flood_up(surface, left_roots, w_max, root_guard=True)
-    d_r, blk_r = _flood_up(surface, right_roots, w_max, root_guard=False)
-
-    def pack(blockers, sign):
+    widths, witnesses = [], {}
+    for side, sign, roots in (("left", 1.0, left_roots), ("right", -1.0, right_roots)):
+        sweep = WindowSweep(surface, VerticalPencil(), roots, w_max)
+        blockers = []
+        for (x, y), _, chart, vertex in sweep:
+            blockers.append((x, y, chart, vertex))
+            sweep.reach = min(sweep.reach, y + 1e-9 * max(1.0, y))
+        best = min((b[1] for b in blockers), default=math.inf)
+        widths.append(best if best <= w_max else math.inf)
         byx: dict = {}
-        for x, y, cls, chart, vertex in blockers:
+        for x, y, chart, vertex in blockers:
+            if y > min(best + 1e-9 * max(1.0, best), w_max):
+                continue
+            cls = surface.corner_class[(chart, vertex)].id
             xr = (sign * x) % circ
             if xr > circ - 1e-9:
                 xr -= circ
-            byx.setdefault((round(xr, 7), cls),
-                           StripWitness(xr, sign * y, cls, chart, vertex))
-        return sorted(byx.values(), key=lambda w: w.x)
-
-    witnesses = {"left": pack(blk_l, +1.0), "right": pack(blk_r, -1.0)}
-    return d_l, d_r, witnesses
+            byx.setdefault((round(xr, 7), cls), StripWitness(xr, sign * y, cls, chart, vertex))
+        witnesses[side] = sorted(byx.values(), key=lambda w: w.x)
+    return widths[0], widths[1], witnesses
 
 
 def _boundary_saddles(surface: ConeSurface, core: TraceResult,

@@ -74,7 +74,7 @@ class AngleOutOfRange(DomainError):
 # -- saddle connections -------------------------------------------------------
 
 class UnfoldingBudgetExceeded(ConeSurfaceError):
-    """Breadth-first unfolding grew past the configured chart-copy budget."""
+    """A window sweep visited more chart copies than the configured budget."""
 
 
 class EndpointMismatch(ConeSurfaceError):

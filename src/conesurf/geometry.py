@@ -1,14 +1,10 @@
-"""Planar primitives: rigid motions, polygon predicates, ray/segment queries.
-
-Points are (x, y) tuples at API boundaries and numpy arrays internally.
-"""
+"""Planar primitives on (x, y) tuples: rigid motions, polygon predicates,
+segment queries."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,11 +37,6 @@ def angle_of(v) -> float:
 def ccw_angle(from_angle: float, to_angle: float) -> float:
     """Counterclockwise angle from one direction angle to another, in [0, 2*pi)."""
     return (to_angle - from_angle) % TWO_PI
-
-
-def rotate90(v):
-    """Left-hand perpendicular (counterclockwise quarter turn)."""
-    return (-v[1], v[0])
 
 
 @dataclass(frozen=True)
@@ -85,12 +76,6 @@ class Isometry:
 
     def rotate(self, v):
         return (self.c * v[0] - self.s * v[1], self.s * v[0] + self.c * v[1])
-
-    def apply_array(self, pts: np.ndarray) -> np.ndarray:
-        """Apply to an (n, 2) array of points."""
-        x, y = pts[:, 0], pts[:, 1]
-        return np.stack([self.c * x - self.s * y + self.tx,
-                         self.s * x + self.c * y + self.ty], axis=1)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other))(p) == self(other(p))."""
@@ -180,7 +165,8 @@ def interior_angle(vertices, i: int) -> float:
 def point_in_polygon(vertices, p, tol: float = 1e-9) -> bool:
     """Inside test with a boundary band of width tol counted as inside."""
     n = len(vertices)
-    if distance_to_polygon_boundary(vertices, p) <= tol:
+    if any(point_segment_distance(p, vertices[i], vertices[(i + 1) % n]) <= tol
+           for i in range(n)):
         return True
     inside = False
     x, y = p
@@ -192,16 +178,6 @@ def point_in_polygon(vertices, p, tol: float = 1e-9) -> bool:
             if xi > x:
                 inside = not inside
     return inside
-
-
-def distance_to_polygon_boundary(vertices, p) -> float:
-    n = len(vertices)
-    best = math.inf
-    for i in range(n):
-        d = point_segment_distance(p, vertices[i], vertices[(i + 1) % n])
-        if d < best:
-            best = d
-    return best
 
 
 def point_segment_distance(p, a, b) -> float:

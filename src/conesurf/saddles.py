@@ -1,13 +1,12 @@
 """Saddle connection enumeration and piecewise-geodesic assembly.
 
 A saddle connection is a geodesic segment running between singular vertex
-classes with no singular point in its interior. Enumeration unfolds chart
-copies breadth-first inside a disk around each corner of the base class,
-collects developed singular corners as candidates, keeps those whose outgoing
-direction lies in the root corner's wedge, and certifies each survivor by
-re-tracing. Chains of connections form piecewise geodesics; chains whose
-junctions continue straight through large cone points merge into generalized
-connections.
+classes with no singular point in its interior. Enumeration sweeps the wedge
+of each corner of the base class through the developed surface with the exact
+window sweep of ``surface.WindowSweep``: each ray ends at the first singular
+corner it meets, and one re-trace turns each hit into its connection. Chains
+of connections form piecewise geodesics; chains whose junctions continue
+straight through large cone points merge into generalized connections.
 """
 
 from __future__ import annotations
@@ -15,16 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EndpointMismatch, UnfoldingBudgetExceeded
-from .geometry import (
-    TWO_PI,
-    Isometry,
-    angle_of,
-    ccw_angle,
-    distance_to_polygon_boundary,
-    point_in_polygon,
-)
-from .surface import KIND_LARGE, ConeSurface, CornerRef
+from .errors import DomainError, EndpointMismatch, TraceNumericalError
+from .geometry import TWO_PI, Isometry
+from .surface import KIND_LARGE, ConeSurface, CornerRef, FanPencil, WindowSweep
 from .tracer import (
     EVENT_CONE_HIT,
     PLAIN_TRACE_OPTIONS,
@@ -71,27 +63,6 @@ class DirectionSpectrum:
     total: int
 
 
-def _unfold_disk(surface: ConeSurface, root_chart: str, center,
-                 radius: float) -> list[tuple[str, Isometry]]:
-    """Chart copies whose polygons meet the disk, as (chart, iso to root frame)."""
-    budget = surface.tolerances.unfolding_budget
-
-    def meets_disk(chart, iso):
-        local = iso.inverse().apply(center)
-        verts = surface.charts[chart]
-        return (point_in_polygon(verts, local, tol=1e-12)
-                or distance_to_polygon_boundary(verts, local) <= radius)
-
-    copies = []
-    for _, chart, iso in surface.unfold(root_chart, meets_disk):
-        copies.append((chart, iso))
-        if len(copies) > budget:
-            raise UnfoldingBudgetExceeded(
-                f"unfolding around {root_chart!r} exceeded "
-                f"{budget} chart copies at radius {radius}")
-    return copies
-
-
 def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
                      length: float, expected_end: str | None = None) -> SaddleConnection | None:
     """Certify a saddle connection by tracing from a singular corner.
@@ -123,13 +94,14 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
 def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleConnection]:
     """All saddle connections from ``base`` of length at most L.
 
-    Complete up to the configured unfolding budget: every geodesic segment of
-    length <= L from the base class stays inside chart copies meeting the
-    enumeration disk. Candidates are deduplicated by (classes, holonomy,
-    length) rounded to 1e-9 and certified by re-tracing; connections are
-    returned sorted by length, then direction angle.
+    A WindowSweep of reach L follows the rays of each member corner's wedge
+    (start ray included, end ray excluded) to the first singular corner each
+    meets; the surface's ``unfolding_budget`` bounds the chart copies one
+    wedge's sweep visits. Hits are deduplicated by (classes, chart-frame
+    holonomy, length) rounded to 1e-9, the first member corner winning, and
+    one ``trace_connection`` turns each into its connection, raising
+    TraceNumericalError if it disagrees. Sorted by length, then angle.
     """
-    tol = surface.tolerances
     vc = surface.vertex_class(base)
     if not vc.singular:
         raise DomainError(f"class {base!r} is not singular; saddle connections "
@@ -138,38 +110,21 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleC
         raise DomainError(f"length bound must be positive and finite, got {L}")
 
     found: dict[tuple, SaddleConnection] = {}
-    for m_idx, (chart, k) in enumerate(vc.members):
-        b = surface.charts[chart][k]
-        beta = vc.angles[m_idx]
-        sray = vc.start_rays[m_idx]
-        copies = _unfold_disk(surface, chart, b, L)
-        candidates: dict[tuple, tuple] = {}
-        for ccid, iso in copies:
-            geo = surface.geometry[ccid]
-            for i in range(geo.n):
-                cls = surface.corner_class[(ccid, i)]
-                if not cls.singular:
-                    continue
-                w = iso.apply((float(geo.vertices[i][0]), float(geo.vertices[i][1])))
-                hx, hy = w[0] - b[0], w[1] - b[1]
-                dist = math.hypot(hx, hy)
-                if dist <= tol.tau_len or dist > L + tol.tau_len:
-                    continue
-                candidates[(round(hx, 9), round(hy, 9))] = (hx, hy, dist, cls.id)
-        for hx, hy, dist, cls_id in candidates.values():
-            # keep directions in this corner's wedge: start ray inclusive,
-            # end ray exclusive, so each direction is claimed exactly once
-            rel = ccw_angle(sray, angle_of((hx, hy)))
-            if rel >= TWO_PI - tol.tau_angle:
-                rel = 0.0
-            if rel >= beta - tol.tau_angle:
+    for m_idx, corner in enumerate(vc.members):
+        b = surface.charts[corner[0]][corner[1]]
+        pencil = FanPencil(b, vc.start_rays[m_idx], vc.angles[m_idx])
+        wedge = [(corner[0], Isometry.identity(), ((0.0, False), (vc.angles[m_idx], True)))]
+        for w, dist, c, i in WindowSweep(surface, pencil, wedge, L):
+            end = surface.corner_class[(c, i)].id
+            hx, hy = w[0] - b[0], w[1] - b[1]
+            key = (vc.id, end, round(hx, 9), round(hy, 9), round(dist, 9))
+            if key in found:
                 continue
-            sc = trace_connection(surface, (chart, k), (hx, hy), dist, expected_end=cls_id)
+            sc = trace_connection(surface, corner, (hx, hy), dist, expected_end=end)
             if sc is None:
-                continue
-            key = (sc.start, sc.end, round(sc.holonomy[0], 9),
-                   round(sc.holonomy[1], 9), round(sc.length, 9))
-            found.setdefault(key, sc)
+                raise TraceNumericalError(f"tracing from corner {corner} toward the sweep's hit "
+                                          f"on {end} at ({hx:.12g}, {hy:.12g}) ends elsewhere")
+            found[key] = sc
     return sorted(found.values(), key=lambda s: (s.length, s.angle))
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch with elementary methods
 (lattice brute force, closed-form trigonometry, a translation-only stepper,
 high-precision recomposition, a per-pair breadth-first unfolding) and shares no stepping or unfolding code with
-the package.
+the package. The one exception is ``passes_trace_audit``, which audits the
+window sweep's saddle connections with the package's tracer.
 """
 
 from __future__ import annotations
@@ -316,3 +317,14 @@ def compact_open_distance(surface, path1, path2, window: float, *, anchor1: floa
         values.append(best * math.exp(-abs(t)))
     return math.fsum(0.5 * (values[i] + values[i + 1]) * (ts[i + 1] - ts[i])
                      for i in range(count - 1))
+
+
+def passes_trace_audit(surface, connection) -> bool:
+    """A trace from the connection's start corner along its direction ends at
+    its end class at its length; the window sweep that found it does not
+    trace, so this checks the sweep against the stepper."""
+    from conesurf import trace_connection
+
+    again = trace_connection(surface, connection.start_corner, connection.direction,
+                             connection.length, expected_end=connection.end)
+    return again is not None and again.start == connection.start

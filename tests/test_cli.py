@@ -94,10 +94,11 @@ def test_tolerance_overrides(tmp_path):
 
 
 def test_tolerance_overrides_reach_the_algorithms(tmp_path, capsys):
-    unfolding = write_json(tmp_path / "unfold.json", {"unfolding_budget": 50})
+    # the window sweep of one octagon corner's wedge visits 7 chart copies at L = 1.45
+    unfolding = write_json(tmp_path / "unfold.json", {"unfolding_budget": 5})
     assert run(["--quiet", "--tolerance-overrides", unfolding,
                 "saddles", "--surface", OCTAGON, "--max-length", "1.45"]) == 2
-    assert "exceeded 50 chart copies" in capsys.readouterr().err
+    assert "exceeded 5 chart copies" in capsys.readouterr().err
     search = write_json(tmp_path / "search.json", {"search_budget": 3})
     assert run(["--quiet", "--tolerance-overrides", search,
                 "cover", "--surface", PILLOW, "--degree", "3"]) == 2

@@ -32,8 +32,8 @@ from conesurf import (
     two_sided_trace,
 )
 from conesurf.config import DEFAULT_TOLERANCES
-from conesurf.corpus import marked_torus, pillowcase
-from conesurf.errors import DomainError
+from conesurf.corpus import marked_torus, pillowcase, regular_octagon
+from conesurf.errors import DomainError, UnfoldingBudgetExceeded
 
 import oracles
 
@@ -178,20 +178,27 @@ def test_strip_width_values_and_witnesses(mtorus):
     assert {w.class_id for side in witnesses.values() for w in side} == {"v0"}
 
 
-def test_strip_width_requires_convex_charts():
+def test_strip_width_on_non_convex_chart():
     ls = build_surface([("L", L_VERTS)], L_GLUINGS)
     (vc,) = ls.vertex_classes.values()
     assert math.isclose(vc.angle, 6 * math.pi, rel_tol=1e-12)
     assert ls.euler_characteristic == -2
 
-    cyl = find_closed_geodesic(ls, (1.0, 0.0), ("L", (0.3, 0.5)),
-                               compute_widths=False)
+    # the horizontal strip 0 < y < 1 is bounded by the corners at y = 0 and y = 1
+    cyl = find_closed_geodesic(ls, (1.0, 0.0), ("L", (0.3, 0.5)))
     assert cyl is not None and math.isclose(cyl.circumference, 2.0, rel_tol=1e-12)
-    assert cyl.width_left is None and cyl.width_right is None
-    with pytest.raises(DomainError, match="[Ss]ubdivide"):
-        strip_width(ls, cyl.core)
-    with pytest.raises(DomainError, match="convex"):
-        find_closed_geodesic(ls, (1.0, 0.0), ("L", (0.3, 0.5)))
+    assert math.isclose(cyl.width_left, 0.5, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(cyl.width_right, 0.5, rel_tol=0, abs_tol=1e-12)
+    left, right, _ = strip_width(ls, cyl.core)
+    assert (left, right) == (cyl.width_left, cyl.width_right)
+
+
+def test_strip_width_budget_guard():
+    # each side's window sweep visits 3 chart copies for the horizontal core
+    octagon = regular_octagon(
+        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=2))
+    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 2 chart copies"):
+        find_closed_geodesic(octagon, (1.0, 0.0))
 
 
 # --------------------------------------------------------------------------

@@ -9,14 +9,12 @@ from conesurf.geometry import (
     Isometry,
     angle_of,
     ccw_angle,
-    distance_to_polygon_boundary,
     interior_angle,
     is_simple_polygon,
     normalize,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
-    rotate90,
     segment_intersection,
 )
 
@@ -96,11 +94,6 @@ def test_normalize_unit_length():
     assert math.isclose(v[0], 0.6) and math.isclose(v[1], 0.8)
 
 
-def test_rotate90_is_ccw():
-    assert rotate90((1.0, 0.0)) == (0.0, 1.0) or \
-        tuple(rotate90((1.0, 0.0))) == (0.0, 1.0)
-
-
 def test_polygon_area_and_orientation():
     assert math.isclose(polygon_area(UNIT_SQUARE), 1.0)
     assert polygon_area(tuple(reversed(UNIT_SQUARE))) < 0.0
@@ -122,11 +115,6 @@ def test_point_in_polygon_interior_boundary_exterior():
     assert point_in_polygon(UNIT_SQUARE, (0.0, 0.0))      # on a corner
     assert not point_in_polygon(UNIT_SQUARE, (1.5, 0.5))
     assert not point_in_polygon(UNIT_SQUARE, (-1e-6, 0.5))
-
-
-def test_distance_to_polygon_boundary():
-    assert math.isclose(distance_to_polygon_boundary(UNIT_SQUARE, (0.5, 0.5)), 0.5)
-    assert math.isclose(distance_to_polygon_boundary(UNIT_SQUARE, (0.25, 0.5)), 0.25)
 
 
 def test_point_segment_distance_clamps_to_endpoints():

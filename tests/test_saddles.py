@@ -80,12 +80,43 @@ def test_enumeration_input_validation(torus, mtorus):
 
 
 def test_unfolding_budget_guard():
-    # Disk unfolding around a 6*pi cone grows exponentially; the budget makes
-    # the enumeration refuse instead of hanging.
+    # The window sweep of one corner's wedge visits 7 chart copies at L = 1.45;
+    # a budget below that makes the enumeration refuse instead of finishing.
     octagon = regular_octagon(
-        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=2000))
-    with pytest.raises(UnfoldingBudgetExceeded):
+        tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=5))
+    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 5 chart copies"):
         enumerate_saddles(octagon, "v0", 1.45)
+
+
+# --------------------------------------------------------------------------
+# The regular octagon, the paper's genus-2 example
+# --------------------------------------------------------------------------
+
+OCTAGON_SIDE = 2.0 * math.sin(math.pi / 8.0)
+
+
+def _rounded(vectors):
+    # rounded as the benchmark's octagon oracle rounds holonomies
+    return sorted((round(x, 7) + 0.0, round(y, 7) + 0.0) for x, y in vectors)
+
+
+@pytest.mark.parametrize("L", [0.8, 2.0, 5.0])
+def test_octagon_saddles_are_symmetric_and_audited(octagon, L):
+    conns = enumerate_saddles(octagon, "v0", L)
+    assert conns and min(c.length for c in conns) >= OCTAGON_SIDE - 1e-9
+    c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
+    holonomies = [sc.holonomy for sc in conns]
+    assert _rounded(holonomies) == _rounded((c * x - s * y, s * x + c * y) for x, y in holonomies)
+    assert all(oracles.passes_trace_audit(octagon, sc) for sc in conns)
+
+
+def test_octagon_short_saddles_are_the_oriented_sides(octagon):
+    verts = octagon.charts["oct"]
+    sides = [(verts[(k + 1) % 8][0] - verts[k][0], verts[(k + 1) % 8][1] - verts[k][1])
+             for k in range(8)]
+    conns = enumerate_saddles(octagon, "v0", 0.8)
+    assert len(conns) == 8
+    assert _rounded(sc.holonomy for sc in conns) == _rounded(sides)
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +250,16 @@ def test_merge_accepts_straight_large_junction(branched_cover):
     assert math.isclose(merged.length, 2 * SQRT2, rel_tol=1e-12)
     assert math.isclose(math.hypot(*merged.holonomy), merged.length, rel_tol=1e-12)
     assert merged.interior_hits == (first.end,)
+
+
+def test_branched_cover_keeps_connections_with_equal_holonomy(branched_cover):
+    # Three classes (v3, v5, v7) have images at holonomy (-1, 0) from v2; a
+    # candidate table keyed on holonomy alone kept one of them.
+    conns = enumerate_saddles(branched_cover, "v2", 3.0)
+    assert sorted(c.end for c in conns) == ["v0", "v0", "v1", "v1", "v1", "v3", "v5", "v7"]
+    for vc in branched_cover.singular_classes:
+        assert all(oracles.passes_trace_audit(branched_cover, sc)
+                   for sc in enumerate_saddles(branched_cover, vc.id, 3.0)), vc.id
 
 
 def test_merge_rejects_bent_large_junction(branched_cover):
