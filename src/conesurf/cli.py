@@ -482,6 +482,17 @@ def cmd_selftest(args) -> int:
     checks.append(("octagon saddles at L=2: rotation-invariant, none below the side",
                    ok, str(len(hol))))
 
+    # each boundary of the horizontal cylinder is a chain of saddle connections
+    cyl = find_closed_geodesic(octagon, (1.0, 0.0))
+    sides = [] if cyl is None else [(cyl.witnesses[s], cyl.bounding[s]) for s in ("left", "right")]
+    sums = [sum(c.length for c in conns) for _, conns in sides]
+    ok = bool(sides) and all(
+        len(conns) == len(ws) > 0 and abs(total - 2.0 * math.cos(math.pi / 8.0)) <= 1e-9
+        for (ws, conns), total in zip(sides, sums))
+    checks.append(("octagon horizontal cylinder: one bounding saddle per witness, "
+                   "lengths sum to 2cos(pi/8) on each side", ok,
+                   " ".join(f"{total:.12g}" for total in sums)))
+
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, note in checks:
         _say(args, f"[{'PASS' if ok else 'FAIL'}] {name} ({note})")

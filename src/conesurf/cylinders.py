@@ -3,10 +3,12 @@
 A closed regular geodesic sits inside a maximal flat cylinder. The core is
 found by tracing until the trajectory revisits its own state; widths come from
 sweeping vertical rays out of the core with the window sweep, on convex and
-non-convex charts, to the nearest singular images; the boundary decomposes into
-saddle connections joining consecutive boundary witnesses. The density
-experiment approximates a target geodesic by closed geodesics and closed
-saddle-connection chains of bounded length.
+non-convex charts, to the nearest singular images. Each boundary is a chain of
+saddle connections joining consecutive boundary witnesses: the sweep records
+the corner and chart copy of every witness, so each connection is one trace
+from its starting witness. The density experiment approximates a target
+geodesic by closed geodesics and closed saddle-connection chains of bounded
+length.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotClosed, TraceNumericalError
-from .geometry import Isometry, angle_of, normalize
+from .geometry import Isometry, angle_of, interior_point, normalize
 from .saddles import (
     PiecewiseGeodesic,
     SaddleConnection,
@@ -82,6 +84,8 @@ class StripWitness:
 
     x is the core arclength of the foot of the perpendicular, y the signed
     height (positive on the left of the core, negative on the right).
+    ``inward`` is the unit vector, in the frame of ``chart``, pointing from the
+    corner back down the perpendicular into the strip.
     """
 
     x: float
@@ -89,6 +93,7 @@ class StripWitness:
     class_id: str
     chart: str
     vertex: int
+    inward: tuple[float, float]
 
 
 @dataclass
@@ -197,31 +202,36 @@ def strip_width(surface: ConeSurface, core: TraceResult):
     for side, sign, roots in (("left", 1.0, left_roots), ("right", -1.0, right_roots)):
         sweep = WindowSweep(surface, VerticalPencil(), roots, w_max)
         blockers = []
-        for (x, y), _, chart, vertex in sweep:
-            blockers.append((x, y, chart, vertex))
+        for (x, y), _, chart, vertex, iso in sweep:
+            blockers.append((x, y, chart, vertex, iso))
             sweep.reach = min(sweep.reach, y + 1e-9 * max(1.0, y))
         best = min((b[1] for b in blockers), default=math.inf)
         widths.append(best if best <= w_max else math.inf)
         byx: dict = {}
-        for x, y, chart, vertex in blockers:
+        for x, y, chart, vertex, iso in blockers:
             if y > min(best + 1e-9 * max(1.0, best), w_max):
                 continue
             cls = surface.corner_class[(chart, vertex)].id
             xr = (sign * x) % circ
             if xr > circ - 1e-9:
                 xr -= circ
-            byx.setdefault((round(xr, 7), cls), StripWitness(xr, sign * y, cls, chart, vertex))
+            # the sweep ray runs up (0, 1) in the copy's frame; inward is its reverse
+            byx.setdefault((round(xr, 7), cls), StripWitness(
+                xr, sign * y, cls, chart, vertex, (-iso.s, -iso.c)))
         witnesses[side] = sorted(byx.values(), key=lambda w: w.x)
     return widths[0], widths[1], witnesses
 
 
-def _boundary_saddles(surface: ConeSurface, core: TraceResult,
-                      witnesses: list[StripWitness], circ: float) -> list[SaddleConnection]:
-    """Certify the segments joining consecutive boundary witnesses.
+def _boundary_saddles(surface: ConeSurface, witnesses: list[StripWitness], circ: float,
+                      sign: float) -> list[SaddleConnection]:
+    """The saddle connections joining consecutive boundary witnesses of one side
+    (sign +1 on the left of the core, -1 on the right).
 
-    Each segment is reached from the core by a perpendicular offset to its
-    midpoint; tracing backward from there identifies the starting corner in
-    its own chart, and the connection is then certified end to end.
+    The strip between a witness's inward ray and the straight segment to the
+    next witness is flat, so the segment leaves the witness's cone coordinate
+    turned from the inward one by pi/2 + atan2(dy, dx): counterclockwise on the
+    left, clockwise on the right. One trace certifies each connection, and a
+    pair that does not certify raises TraceNumericalError.
     """
     out = []
     n = len(witnesses)
@@ -229,96 +239,79 @@ def _boundary_saddles(surface: ConeSurface, core: TraceResult,
         wn = witnesses[(i + 1) % n]
         dx = (wn.x - wi.x) if i + 1 < n else (wn.x + circ - wi.x)
         dy = abs(wn.y) - abs(wi.y)
-        length = math.hypot(dx, dy)
-        if length <= 1e-9:
-            continue
-        sc = None
-        # sample the boundary segment part-way along; retry elsewhere when the
-        # sample lands on a chart boundary or its perpendicular is blocked
-        for f in (0.5, 0.57, 0.43, 0.63, 0.37, 0.69, 0.31):
-            xm = (wi.x + dx * f) % circ
-            u = math.copysign(abs(wi.y) + (abs(wn.y) - abs(wi.y)) * f, wi.y)
-            try:
-                mid = offset_state(surface, core.state_at(xm), u)
-                back = trace(surface,
-                             GeodesicState(mid.chart, mid.point,
-                                           (-mid.direction[0], -mid.direction[1])),
-                             length, options=PLAIN_TRACE_OPTIONS)
-            except (DomainError, TraceNumericalError):
-                continue
-            if (back.termination != EVENT_CONE_HIT
-                    or abs(back.total_length - length * f) > 1e-6 * max(1.0, length)):
-                continue
-            hit = back.events[-1].detail
-            inc = hit["incoming"]
-            sc = trace_connection(surface, (hit["chart"], hit["vertex"]),
-                                  (-inc[0], -inc[1]), length, expected_end=wn.class_id)
-            if sc is not None:
-                break
-        if sc is not None:
-            out.append(sc)
+        vc = surface.corner_class[(wi.chart, wi.vertex)]
+        t = (vc.cone_coordinate(wi.chart, wi.vertex, wi.inward)
+             + sign * (0.5 * math.pi + math.atan2(dy, dx)))
+        chart, vertex, u = vc.direction_at(t)
+        sc = trace_connection(surface, (chart, vertex), u, math.hypot(dx, dy),
+                              expected_end=wn.class_id)
+        if sc is None:
+            raise TraceNumericalError(
+                f"the boundary segment from {wi.class_id} at x={wi.x:.12g} to "
+                f"{wn.class_id} at x={wn.x:.12g} does not trace as a saddle connection")
+        out.append(sc)
     return out
 
 
-def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
-                         max_circumference: float | None = None,
-                         allow_offset: bool = True,
-                         compute_widths: bool = True) -> Cylinder | None:
-    """Search for a closed regular geodesic in a given direction.
-
-    Traces from the start point (default: centroid of the first chart) until
-    self-recurrence, then certifies one period by re-tracing. When the launch
-    runs into a cone point and offsets are allowed, retries from points moved
-    perpendicular to the direction. Returns None when nothing closes within
-    the circumference bound.
-    """
+def _close(surface: ConeSurface, state: GeodesicState,
+           max_circumference: float) -> Cylinder | None:
+    """The closed geodesic through a launch state, without widths: trace to
+    the first self-recurrence, bound its period, re-trace one period from the
+    matched state and check that it returns there; None when a step fails."""
     tol = surface.tolerances
+    budget = 2.0 * max_circumference + 4.0 * surface.max_diameter
+    tr = trace(surface, state, budget, options=_CORE_OPTIONS)
+    if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
+        return None
+    period = tr.recurrence["period"]
+    if period > max_circumference + tol.tau_len:
+        return None
+    s0 = tr.state_at(tr.recurrence["matched_at"])
+    core = trace(surface, s0, period, options=PLAIN_TRACE_OPTIONS)
+    if core.termination == EVENT_CONE_HIT:
+        return None
+    gap = _state_gap(surface, s0, core.end_state)
+    if gap > 100.0 * tol.tau_rec:
+        return None
+    return Cylinder(core=core, circumference=core.total_length, start=s0,
+                    direction=s0.direction, closure_error=gap)
+
+
+def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
+                         max_circumference: float | None = None) -> Cylinder | None:
+    """Search for a closed regular geodesic in a given direction, with its
+    strip widths, boundary witnesses and bounding saddle connections.
+
+    Traces from the start point (default: a point inside the first chart)
+    until self-recurrence, then certifies one period by re-tracing. When the
+    launch runs into a cone point, retries from points moved perpendicular to
+    the direction. Returns None when nothing closes within the circumference
+    bound.
+    """
     diam = surface.max_diameter
     if max_circumference is None:
         max_circumference = 128.0 * diam
     if start is None:
         cid = min(surface.charts)
-        verts = surface.charts[cid]
-        cx = sum(v[0] for v in verts) / len(verts)
-        cy = sum(v[1] for v in verts) / len(verts)
-        start = (cid, (cx, cy))
+        start = (cid, interior_point(surface.charts[cid]))
     chart, point = start
-    d = normalize(direction)
-    base_state = GeodesicState(chart, point, d)
+    base_state = GeodesicState(chart, point, normalize(direction))
 
     attempts = [base_state]
-    if allow_offset:
-        for f in _JIGGLE_FRACTIONS:
-            try:
-                attempts.append(offset_state(surface, base_state, f * diam))
-            except DomainError:
-                continue
+    for f in _JIGGLE_FRACTIONS:
+        try:
+            attempts.append(offset_state(surface, base_state, f * diam))
+        except DomainError:
+            continue
 
-    budget = 2.0 * max_circumference + 4.0 * diam
     for state in attempts:
-        tr = trace(surface, state, budget, options=_CORE_OPTIONS)
-        if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
+        cyl = _close(surface, state, max_circumference)
+        if cyl is None:
             continue
-        period = tr.recurrence["period"]
-        if period > max_circumference + tol.tau_len:
-            continue
-        s0 = tr.state_at(tr.recurrence["matched_at"])
-        core = trace(surface, s0, period, options=PLAIN_TRACE_OPTIONS)
-        if core.termination == EVENT_CONE_HIT:
-            continue
-        gap = _state_gap(surface, s0, core.end_state)
-        if gap > 100.0 * tol.tau_rec:
-            continue
-        cyl = Cylinder(core=core, circumference=core.total_length, start=s0,
-                       direction=s0.direction, closure_error=gap)
-        if compute_widths:
-            d_l, d_r, wit = strip_width(surface, core)
-            cyl.width_left, cyl.width_right = d_l, d_r
-            cyl.witnesses = wit
-            cyl.bounding = {
-                side: _boundary_saddles(surface, core, wit[side], core.total_length)
-                for side in ("left", "right")
-            }
+        cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
+        cyl.bounding = {
+            side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
+            for side, sign in (("left", 1.0), ("right", -1.0))}
         return cyl
     return None
 
@@ -465,9 +458,7 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     # re-traced from the anchor so parameter 0 aligns with the target's
     cores = []
     for d in _inventory_directions(surface, target.chart, connections):
-        cyl = find_closed_geodesic(surface, d, (target.chart, target.point),
-                                   max_circumference=L_max, allow_offset=False,
-                                   compute_widths=False)
+        cyl = _close(surface, GeodesicState(target.chart, target.point, normalize(d)), L_max)
         if cyl is None:
             continue
         anchored = trace(surface, GeodesicState(target.chart, target.point, d),

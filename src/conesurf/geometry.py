@@ -180,6 +180,31 @@ def point_in_polygon(vertices, p, tol: float = 1e-9) -> bool:
     return inside
 
 
+def interior_point(vertices):
+    """A point inside a counterclockwise simple polygon: the vertex average
+    when ``point_in_polygon`` accepts it, else one inside the polygon for sure.
+
+    The lowest (then leftmost) vertex v is convex. When no other vertex lies
+    strictly inside the triangle of v and its neighbours, no edge crosses the
+    triangle and its centroid is inside; otherwise the vertex q in it farthest
+    from the neighbours' line sees v along a diagonal, whose midpoint is inside.
+    """
+    n = len(vertices)
+    avg = (sum(v[0] for v in vertices) / n, sum(v[1] for v in vertices) / n)
+    if point_in_polygon(vertices, avg):
+        return avg
+    k = min(range(n), key=lambda i: (vertices[i][1], vertices[i][0]))
+    a, v, b = vertices[k - 1], vertices[k], vertices[(k + 1) % n]
+    left = lambda p, q, w: cross((q[0] - p[0], q[1] - p[1]), (w[0] - p[0], w[1] - p[1]))
+    # the vertices strictly inside the counterclockwise triangle (v, b, a)
+    ear = [w for w in vertices if left(v, b, w) > 0.0 and left(b, a, w) > 0.0
+           and left(a, v, w) > 0.0]
+    if not ear:
+        return ((a[0] + v[0] + b[0]) / 3.0, (a[1] + v[1] + b[1]) / 3.0)
+    q = min(ear, key=lambda w: left(a, b, w))
+    return (0.5 * (v[0] + q[0]), 0.5 * (v[1] + q[1]))
+
+
 def point_segment_distance(p, a, b) -> float:
     ab = (b[0] - a[0], b[1] - a[1])
     ap = (p[0] - a[0], p[1] - a[1])

@@ -114,7 +114,7 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleC
         b = surface.charts[corner[0]][corner[1]]
         pencil = FanPencil(b, vc.start_rays[m_idx], vc.angles[m_idx])
         wedge = [(corner[0], Isometry.identity(), ((0.0, False), (vc.angles[m_idx], True)))]
-        for w, dist, c, i in WindowSweep(surface, pencil, wedge, L):
+        for w, dist, c, i, _ in WindowSweep(surface, pencil, wedge, L):
             end = surface.corner_class[(c, i)].id
             hx, hy = w[0] - b[0], w[1] - b[1]
             key = (vc.id, end, round(hx, 9), round(hy, 9), round(dist, 9))

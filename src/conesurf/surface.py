@@ -354,9 +354,10 @@ class WindowSweep:
     convex and non-convex charts alike. Rays pass through non-singular corners
     and end at the first singular one, within ``tau_hit`` as the tracer snaps;
     iterating yields each as (point in the pencil's frame, depth, chart,
-    vertex). No edge beyond ``reach`` is crossed and no deeper corner yielded;
-    the caller may lower it while iterating. Windows are visited nearest first,
-    and more than the surface's ``unfolding_budget`` raise UnfoldingBudgetExceeded.
+    vertex, iso of the chart copy). No edge beyond ``reach`` is crossed and no
+    deeper corner yielded; the caller may lower it while iterating. Windows are
+    visited nearest first, and more than the surface's ``unfolding_budget``
+    raise UnfoldingBudgetExceeded.
     """
 
     def __init__(self, surface: ConeSurface, pencil, roots, reach: float):
@@ -380,7 +381,7 @@ class WindowSweep:
             hits, parts = self._cut(chart, pts, e_in, window)
             for d, i in hits:
                 if d <= self.reach + tol.tau_len:
-                    yield pts[i], d, chart, i
+                    yield pts[i], d, chart, i, iso
             for k, (e, part) in enumerate(parts):
                 depth = self.pencil.nearest(pts[e], pts[(e + 1) % len(pts)])
                 if depth <= self.reach + tol.tau_len:

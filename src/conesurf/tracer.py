@@ -211,10 +211,18 @@ def _ray_exit(geo, p, d, tau_exit, tau_hit):
     best_s = math.inf
     for i, (vx, vy, ex, ey, inv_len) in enumerate(geo.scalar_edges):
         denom = dx * ey - dy * ex
-        if -1e-15 < denom < 1e-15:
-            continue
         relx = vx - px
         rely = vy - py
+        if -1e-15 < denom < 1e-15:
+            # a ray running along the edge leaves it at the far endpoint, which
+            # may be a corner between collinear edges
+            if abs(relx * dy - rely * dx) <= tau_hit:
+                a, b = relx * dx + rely * dy, (relx + ex) * dx + (rely + ey) * dy
+                s, u = (b, 1.0) if b >= a else (a, 0.0)
+                if tau_exit < s < best_s:
+                    best_s = s
+                    best = (i, s, u)
+            continue
         s = (relx * ey - rely * ex) / denom
         if s <= tau_exit or s >= best_s:
             continue

@@ -302,8 +302,7 @@ def test_10_cylinder_widths_and_offset_reclosure(capsys):
                                    fraction * cyl.width_left)
             again = find_closed_geodesic(surface, (float(p), float(q)),
                                          (shifted.chart, shifted.point),
-                                         max_circumference=30.0,
-                                         compute_widths=False)
+                                         max_circumference=30.0)
             assert again is not None, (p, q, fraction)
             worst_reclose = max(worst_reclose,
                                 abs(again.circumference - cyl.circumference))

@@ -133,13 +133,11 @@ def test_irrational_direction_finds_nothing(mtorus):
 
 
 def test_on_boundary_start_is_jiggled_into_the_cylinder(mtorus):
-    # (0.5, 0) sits on the horizontal saddle connection; the searcher may
-    # offset the launch point, and refuses to when offsets are disallowed.
+    # (0.5, 0) sits on the horizontal saddle connection; the searcher
+    # offsets the launch point into the cylinder.
     cyl = find_closed_geodesic(mtorus, (1.0, 0.0), ("sq", (0.5, 0.0)))
     assert cyl is not None and math.isclose(cyl.circumference, 1.0, rel_tol=1e-12)
     assert 0.0 < cyl.start.point[1] < 1.0
-    assert find_closed_geodesic(mtorus, (1.0, 0.0), ("sq", (0.5, 0.0)),
-                                allow_offset=False) is None
 
 
 def test_offset_reclosures_preserve_circumference(mtorus):
@@ -170,16 +168,19 @@ def test_offset_state_roundtrip(mtorus):
 # --------------------------------------------------------------------------
 
 def test_strip_width_values_and_witnesses(mtorus):
-    cyl = find_closed_geodesic(mtorus, (1.0, 0.0), ("sq", (0.5, 0.17)),
-                               compute_widths=False)
+    cyl = find_closed_geodesic(mtorus, (1.0, 0.0), ("sq", (0.5, 0.17)))
     left, right, witnesses = strip_width(mtorus, cyl.core)
     assert math.isclose(left, 0.83, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(right, 0.17, rel_tol=0, abs_tol=1e-12)
     assert {w.class_id for side in witnesses.values() for w in side} == {"v0"}
 
 
-def test_strip_width_on_non_convex_chart():
-    ls = build_surface([("L", L_VERTS)], L_GLUINGS)
+@pytest.fixture(scope="module")
+def ls():
+    return build_surface([("L", L_VERTS)], L_GLUINGS)
+
+
+def test_strip_width_on_non_convex_chart(ls):
     (vc,) = ls.vertex_classes.values()
     assert math.isclose(vc.angle, 6 * math.pi, rel_tol=1e-12)
     assert ls.euler_characteristic == -2
@@ -191,6 +192,66 @@ def test_strip_width_on_non_convex_chart():
     assert math.isclose(cyl.width_right, 0.5, rel_tol=0, abs_tol=1e-12)
     left, right, _ = strip_width(ls, cyl.core)
     assert (left, right) == (cyl.width_left, cyl.width_right)
+
+
+def _primitive_directions(r2):
+    """Primitive (p, q) with p^2 + q^2 <= r2, one of each +-pair; r2 = 25
+    gives the 24 directions of acceptance check 10."""
+    r = math.isqrt(r2)
+    return [(p, q) for p in range(r + 1) for q in range(-r, r + 1)
+            if 0 < p * p + q * q <= r2 and math.gcd(p, abs(q)) == 1 and (p > 0 or q > 0)]
+
+
+@pytest.mark.parametrize("L", [1.5, 5.0])
+def test_saddles_stop_at_corners_between_collinear_edges(ls, L):
+    # rays along the bottom edges meet the singular corner (1, 0) between two
+    # collinear edges; a trace running along them must stop there
+    conns = enumerate_saddles(ls, "v0", L)
+    holos = sorted((round(c.holonomy[0], 9), round(c.holonomy[1], 9)) for c in conns)
+    assert holos == sorted((float(p), float(q)) for p, q in oracles.primitive_vectors(L))
+    assert all(oracles.passes_trace_audit(ls, c) for c in conns)
+
+
+@pytest.mark.parametrize("L,count", [(1.5, 8), (5.0, 48), (10.0, 192)])
+def test_notched_torus_saddles_match_the_lattice(notched, L, count):
+    conns = enumerate_saddles(notched, "v0", L)
+    holos = sorted((round(c.holonomy[0], 9), round(c.holonomy[1], 9)) for c in conns)
+    assert len(conns) == count
+    assert holos == sorted((float(p), float(q)) for p, q in oracles.primitive_vectors(L))
+
+
+def test_notched_torus_widths_match_the_lattice(notched):
+    for p, q in _primitive_directions(25):
+        cyl = find_closed_geodesic(notched, (float(p), float(q)), max_circumference=30.0)
+        assert cyl is not None, (p, q)
+        assert math.isclose(cyl.circumference, math.hypot(p, q), rel_tol=1e-12)
+        assert abs(cyl.total_width - oracles.torus_cylinder_width(p, q)) <= 1e-9, (p, q)
+
+
+def test_default_start_lies_inside_a_non_convex_chart(notched):
+    # the vertex average of chart A, (0.5, 0.48), lies in the notch
+    cyl = find_closed_geodesic(notched, (1.0, 0.0))
+    assert cyl is not None and math.isclose(cyl.circumference, 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name,directions", [
+    ("mtorus", _primitive_directions(25)), ("octagon", _primitive_directions(20)),
+    ("pcover", _primitive_directions(25)), ("ls", [(1, 0), (0, 1), (1, 1)]),
+    ("notched", _primitive_directions(25))], ids=["mtorus", "octagon", "pcover", "ls", "notched"])
+def test_bounding_saddles_close_up(request, name, directions):
+    # one connection per pair of consecutive witnesses, joining their classes,
+    # whose lengths add up to the circumference
+    surface = request.getfixturevalue(name)
+    for p, q in directions:
+        cyl = find_closed_geodesic(surface, (float(p), float(q)))
+        assert cyl is not None, (p, q)
+        for side in ("left", "right"):
+            ws, conns = cyl.witnesses[side], cyl.bounding[side]
+            assert ws, (p, q, side)
+            assert [(c.start, c.end) for c in conns] == [
+                (w.class_id, ws[(k + 1) % len(ws)].class_id) for k, w in enumerate(ws)]
+            assert abs(sum(c.length for c in conns) - cyl.circumference) <= 1e-9
+            assert all(oracles.passes_trace_audit(surface, c) for c in conns), (p, q, side)
 
 
 def test_strip_width_budget_guard():
@@ -244,7 +305,7 @@ def _path_kinds(surface):
         charts[-1], (0.7 * geo.centroid[0] + 0.3 * geo.vertices[0][0],
                      0.7 * geo.centroid[1] + 0.3 * geo.vertices[0][1]), unit(-0.3, 1.0)),
         4.0, options=PLAIN)
-    core = find_closed_geodesic(surface, (2.0, 1.0), compute_widths=False).core
+    core = find_closed_geodesic(surface, (2.0, 1.0)).core
     conns = [c for vc in surface.singular_classes for c in enumerate_saddles(surface, vc.id, 1.5)]
     links = next(([a, b] for a in conns for b in conns
                   if a is not b and a.end == b.start and b.end == a.start), None)

@@ -10,6 +10,7 @@ from conesurf.geometry import (
     angle_of,
     ccw_angle,
     interior_angle,
+    interior_point,
     is_simple_polygon,
     normalize,
     point_in_polygon,
@@ -115,6 +116,26 @@ def test_point_in_polygon_interior_boundary_exterior():
     assert point_in_polygon(UNIT_SQUARE, (0.0, 0.0))      # on a corner
     assert not point_in_polygon(UNIT_SQUARE, (1.5, 0.5))
     assert not point_in_polygon(UNIT_SQUARE, (-1e-6, 0.5))
+
+
+@pytest.mark.parametrize("poly", [
+    # the unit square minus a notch from the top: the vertex average is in the notch
+    ((0.0, 0.0), (0.4, 0.0), (0.6, 0.0), (1.0, 0.0), (1.0, 1.0),
+     (0.6, 1.0), (0.6, 0.4), (0.4, 0.4), (0.4, 1.0), (0.0, 1.0)),
+    # a chevron whose reflex vertex lies in the ear at the lowest vertex
+    ((0.0, 0.0), (10.0, 10.0), (0.0, 2.0), (-10.0, 10.0)),
+])
+def test_interior_point_of_non_convex_polygon(poly):
+    n = len(poly)
+    avg = (sum(v[0] for v in poly) / n, sum(v[1] for v in poly) / n)
+    assert not point_in_polygon(poly, avg)
+    p = interior_point(poly)
+    assert point_in_polygon(poly, p)
+    assert min(point_segment_distance(p, poly[i], poly[(i + 1) % n]) for i in range(n)) > 0.1
+
+
+def test_interior_point_keeps_an_inside_vertex_average():
+    assert interior_point(UNIT_SQUARE) == (0.5, 0.5)
 
 
 def test_point_segment_distance_clamps_to_endpoints():
