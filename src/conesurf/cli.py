@@ -473,6 +473,19 @@ def cmd_selftest(args) -> int:
     conns = enumerate_saddles(torus, "v0", 5.0)
     checks.append(("48 torus saddle connections at L=5", len(conns) == 48, str(len(conns))))
 
+    # a rational torus direction that misses the marked point recurs after its
+    # length; the octagon at slope pi/10 does not recur
+    rec = trace(torus, GeodesicState("sq", (0.5, 0.3), (2.0, 1.0)), 20.0,
+                options=TraceOptions(stop_on_recurrence=True))
+    period = rec.recurrence["period"] if rec.recurrence else math.nan
+    checks.append(("torus direction (2, 1) stops on recurrence with period sqrt(5)",
+                   rec.termination == "SelfRecurrence" and abs(period - math.sqrt(5.0)) <= 1e-9,
+                   f"{period:.12g}"))
+    far = trace(octagon, GeodesicState("oct", (0.0, 0.0), (1.0, math.pi / 10.0)), 2000.0,
+                options=TraceOptions(record_min_distance=False))
+    checks.append(("octagon at slope pi/10: no recurrence up to L=2000",
+                   far.recurrence is None, f"{len(far.segments)} segments"))
+
     # the octagon's saddle set is invariant under its rotation by pi/4
     hol = [c.holonomy for c in enumerate_saddles(octagon, "v0", 2.0)]
     key = lambda vs: sorted((round(x, 7) + 0.0, round(y, 7) + 0.0) for x, y in vs)

@@ -109,6 +109,16 @@ class ContinuationSector:
 
 @dataclass(frozen=True)
 class TraceOptions:
+    """What ``trace`` stops at and records.
+
+    With ``detect_recurrence`` the state after each chart crossing is matched
+    against the earlier ones: a match differs by less than ``tau_rec`` in each
+    component of point and direction and lies more than 1e-9 of arclength
+    earlier; the earliest matching crossing wins. Each check costs O(1) on
+    average. ``stop_on_recurrence`` ends the trace there and requires
+    ``detect_recurrence``.
+    """
+
     stop_on_cone: bool = True          # False: pass through marked (2*pi) points
     detect_recurrence: bool = True
     stop_on_recurrence: bool = False
@@ -235,26 +245,48 @@ def _ray_exit(geo, p, d, tau_exit, tau_hit):
     return best
 
 
-def _check_recurrence(crossings, chart, p, d, s, tau_rec):
-    """Match the state against earlier boundary states in the same chart.
+class _CrossingIndex:
+    """The crossing states of a trace, hashed by chart and cell of the point.
 
-    Returns {period, detected_at, matched_at} on the first match; the period
-    is the arclength elapsed since the matched state, i.e. the first-return
-    time of the recurring state.
+    Cells are squares of side h >= 2 * tau_rec, so a state that matches (by
+    the rule in ``trace``) lies in the 3 x 3 cells around the query point.
     """
-    rows = crossings.get(chart)
-    if not rows:
-        return None
-    arr = np.array(rows)
-    close = (np.abs(arr[:, 0] - p[0]) < tau_rec) & \
-            (np.abs(arr[:, 1] - p[1]) < tau_rec) & \
-            (np.abs(arr[:, 2] - d[0]) < tau_rec) & \
-            (np.abs(arr[:, 3] - d[1]) < tau_rec) & \
-            (s - arr[:, 4] > 1e-9)
-    if not close.any():
-        return None
-    matched = float(arr[int(np.argmax(close)), 4])
-    return {"period": s - matched, "detected_at": s, "matched_at": matched}
+
+    def __init__(self, tau_rec: float):
+        self.tau = tau_rec
+        # any h >= 2 * tau_rec is exact; the floor keeps h positive when
+        # tau_rec <= 0 (which never matches) and p / h finite when it is tiny
+        self.h = max(1e-12, 2.0 * tau_rec)
+        self.cells: dict[tuple, list] = {}
+        self.count = 0
+
+    def add(self, chart, p, d, s: float) -> None:
+        key = (chart, math.floor(p[0] / self.h), math.floor(p[1] / self.h))
+        self.cells.setdefault(key, []).append((self.count, p[0], p[1], d[0], d[1], s))
+        self.count += 1
+
+    def match(self, chart, p, d, s: float) -> dict | None:
+        """{period, detected_at, matched_at} for the earliest stored match.
+
+        The period is the arclength elapsed since the matched state, i.e. the
+        first-return time of the recurring state.
+        """
+        tau = self.tau
+        px, py, dx, dy = p[0], p[1], d[0], d[1]
+        i, j = math.floor(px / self.h), math.floor(py / self.h)
+        best = None
+        for a in (i - 1, i, i + 1):
+            for b in (j - 1, j, j + 1):
+                for row in self.cells.get((chart, a, b), ()):
+                    k, x, y, ex, ey, sr = row
+                    if (abs(x - px) < tau and abs(y - py) < tau and abs(ex - dx) < tau
+                            and abs(ey - dy) < tau and s - sr > 1e-9):
+                        if best is None or k < best[0]:
+                            best = row
+                        break  # a cell's rows are in insertion order
+        if best is None:
+            return None
+        return {"period": s - best[5], "detected_at": s, "matched_at": best[5]}
 
 
 def _outward_edge(geo, p, d, tau_hit: float):
@@ -378,10 +410,19 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     Stops at singular cone hits (unless the class is marked and
     ``options.stop_on_cone`` is false), at ``max_length``, or -- when
     ``options.stop_on_recurrence`` -- at the first detected state recurrence.
+
+    A recurrence is a chart crossing whose point and direction each lie
+    within ``tau_rec`` per component of an earlier crossing's in the same
+    chart, more than 1e-9 of arclength later; the earliest such crossing is
+    matched, and ``recurrence`` reports {period, detected_at, matched_at}.
+    Each check costs O(1) on average, so detection keeps the trace linear in
+    its crossings.
     """
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
         raise DomainError(f"max_length must be positive and finite, got {max_length}")
+    if options.stop_on_recurrence and not options.detect_recurrence:
+        raise DomainError("stop_on_recurrence requires detect_recurrence")
     cid = start.chart
     if cid not in surface.charts:
         raise StartOutsideSurface(f"unknown chart {cid!r}")
@@ -398,7 +439,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     transitions: list = []
     events: list[TraceEvent] = []
     series = [] if options.record_min_distance else None
-    crossings: dict[str, list] = {}
+    crossings = _CrossingIndex(tol.tau_rec)
     recurrence = None
     s = 0.0
     termination = None
@@ -492,7 +533,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             cid, p, d = nb.chart, nb.iso.apply(x), nb.iso.rotate(d)
 
         if options.detect_recurrence and recurrence is None:
-            hit_rec = _check_recurrence(crossings, cid, p, d, s, tol.tau_rec)
+            hit_rec = crossings.match(cid, p, d, s)
             if hit_rec is not None:
                 recurrence = hit_rec
                 events.append(TraceEvent(EVENT_SELF_RECURRENCE,
@@ -502,7 +543,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                     end_state = GeodesicState(cid, p, d, s)
                     break
             else:
-                crossings.setdefault(cid, []).append([p[0], p[1], d[0], d[1], s])
+                crossings.add(cid, p, d, s)
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 

@@ -5,6 +5,8 @@ Everything here is deliberately written from scratch with elementary methods
 high-precision recomposition, a per-pair breadth-first unfolding) and shares no stepping or unfolding code with
 the package. The one exception is ``passes_trace_audit``, which audits the
 window sweep's saddle connections with the package's tracer.
+``first_recurrence`` scans every earlier crossing linearly, as the reference
+for the tracer's hashed recurrence index.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from conesurf.geometry import Isometry
 
@@ -328,3 +331,29 @@ def passes_trace_audit(surface, connection) -> bool:
     again = trace_connection(surface, connection.start_corner, connection.direction,
                              connection.length, expected_end=connection.end)
     return again is not None and again.start == connection.start
+
+
+# -- recurrence oracle ----------------------------------------------------------------
+
+
+def first_recurrence(crossings, chart, p, d, s, tau_rec):
+    """Linear scan of every earlier crossing in the chart for a recurrence.
+
+    ``crossings`` maps a chart to its earlier states as [x, y, dx, dy, s]
+    rows in insertion order. A row matches when each component differs by
+    less than ``tau_rec`` and ``s`` is more than 1e-9 past it; the first
+    matching row wins. Returns {period, detected_at, matched_at} or None.
+    """
+    rows = crossings.get(chart)
+    if not rows:
+        return None
+    arr = np.array(rows)
+    close = (np.abs(arr[:, 0] - p[0]) < tau_rec) & \
+            (np.abs(arr[:, 1] - p[1]) < tau_rec) & \
+            (np.abs(arr[:, 2] - d[0]) < tau_rec) & \
+            (np.abs(arr[:, 3] - d[1]) < tau_rec) & \
+            (s - arr[:, 4] > 1e-9)
+    if not close.any():
+        return None
+    matched = float(arr[int(np.argmax(close)), 4])
+    return {"period": s - matched, "detected_at": s, "matched_at": matched}

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conesurf import (
     GeodesicState,
+    TraceOptions,
     build_cover,
     build_surface,
     continuation_sector,
@@ -24,7 +26,8 @@ from conesurf import (
     trace,
     two_sided_trace,
 )
-from conesurf.config import DEFAULT_TOLERANCES
+from conesurf import tracer
+from conesurf.config import DEFAULT_TOLERANCES, load_tolerance_overrides
 from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle, marked_torus, regular_octagon
 from conesurf.errors import (
     AngleOutOfRange,
@@ -116,6 +119,104 @@ def test_trace_start_check_uses_tau_hit():
     with pytest.raises(StartOutsideSurface):
         trace(tight, GeodesicState("sq", (-1e-10, 0.5), (1.0, 0.3)), 1.0)
     trace(tight, GeodesicState("sq", (0.0, 0.5), (1.0, 0.3)), 1.0)
+
+
+# --------------------------------------------------------------------------
+# State recurrence
+# --------------------------------------------------------------------------
+
+TAU_REC = DEFAULT_TOLERANCES.tau_rec
+
+
+class CheckedIndex(tracer._CrossingIndex):
+    """The crossing index, checked against the linear-scan oracle at every
+    match, for use in place of the library's inside ``trace``."""
+
+    def __init__(self, tau_rec):
+        super().__init__(tau_rec)
+        self.rows = {}
+
+    def match(self, chart, p, d, s):
+        got = super().match(chart, p, d, s)
+        assert got == oracles.first_recurrence(self.rows, chart, p, d, s, self.tau)
+        return got
+
+    def add(self, chart, p, d, s):
+        super().add(chart, p, d, s)
+        self.rows.setdefault(chart, []).append([p[0], p[1], d[0], d[1], s])
+
+
+def _feed(tau_rec, stream):
+    """Match and then store each (chart, x, y, dx, dy, ds) state, s summing ds."""
+    index = CheckedIndex(tau_rec)
+    s = 0.0
+    for chart, x, y, dx, dy, ds in stream:
+        s += ds
+        index.match(chart, (x, y), (dx, dy), s)
+        index.add(chart, (x, y), (dx, dy), s)
+
+
+# components on two cells of size 2 * tau_rec, offset so that pairs straddle
+# cell boundaries, sit exactly at the open bound, and match several rows at once
+_grid_value = st.builds(lambda k, off: 2.0 * TAU_REC * k + off,
+                        st.integers(0, 1),
+                        st.sampled_from((0.0, 0.999 * TAU_REC, -0.999 * TAU_REC,
+                                         TAU_REC, -TAU_REC)))
+_grid_state = st.tuples(st.sampled_from(("A", "B")), _grid_value, _grid_value,
+                        _grid_value, _grid_value,
+                        st.sampled_from((0.0, 5e-10, 1e-9, 2e-9, 1.0)))
+
+
+def _on_x(*xs):
+    return [("A", x, 0.0, 0.0, 0.0, 1.0) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_grid_state, min_size=1, max_size=80))
+# the earlier of two matches sits in the cell searched later
+@example(_on_x(0.999 * TAU_REC, -0.999 * TAU_REC, 0.0))
+# the only match sits in a neighbouring cell
+@example(_on_x(-0.999 * TAU_REC, 0.0))
+# a difference of exactly tau_rec does not match
+@example(_on_x(0.0, TAU_REC))
+def test_crossing_index_matches_linear_scan(stream):
+    _feed(TAU_REC, stream)
+
+
+TAU_REC_EDGES = (0, -1, 5e-324, 1e-300, 10)
+
+
+@pytest.mark.parametrize("tau_rec", TAU_REC_EDGES)
+def test_crossing_index_at_edge_tolerances(tau_rec):
+    pool = (0.0, 5e-324, 1e-300, 0.25, 0.25 + 1e-7, 0.25 + 2e-7, 3.0, 12.0, 1e3)
+    rng = random.Random(8)
+    _feed(tau_rec, [(rng.choice("AB"), *(rng.choice(pool) for _ in range(4)),
+                     rng.choice((0.0, 1e-9, 1.0))) for _ in range(400)])
+
+
+@pytest.mark.parametrize("tau_rec", TAU_REC_EDGES)
+def test_trace_recurrence_at_edge_tolerances(tau_rec, tmp_path, monkeypatch):
+    overrides = tmp_path / "tol.json"
+    overrides.write_text(json.dumps({"tau_rec": tau_rec}))
+    surface = marked_torus(tolerances=load_tolerance_overrides(overrides))
+    monkeypatch.setattr(tracer, "_CrossingIndex", CheckedIndex)
+    res = trace(surface, state("sq", 0.5, 0.3, 2, 1), 20.0)
+    assert res.termination == "MaxLengthReached"
+    assert (res.recurrence is None) == (tau_rec <= 0)
+
+
+def test_stop_on_recurrence_requires_detection(mtorus):
+    with pytest.raises(DomainError, match="detect_recurrence"):
+        trace(mtorus, state("sq", 0.5, 0.3, 2, 1), 20.0,
+              options=TraceOptions(stop_on_recurrence=True, detect_recurrence=False))
+
+
+def test_stop_on_recurrence_reports_the_period(mtorus):
+    res = trace(mtorus, state("sq", 0.5, 0.3, 2, 1), 20.0,
+                options=TraceOptions(stop_on_recurrence=True))
+    assert res.termination == "SelfRecurrence"
+    assert math.isclose(res.recurrence["period"], math.sqrt(5.0), abs_tol=1e-9)
+    assert res.end_state.arclength == res.recurrence["detected_at"]
 
 
 # --------------------------------------------------------------------------
