@@ -47,8 +47,17 @@ def load_tolerance_overrides(path) -> Tolerances:
     if unknown:
         raise ValueError(f"unknown tolerance keys in {path}: {sorted(unknown)}")
     bad = sorted(k for k, v in data.items()
-                 if isinstance(v, bool) or not isinstance(v, (int, float))
-                 or not math.isfinite(v))
+                 if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v))
     if bad:
         raise ValueError(f"tolerance values in {path} must be finite numbers: {bad}")
+    if data.get("distance_step", 1.0) <= 0:
+        raise ValueError(f"distance_step in {path} must be positive, got {data['distance_step']}")
     return Tolerances(**data)
+
+
+def _finite(v: int | float) -> bool:
+    """math.isfinite, false for an integer too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False

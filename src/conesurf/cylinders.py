@@ -13,6 +13,7 @@ length.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -36,9 +37,10 @@ from .tracer import (
     GeodesicState,
     TraceOptions,
     TraceResult,
+    _DistanceGrid,
+    _sample_distances,
     develop,
     geodesic_distance,
-    surface_point_distance,
     trace,
     two_sided_trace,
 )
@@ -389,15 +391,34 @@ class DensityReport:
 
 
 def _anchor_on_chain(surface: ConeSurface, path: ChainPath, point, samples: int = 128) -> float:
-    """Chain parameter whose position is nearest to a (chart, xy) point."""
+    """Chain parameter whose position is nearest to a (chart, xy) point: the
+    first of ``samples`` equally spaced parameters at the least distance, 0.0
+    when no sample's chart aligns with the point's."""
     ts = np.linspace(0.0, path.length, samples, endpoint=False)
     codes, xy = path.positions(ts)
-    best_t, best_d = 0.0, math.inf
-    for t, c, p in zip(ts, surface.chart_names[codes], xy):
-        dist = surface_point_distance(surface, point, (c, (p[0], p[1])))
-        if dist < best_d:
-            best_d, best_t = dist, float(t)
-    return best_t
+    chart, p = point
+    dists = _sample_distances(surface, np.full(samples, surface.chart_index[chart]),
+                              np.broadcast_to(np.asarray(p, dtype=float), (samples, 2)),
+                              codes, xy, math.inf)
+    return float(ts[int(np.argmin(dists))])
+
+
+# half-widths of the nested parameter intervals around t = 0 whose partial
+# distance sums may rule a candidate out before its full evaluation: the
+# approximants start at the target's point, so their distance grows from 0
+_PRUNE_HALF_WIDTHS = (0.1, 0.5)
+# covers the rounding of a partial sum against the full one (about 1e-15)
+_PRUNE_MARGIN = 1e-12
+
+
+def _pruning_bound(grid: _DistanceGrid, path, anchor: float, best: float) -> float | None:
+    """A lower bound on the candidate's distance that exceeds ``best``, or
+    None when no partial sum rules the candidate out."""
+    for half_width in _PRUNE_HALF_WIDTHS:
+        partial = grid.partial(path, anchor, half_width)
+        if partial > best * (1.0 + _PRUNE_MARGIN):
+            return partial
+    return None
 
 
 def _inventory_directions(surface: ConeSurface, anchor_chart: str,
@@ -434,6 +455,16 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     one or two connections when the connection inventory is small enough.
     Passes when the best distance is non-increasing in L and the final value
     drops below eta.
+
+    Candidates are taken in order of length, and each row reports the first
+    least distance among those within its bound. A candidate after the first
+    is ruled out before its full evaluation when the trapezoid sum over the
+    grid nodes with |t| <= 0.1, or else |t| <= 0.5, exceeds the best distance
+    before it by a relative 1e-12. Those terms are non-negative and bitwise
+    terms of the full sum, so the candidate cannot win, and the rows, labels
+    and tie order equal those of evaluating every candidate in full. The
+    partial sums run the same checks as ``geodesic_distance`` and raise the
+    same errors.
     """
     tol = surface.tolerances
     lengths = [float(L) for L in lengths]
@@ -497,25 +528,32 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
                                         for l in links) + "]"
             chains.append((pg.total_length, "chain", label, path, anchor))
 
+    # candidates within a bound form a prefix of this order, and each row
+    # reports the first least distance of its prefix
     candidates = sorted(cores + chains, key=lambda c: (c[0], c[1], c[2]))
-    cache: dict = {}
+    sorted_lengths = [c[0] for c in candidates]
+    cuts = [bisect.bisect_right(sorted_lengths, L + tol.tau_len) for L in lengths]
+    known: dict = {}    # label -> its distance, or a lower bound above the best before it
+    grid = None         # built at the first pruning test, once a full evaluation passed its checks
+    best = None
+    prefix_best = [None]
+    for length, kind, label, path, anchor in candidates[:cuts[-1]]:
+        if label not in known:
+            bound = None
+            if best is not None:
+                if grid is None:
+                    grid = _DistanceGrid(surface, tgt, window)
+                bound = _pruning_bound(grid, path, anchor, best[0])
+            known[label] = bound if bound is not None else geodesic_distance(
+                surface, tgt, path, window, anchor2=anchor).value
+        if best is None or known[label] < best[0]:
+            best = (known[label], kind, label, length)
+        prefix_best.append(best)
     rows = []
-    for L in lengths:
-        best = None
-        for length, kind, label, path, anchor in candidates:
-            if length > L + tol.tau_len:
-                continue
-            if label not in cache:
-                cache[label] = geodesic_distance(surface, tgt, path, window,
-                                                 anchor2=anchor).value
-            dist = cache[label]
-            if best is None or dist < best["distance"]:
-                best = {"length_bound": L, "distance": dist, "kind": kind,
-                        "label": label, "approximant_length": length}
-        if best is None:
-            best = {"length_bound": L, "distance": math.inf, "kind": None,
-                    "label": None, "approximant_length": None}
-        rows.append(best)
+    for L, cut in zip(lengths, cuts):
+        dist, kind, label, length = prefix_best[cut] or (math.inf, None, None, None)
+        rows.append({"length_bound": L, "distance": dist, "kind": kind,
+                     "label": label, "approximant_length": length})
 
     dists = [r["distance"] for r in rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))

@@ -685,16 +685,26 @@ def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: flo
     return TwoSidedPath(fwd, bwd)
 
 
-def _chart_pair_distance(isos, p1: np.ndarray, p2: np.ndarray, cap: float) -> np.ndarray:
-    """Per-sample min over the aligned copies of p2's chart of |p1 - iso(p2)|,
-    capped; the cap when no copy is within reach."""
-    best = np.full(len(p1), np.inf if isos else cap)
-    x1, y1, x2, y2 = p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1]
-    for iso in isos:
-        qx = iso.c * x2 - iso.s * y2 + iso.tx
-        qy = iso.s * x2 + iso.c * y2 + iso.ty
-        np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
-    return np.minimum(best, cap, out=best)
+def _sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.ndarray,
+                      k2: np.ndarray, xy2: np.ndarray, cap: float) -> np.ndarray:
+    """Per sample, the min over the aligned copies of the second chart of
+    |xy1 - iso(xy2)|, capped; the cap (inf for no cap) where the two charts
+    have no alignment. Samples are grouped by chart pair, and each sample's
+    value depends on that sample alone."""
+    names = surface.chart_names
+    keys, group = np.unique(k1 * len(names) + k2, return_inverse=True)
+    dists = np.empty(len(k1))
+    for j, key in enumerate(keys):
+        sel = slice(None) if len(keys) == 1 else group == j
+        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)])
+        x1, y1, x2, y2 = xy1[sel, 0], xy1[sel, 1], xy2[sel, 0], xy2[sel, 1]
+        best = np.full(len(x1), np.inf if isos else cap)
+        for iso in isos:
+            qx = iso.c * x2 - iso.s * y2 + iso.tx
+            qy = iso.s * x2 + iso.c * y2 + iso.ty
+            np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
+        dists[sel] = np.minimum(best, cap, out=best)
+    return dists
 
 
 @dataclass
@@ -706,6 +716,63 @@ class DistanceResult:
     diameter_bound: float
 
 
+class _DistanceGrid:
+    """The quadrature of ``geodesic_distance`` for one first path.
+
+    Holds the trapezoid nodes over the window, their weights exp(-|t|) and
+    the first path's samples, so any number of second paths are compared on
+    the same grid without rebuilding it. The constructor checks the window
+    and the first path's coverage; ``partial`` checks the second path's.
+    """
+
+    def __init__(self, surface: ConeSurface, path1, window, anchor1: float = 0.0):
+        step = surface.tolerances.distance_step
+        if not step > 0.0:
+            raise DomainError(f"distance_step must be positive, got {step}")
+        w0, w1 = ((-float(window), float(window)) if np.isscalar(window)
+                  else (float(window[0]), float(window[1])))
+        if not w0 < w1:
+            raise DomainError(f"empty window ({w0}, {w1})")
+        self.surface, self.window, self.step = surface, (w0, w1), step
+        self.diameter_bound = sum(g.diameter for g in surface.geometry.values())
+        self._check_covers(path1, anchor1, "path1")
+        count = max(2, int(round((w1 - w0) / step)) + 1)
+        self.ts = np.linspace(w0, w1, count)
+        self.weights = np.exp(-np.abs(self.ts))
+        self.i0 = int(np.argmin(np.abs(self.ts)))
+        self.k1, self.xy1 = path1.positions(self.ts + anchor1)
+
+    def _check_covers(self, path, anchor: float, name: str) -> None:
+        (w0, w1), (lo, hi) = self.window, path.param_range()
+        if anchor + w0 < lo - 1e-9 or anchor + w1 > hi + 1e-9:
+            raise InsufficientPath(
+                f"{name} covers [{lo:.6g}, {hi:.6g}] but the window needs "
+                f"[{anchor + w0:.6g}, {anchor + w1:.6g}]")
+
+    def partial(self, path2, anchor2: float = 0.0, half_width: float = math.inf) -> float:
+        """The trapezoid sum over the contiguous nodes with |t| <= half_width
+        and the node nearest t = 0, whose charts must have an alignment.
+
+        With the default it is the distance itself. Every term of the sum is
+        non-negative and bitwise the term of the whole grid, so a narrower
+        sum is a lower bound on the distance up to the rounding of the order
+        of summation (relative 1e-15 for 10^4 terms).
+        """
+        self._check_covers(path2, anchor2, "path2")
+        lo = min(int(np.searchsorted(self.ts, -half_width, side="left")), self.i0)
+        hi = max(int(np.searchsorted(self.ts, half_width, side="right")), self.i0 + 1)
+        ts = self.ts[lo:hi]
+        k2, xy2 = path2.positions(ts + anchor2)
+        names = self.surface.chart_names
+        c1, c2 = names[self.k1[self.i0]], names[k2[self.i0 - lo]]
+        if not self.surface.alignment_isos(c1, c2):
+            raise IncomparableTraces(
+                f"no chart alignment between {c1!r} and {c2!r} at time 0")
+        dists = _sample_distances(self.surface, self.k1[lo:hi], self.xy1[lo:hi], k2, xy2,
+                                  self.diameter_bound)
+        return float(_trapezoid(dists * self.weights[lo:hi], ts))
+
+
 def geodesic_distance(surface: ConeSurface, path1, path2,
                       window=5.0, anchor1: float = 0.0,
                       anchor2: float = 0.0) -> DistanceResult:
@@ -713,48 +780,17 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
 
     Numerically integrates dist(path1(t), path2(t)) * exp(-|t|) over the
     window, with t measured from per-path anchors (arclengths; default the
-    path starts), by the trapezoid rule with the surface's ``distance_step``.
-    Pointwise distances minimize over the copies of the second chart within
-    two gluing crossings of the first and are capped at the diameter bound
-    D, the summed chart diameters, whose tail contribution 2*D*exp(-W) is
-    reported.
+    path starts), by the trapezoid rule with the surface's ``distance_step``,
+    which must be positive. Pointwise distances minimize over the copies of
+    the second chart within two gluing crossings of the first and are capped
+    at the diameter bound D, the summed chart diameters, whose tail
+    contribution 2*D*exp(-W) is reported.
     """
-    step = surface.tolerances.distance_step
-    w0, w1 = (-float(window), float(window)) if np.isscalar(window) else (float(window[0]), float(window[1]))
-    if not w0 < w1:
-        raise DomainError(f"empty window ({w0}, {w1})")
-    diameter_bound = sum(g.diameter for g in surface.geometry.values())
-    for path, anchor, name in ((path1, anchor1, "path1"), (path2, anchor2, "path2")):
-        lo, hi = path.param_range()
-        if anchor + w0 < lo - 1e-9 or anchor + w1 > hi + 1e-9:
-            raise InsufficientPath(
-                f"{name} covers [{lo:.6g}, {hi:.6g}] but the window needs "
-                f"[{anchor + w0:.6g}, {anchor + w1:.6g}]")
-
-    count = max(2, int(round((w1 - w0) / step)) + 1)
-    ts = np.linspace(w0, w1, count)
-    k1, xy1 = path1.positions(ts + anchor1)
-    k2, xy2 = path2.positions(ts + anchor2)
-    names = surface.chart_names
-
-    i0 = int(np.argmin(np.abs(ts)))
-    if not surface.alignment_isos(names[k1[i0]], names[k2[i0]]):
-        raise IncomparableTraces(
-            f"no chart alignment between {names[k1[i0]]!r} and {names[k2[i0]]!r} "
-            f"at time 0")
-
-    # one group of samples per (chart of path1, chart of path2) pair
-    keys, group = np.unique(k1 * len(names) + k2, return_inverse=True)
-    dists = np.empty(count)
-    for j, key in enumerate(keys):
-        sel = slice(None) if len(keys) == 1 else group == j
-        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)])
-        dists[sel] = _chart_pair_distance(isos, xy1[sel], xy2[sel], diameter_bound)
-
-    value = float(_trapezoid(dists * np.exp(-np.abs(ts)), ts))
-    w_eff = min(-w0, w1)
-    bound = 2.0 * diameter_bound * math.exp(-w_eff)
-    return DistanceResult(value, bound, (w0, w1), step, diameter_bound)
+    grid = _DistanceGrid(surface, path1, window, anchor1)
+    value = grid.partial(path2, anchor2)
+    w0, w1 = grid.window
+    bound = 2.0 * grid.diameter_bound * math.exp(-min(-w0, w1))
+    return DistanceResult(value, bound, grid.window, grid.step, grid.diameter_bound)
 
 
 # -- min-distance experiment ----------------------------------------------------------

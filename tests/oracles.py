@@ -6,7 +6,9 @@ high-precision recomposition, a per-pair breadth-first unfolding) and shares no 
 the package. The one exception is ``passes_trace_audit``, which audits the
 window sweep's saddle connections with the package's tracer.
 ``first_recurrence`` scans every earlier crossing linearly, as the reference
-for the tracer's hashed recurrence index.
+for the tracer's hashed recurrence index, and ``anchor_on_chain`` measures
+one chain sample at a time with the package's ``surface_point_distance``, as
+the reference for the density experiment's vectorized chain anchors.
 """
 
 from __future__ import annotations
@@ -320,6 +322,25 @@ def compact_open_distance(surface, path1, path2, window: float, *, anchor1: floa
         values.append(best * math.exp(-abs(t)))
     return math.fsum(0.5 * (values[i] + values[i + 1]) * (ts[i + 1] - ts[i])
                      for i in range(count - 1))
+
+
+def anchor_on_chain(surface, path, point, samples: int = 128) -> float:
+    """The chain anchor of the density experiment, one sample at a time.
+
+    The first of ``samples`` equally spaced chain parameters whose position
+    has the least ``surface_point_distance`` to the (chart, xy) point; 0.0
+    when no sample's chart aligns with the point's.
+    """
+    from conesurf import surface_point_distance
+
+    ts = np.linspace(0.0, path.length, samples, endpoint=False)
+    codes, xy = path.positions(ts)
+    best_t, best_d = 0.0, math.inf
+    for t, c, p in zip(ts, surface.chart_names[codes], xy):
+        dist = surface_point_distance(surface, point, (c, (p[0], p[1])))
+        if dist < best_d:
+            best_d, best_t = dist, float(t)
+    return best_t
 
 
 def passes_trace_audit(surface, connection) -> bool:

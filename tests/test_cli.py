@@ -88,6 +88,11 @@ def test_tolerance_overrides(tmp_path):
     assert run(["--tolerance-overrides", not_number, "validate", "--surface", TORUS]) == 2
     not_finite = write_json(tmp_path / "nan.json", {"tau_hit": float("nan")})
     assert run(["--tolerance-overrides", not_finite, "validate", "--surface", TORUS]) == 2
+    too_big = write_json(tmp_path / "big.json", {"tau_rec": 10 ** 400})
+    assert run(["--tolerance-overrides", too_big, "validate", "--surface", TORUS]) == 2
+    for step in (0, -1):
+        not_positive = write_json(tmp_path / "step.json", {"distance_step": step})
+        assert run(["--tolerance-overrides", not_positive, "validate", "--surface", TORUS]) == 2
     good = write_json(tmp_path / "tol2.json", {"tau_hit": 1e-8})
     assert run(["--quiet", "--tolerance-overrides", good,
                 "validate", "--surface", TORUS]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -31,6 +32,7 @@ from conesurf import (
     strip_width,
     two_sided_trace,
 )
+from conesurf import cylinders, tracer
 from conesurf.config import DEFAULT_TOLERANCES
 from conesurf.corpus import marked_torus, pillowcase, regular_octagon
 from conesurf.errors import DomainError, UnfoldingBudgetExceeded
@@ -332,6 +334,22 @@ def test_distance_matches_per_sample_oracle(name):
             assert abs(fast.value - slow) <= 1e-12, (kind, anchor2, fast.value, slow)
 
 
+@pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover", "coarse"])
+def test_pruning_partials_bound_the_distance(request, name):
+    # "coarse": a grid with no node within the narrowest half-width of t = 0
+    surface = (marked_torus(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, distance_step=0.4))
+               if name == "coarse" else request.getfixturevalue(name))
+    target, others = _path_kinds(surface)
+    grid = tracer._DistanceGrid(surface, target, 3.0)
+    for kind, path in others.items():
+        for anchor2 in (0.0, 0.37):
+            full = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2).value
+            partials = [grid.partial(path, anchor2, h) for h in cylinders._PRUNE_HALF_WIDTHS]
+            assert 0.0 <= partials[0] <= partials[-1] <= full, (kind, anchor2, partials, full)
+            # the whole grid taken as one slice is the distance itself
+            assert grid.partial(path, anchor2) == full, (kind, anchor2)
+
+
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
 def test_path_protocol_chart_codes(request, name):
     surface = request.getfixturevalue(name)
@@ -395,3 +413,60 @@ def test_density_short_run_improves_but_fails_threshold(mtorus):
     inv = rep.inventory
     assert inv["connections"] == 16 and inv["closed_geodesics"] == 8
     assert inv["chains"] > 0 and inv["chains_skipped"] is False
+
+
+def _density_json(surface, target, lengths, window, chain_budget):
+    rep = density_experiment(surface, target, lengths, window=window, chain_budget=chain_budget)
+    return json.dumps({"rows": rep.rows, "inventory": rep.inventory})
+
+
+@pytest.mark.parametrize("name, chart, point, lengths, window, chain_budget, prunes", [
+    ("mtorus", "sq", (0.31, 0.17), [1.0, 2.0, 3.0], 5.0, 200, True),
+    ("mtorus", "sq", (0.31, 0.17), [float(L) for L in range(1, 14)], 5.0, 200, True),
+    ("octagon", None, (0.05, 0.02), [1.0, 1.5, 2.0], 3.0, 200, False),
+    ("pcase", "front", (0.3, 0.45), [1.0, 2.0, 3.0, 4.0], 3.0, 200, True),
+    ("pcover", "front@1", (0.3, 0.45), [1.0, 2.0, 3.0], 3.0, 0, False),
+])
+def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, chart, point,
+                                                 lengths, window, chain_budget, prunes):
+    surface = request.getfixturevalue(name)
+    if chart is None:       # offset from the centroid of the first chart
+        chart = sorted(surface.charts)[0]
+        cx, cy = surface.geometry[chart].centroid
+        point = (cx + point[0], cy + point[1])
+    target = GeodesicState(chart, point, unit(1.0, GOLDEN))
+    calls = []
+    full = cylinders.geodesic_distance
+    monkeypatch.setattr(cylinders, "geodesic_distance",
+                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    pruned = _density_json(surface, target, lengths, window, chain_budget)
+    pruned_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(cylinders, "_pruning_bound", lambda *args: None)
+    assert _density_json(surface, target, lengths, window, chain_budget) == pruned
+    assert (pruned_calls < len(calls)) if prunes else (pruned_calls == len(calls))
+
+
+def _closed_chains(surface, L):
+    """Closed chains of one or two saddle connections of length <= L each."""
+    conns = [c for vc in surface.singular_classes for c in enumerate_saddles(surface, vc.id, L)]
+    pool = [[c] for c in conns if c.start == c.end]
+    pool += [[a, b] for a in conns for b in conns
+             if a is not b and a.end == b.start and b.end == a.start]
+    return [ChainPath(chain(surface, links)) for links in pool]
+
+
+@pytest.mark.parametrize("name, L", [("mtorus", 1.5), ("octagon", 0.8),
+                                     ("pcase", 2.1), ("pcover", 1.1)])
+def test_anchor_on_chain_matches_per_sample_loop(request, name, L):
+    surface = request.getfixturevalue(name)
+    paths = _closed_chains(surface, L)
+    assert paths
+    for chart in sorted(surface.charts):
+        geo = surface.geometry[chart]
+        for v in geo.vertices[:2]:
+            point = (chart, (0.6 * geo.centroid[0] + 0.4 * v[0],
+                             0.6 * geo.centroid[1] + 0.4 * v[1]))
+            for path in paths[:40]:
+                assert (cylinders._anchor_on_chain(surface, path, point)
+                        == oracles.anchor_on_chain(surface, path, point)), (chart, point)

@@ -494,6 +494,16 @@ def test_geodesic_distance_incomparable_components():
     p2 = two_sided_trace(s, state("b", 3.5, 0.5, 1, 0), 3.0)
     with pytest.raises(IncomparableTraces):
         geodesic_distance(s, p1, p2, window=2.0)
+    with pytest.raises(IncomparableTraces):
+        tracer._DistanceGrid(s, p1, 2.0).partial(p2, 0.0, 0.1)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_geodesic_distance_rejects_nonpositive_step(step):
+    s = marked_torus(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, distance_step=step))
+    p = two_sided_trace(s, state("sq", 0.5, 0.25, 1, 0), 6.0)
+    with pytest.raises(DomainError, match="distance_step must be positive"):
+        geodesic_distance(s, p, p, window=5.0)
 
 
 # --------------------------------------------------------------------------
