@@ -33,6 +33,7 @@ from .tracer import (
     PLAIN_TRACE_OPTIONS,
     GeodesicState,
     TraceOptions,
+    _segment_distance,
     continuation_sector,
     develop,
     min_distance_experiment,
@@ -61,6 +62,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.scenario not in ("no-strips", "density"):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if not all(math.isfinite(v) for v in [*self.lengths, self.threshold, self.window]):
+            raise ValueError("lengths, threshold and window must be finite")
         if not self.lengths or any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("lengths must be a strictly increasing schedule")
         if self.lengths[0] <= 0:
@@ -90,9 +93,12 @@ class RunReport:
 
 
 def _sanitize(obj):
-    """Replace non-finite floats so json stays standards-compliant."""
+    """Replace non-finite floats by "inf", "-inf" or "nan" so json stays
+    standards-compliant."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else ("inf" if obj > 0 else "-inf")
+        if math.isfinite(obj):
+            return obj
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -417,6 +423,29 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if passed else EXIT_FAIL
 
 
+def _series_mismatches(surface, tr) -> int:
+    """Rows of ``tr.min_distance_series`` that differ from the running
+    minimum of the distance kernel called on every segment in turn.
+
+    A trace from the interior has one row at 0 and one at each segment end;
+    the kernel sees segment k with the arclength difference of rows k and
+    k + 1 (segment k starts where the sum of the earlier |b - a| ends). A
+    trace with another row count counts as one mismatch per row.
+    """
+    series, cap = tr.min_distance_series, surface.max_diameter
+    if len(series) != len(tr.segments) + 1:
+        return len(series)
+    best, s0 = math.inf, 0.0
+    want = []
+    for k, (chart, a, b) in enumerate(tr.segments):
+        cands, length = surface.singular_images(chart), series[k + 1][0] - s0
+        for reach in ((0.0, length) if k == 0 else (length,)):
+            best = min(best, _segment_distance(cands, a, b, length, reach))
+            want.append(min(best, cap) if best < math.inf else math.inf)
+        s0 += math.hypot(b[0] - a[0], b[1] - a[1])
+    return sum(m != w for (_, m), w in zip(series, want))
+
+
 def cmd_selftest(args) -> int:
     import numpy as np
 
@@ -433,6 +462,7 @@ def cmd_selftest(args) -> int:
     octagon = surfaces["octagon"]
     n_traces = 20 if args.quick else 100
     worst_col, worst_add = 0.0, 0.0
+    m_mismatch = 0
     geo = octagon.geometry["oct"]
     for _ in range(n_traces):
         w = rng.uniform(0.05, 0.6)
@@ -440,15 +470,18 @@ def cmd_selftest(args) -> int:
         p = (geo.centroid[0] * (1 - w) + v[0] * w, geo.centroid[1] * (1 - w) + v[1] * w)
         a = rng.uniform(0.0, 2.0 * math.pi)
         st = GeodesicState("oct", p, (math.cos(a), math.sin(a)))
-        tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)), options=PLAIN_TRACE_OPTIONS)
+        tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)))
         dv = develop(tr)
         worst_col = max(worst_col, dv.collinearity_residual)
         seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)
         worst_add = max(worst_add, abs(seg_sum - tr.total_length))
+        m_mismatch += _series_mismatches(octagon, tr)
     checks.append((f"collinearity <= 1e-8/unit over {n_traces} random octagon traces",
                    worst_col <= 1e-8, f"{worst_col:.3e}"))
     checks.append((f"arclength additivity <= 1e-7 over {n_traces} random octagon traces",
                    worst_add <= 1e-7, f"{worst_add:.3e}"))
+    checks.append((f"m(T) series equals the per-segment recomputation over {n_traces} "
+                   "random octagon traces", m_mismatch == 0, f"{m_mismatch} rows differ"))
 
     sector_ok = True
     detail = []

@@ -116,7 +116,9 @@ class TraceOptions:
     component of point and direction and lies more than 1e-9 of arclength
     earlier; the earliest matching crossing wins. Each check costs O(1) on
     average. ``stop_on_recurrence`` ends the trace there and requires
-    ``detect_recurrence``.
+    ``detect_recurrence``. With ``record_min_distance`` the trace fills
+    ``min_distance_series`` once its stepping ends, calling the distance
+    kernel only on segments that could lower the running minimum.
     """
 
     stop_on_cone: bool = True          # False: pass through marked (2*pi) points
@@ -334,22 +336,120 @@ def _segment_distance(cands: np.ndarray, p0, p1, length: float, reach: float) ->
     return float(np.sqrt(perp2 + gap ** 2).min())
 
 
-def _record_min_distance(series: list, surface: ConeSurface, chart, p0, p1,
-                         s0: float, s1: float) -> None:
-    """Append the running distance to the singular set at the segment end s1.
+# Segment-candidate pairs per chunk of ``_segment_lower_bounds``: its seven
+# (pairs,) float temporaries then take about 0.1 MB on any trace length, and
+# larger chunks measured no faster.
+_BOUND_CHUNK_PAIRS = 2048
+_EPS = float(np.finfo(float).eps)
 
-    The segment that starts at arclength 0 also adds the sample at 0. Values
-    are capped at the max chart diameter, the radius within which the one-ring
-    candidate set (own chart corners plus one unfolded ring) is meaningful.
+
+def _segment_lower_bounds(surface: ConeSurface, segments, lengths) -> np.ndarray:
+    """Per segment, a lower bound on every ``_segment_distance`` value of it.
+
+    Segment k runs from p0 to p1 in chart c, where segments[k] starts with
+    (c, p0, p1), and the kernel is called on it with ``length`` = lengths[k]
+    and any reach in [0, length].
+
+    With r = w - p0 and v = p1 - p0 for a singular image w of the chart, let
+    D_w be the distance from w to the segment, computed in the
+    clamped-projection form, which has no cancellation (error a few eps |r|,
+    eps = 2.2e-16). The kernel's value for w is at least D_w - delta_w:
+
+    - The kernel forms h2 = |r|^2 - t^2 with t = r . u. Rounding puts h2 off
+      by at most about 16 eps |r|^2 and the along-track gap by a few eps R,
+      so the squared result is off by under 45 eps R^2, and as
+      |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the result by under 1e-7 R, where
+      R = |r| + max(length, |v|).
+    - The kernel's u = v / length is a unit vector only when length = |v|;
+      ``trace`` passes arclength differences, which differ from |v| by
+      rounding. With mu = |length - |v|| / min(length, |v|), t is off by
+      mu |r|, h2 by 3 mu |r|^2 and the gap by mu R, which moves the squared
+      result by under 6 mu R^2 and the result by under sqrt(6 mu) R. Adding
+      2 eps to mu covers the rounding of |v| itself.
+
+    So delta_w = e (1 + |r| + m) with e = 1e-7 + 3 sqrt(mu + 2 eps) and
+    m = max(length, |v|). As |r| <= D_w + |v|, the bound
+    (1 - e) min_w D_w - e (1 + 2 m) lies below every D_w - delta_w when
+    e <= 1, and below 0 otherwise. The bound
+    of a whole segment bounds any piece [0, reach] of it too, as a piece
+    lies no closer to w. A segment with length or |v| zero gets a bound of
+    -inf or NaN, which skips nothing; with no singular images in the chart
+    the bound is inf, as is the kernel's value.
     """
-    cands = surface.singular_images(chart)
+    charts = [seg[0] for seg in segments]
+    p0 = np.array([seg[1] for seg in segments], dtype=float).reshape(-1, 2)
+    v = np.array([seg[2] for seg in segments], dtype=float).reshape(-1, 2) - p0
+    lengths = np.asarray(lengths, dtype=float)
+    ell = np.hypot(v[:, 0], v[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.abs(lengths - ell) / np.minimum(lengths, ell)
+    e = 1e-7 + 3.0 * np.sqrt(mu + 2.0 * _EPS)
+    vv = (v * v).sum(axis=1)
+    inv_vv = 1.0 / np.where(vv > 0.0, vv, 1.0)   # v = 0 projects onto p0
+    d2 = np.full(len(lengths), np.inf)
+    chart_of = np.asarray(charts)
+    for chart in set(charts):
+        cands = surface.singular_images(chart)
+        if len(cands) == 0:
+            continue
+        idx = np.flatnonzero(chart_of == chart)
+        step = max(1, _BOUND_CHUNK_PAIRS // len(cands))
+        for lo in range(0, len(idx), step):
+            sel = idx[lo:lo + step]
+            vx, vy = v[sel, 0:1], v[sel, 1:2]
+            rx = cands[:, 0] - p0[sel, 0:1]
+            ry = cands[:, 1] - p0[sel, 1:2]
+            tau = np.clip((rx * vx + ry * vy) * inv_vv[sel, None], 0.0, 1.0)
+            d2[sel] = ((rx - tau * vx) ** 2 + (ry - tau * vy) ** 2).min(axis=1)
+    with np.errstate(invalid="ignore"):
+        return (1.0 - e) * np.sqrt(d2) - e * (1.0 + 2.0 * np.maximum(lengths, ell))
+
+
+def _min_distance_series(surface: ConeSurface, records: list) -> list:
+    """The m(T) series of a trace: (arclength, running minimum) rows.
+
+    ``records`` holds (chart, p0, p1, s0, s1) per traced segment, in order;
+    the kernel sees the segment with length s1 - s0. The series has a row at
+    each s1 and, for a segment of positive length starting at arclength 0,
+    one at 0 first. Each row is min(previous row, kernel value), capped at
+    the max chart diameter, the radius within which the one-ring candidate
+    set (own chart corners plus one unfolded ring) is meaningful.
+
+    The kernel runs only where it could lower the running minimum: when the
+    segment's ``_segment_lower_bounds`` value is at least the previous row,
+    so is the kernel's value, and the row repeats. The series is thus the
+    one that calling the kernel on every segment gives, bit for bit; on a
+    long trace most segments are skipped, as the minimum keeps falling.
+    """
+    bounds = _segment_lower_bounds(surface, records, [s1 - s0 for *_, s0, s1 in records])
     cap = surface.max_diameter
-    best = series[-1][1] if series else math.inf
-    length = s1 - s0
-    ends = [(0.0, 0.0), (s1, length)] if s0 == 0.0 and length > 0.0 else [(s1, length)]
-    for s, reach in ends:
-        best = min(best, _segment_distance(cands, p0, p1, length, reach))
-        series.append((s, min(best, cap) if best < math.inf else math.inf))
+    series = []
+    best = math.inf
+    for (chart, a, b, s0, s1), lb in zip(records, bounds.tolist()):
+        length = s1 - s0
+        ends = ((0.0, 0.0), (s1, length)) if s0 == 0.0 and length > 0.0 else ((s1, length),)
+        for s, reach in ends:
+            if not lb >= best:
+                d = _segment_distance(surface.singular_images(chart), a, b, length, reach)
+                if d < best:
+                    best = min(d, cap)
+            series.append((s, best))
+    return series
+
+
+def _arrives_at_corner(surface: ConeSurface, chart: str, vertex: int, d) -> bool:
+    """Whether a ray along d meets the corner from inside its wedge: the
+    reversed direction lies in the wedge, up to the clamp of ``cone_coordinate``.
+
+    A ray that cuts across a corner within tau_hit of it, entering and
+    leaving through the two edges at the corner, has no incoming coordinate
+    there; it crosses the edge like any other ray.
+    """
+    try:
+        surface.corner_class[(chart, vertex)].cone_coordinate(chart, vertex, (-d[0], -d[1]))
+    except ValueError:
+        return False
+    return True
 
 
 def _edge_cross_event(s: float, chart: str, edge: int, nb) -> TraceEvent:
@@ -416,7 +516,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     chart, more than 1e-9 of arclength later; the earliest such crossing is
     matched, and ``recurrence`` reports {period, detected_at, matched_at}.
     Each check costs O(1) on average, so detection keeps the trace linear in
-    its crossings.
+    its crossings. The m(T) series is built from the recorded segments after
+    the loop (``_min_distance_series``).
     """
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
@@ -438,7 +539,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     segments: list = []
     transitions: list = []
     events: list[TraceEvent] = []
-    series = [] if options.record_min_distance else None
+    records = [] if options.record_min_distance else None  # m(T) input, per segment
     crossings = _CrossingIndex(tol.tau_rec)
     recurrence = None
     s = 0.0
@@ -481,7 +582,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             x = (p[0] + step * d[0], p[1] + step * d[1])
             for cand in (edge, (edge + 1) % geo.n):
                 v = geo.vertices[cand]
-                if math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit:
+                if (math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit
+                        and _arrives_at_corner(surface, cid, cand, d)):
                     vtx = cand
                     x = (float(v[0]), float(v[1]))
                     step = math.hypot(x[0] - p[0], x[1] - p[1])
@@ -494,9 +596,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                     f"no chart exit from {p} along {d} in chart {cid!r}, "
                     f"yet the endpoint {x} leaves the chart")
         segments.append((cid, p, x))
-        if series is not None:
-            _record_min_distance(series, surface, cid, p, x, s,
-                                 max_length if done else s + step)
+        if records is not None:
+            records.append((cid, p, x, s, max_length if done else s + step))
         if done:
             s = max_length
             events.append(TraceEvent(EVENT_MAX_LENGTH, s, {}))
@@ -548,14 +649,15 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
     events.sort(key=lambda e: e.arclength)
-    if series is not None and not series:
-        _record_min_distance(series, surface, norm_start.chart, norm_start.point,
-                             norm_start.point, 0.0, 0.0)
+    series = []
+    if records is not None:
+        series = _min_distance_series(surface, records or [
+            (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
         events=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence,
-        min_distance_series=series if series is not None else [],
+        min_distance_series=series,
         chart_index=surface.chart_index)
 
 
@@ -799,19 +901,60 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
 def min_singular_distance_up_to(surface: ConeSurface, trace_result: TraceResult,
                                 T: float) -> float:
     """Exact distance from the path restricted to [0, T] to the singular set,
-    within the one-ring candidate radius."""
-    best = math.inf
+    within the one-ring candidate radius; at T = 0, the start point's.
+    Raises ``DomainError`` unless T >= 0."""
+    if not T >= 0.0:
+        raise DomainError(f"T must be non-negative, got {T}")
+    return _distances_up_to(surface, trace_result, [T])[0]
+
+
+def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) -> list:
+    """``min_singular_distance_up_to`` at each T of the ascending ``Ts``, in
+    one pass over the segments.
+
+    Segment k starts at s0, the sum of the earlier segments' lengths
+    |b - a| in order, and counts for T when s0 < T (every segment starting
+    at 0 counts for T = 0); for T it is cut to the piece of length
+    min(T - s0, |b - a|). Each T keeps its own minimum of the kernel values,
+    capped as in the series. A larger T sees every segment a smaller one
+    sees, with a piece at least as long, so its minimum is never larger:
+    a segment whose ``_segment_lower_bounds`` value is at least the minimum
+    of the smallest T still open cannot lower any, and the kernel is skipped.
+    The values are those of a rescan from 0 for each T, bit for bit.
+    """
+    segments = trace_result.segments
+    starts, lengths = [], []
     s0 = 0.0
-    for cid, a, b in trace_result.segments:
-        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
-        if s0 >= T:
+    for _, a, b in segments:
+        if s0 >= Ts[-1] and s0 > 0.0:
             break
-        dist = _segment_distance(surface.singular_images(cid), a, b, seg_len,
-                                 min(T - s0, seg_len))
-        if dist < best:
-            best = dist
+        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
+        starts.append(s0)
+        lengths.append(seg_len)
         s0 += seg_len
-    return min(best, surface.max_diameter) if best < math.inf else math.inf
+    used = segments[:len(starts)]
+    bounds = _segment_lower_bounds(surface, used, lengths)
+    best = [math.inf] * len(Ts)
+    lo = 0
+    for (cid, a, b), s0, seg_len, lb in zip(used, starts, lengths, bounds.tolist()):
+        while s0 >= Ts[lo] and s0 > 0.0:
+            lo += 1
+        if lb >= best[lo]:
+            continue
+        cands = surface.singular_images(cid)
+        full = None
+        for j in range(lo, len(Ts)):
+            reach = min(Ts[j] - s0, seg_len)
+            if reach != seg_len:
+                d = _segment_distance(cands, a, b, seg_len, reach)
+            else:
+                if full is None:
+                    full = _segment_distance(cands, a, b, seg_len, seg_len)
+                d = full
+            if d < best[j]:
+                best[j] = d
+    cap = surface.max_diameter
+    return [min(m, cap) if m < math.inf else math.inf for m in best]
 
 
 @dataclass
@@ -827,9 +970,12 @@ def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
                             options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> MinDistanceReport:
     """Trace once and tabulate m(T) = min distance to the singular set up to T.
 
-    The tabulated sequence is non-increasing by construction. ``strict`` mode
-    refuses surfaces with small singular classes, where generic trajectories
-    terminate at cone points instead of accumulating near them.
+    All rows come from one pass over the segments (``_distances_up_to``),
+    equal to ``min_singular_distance_up_to`` at each length. Lengths and a
+    given threshold must be finite. The tabulated sequence is non-increasing
+    by construction. ``strict`` mode refuses surfaces with small singular
+    classes, where generic trajectories terminate at cone points instead of
+    accumulating near them.
     """
     if mode not in ("extended", "strict"):
         raise DomainError(f"mode must be 'extended' or 'strict', got {mode!r}")
@@ -837,12 +983,17 @@ def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
         small = [vc.id for vc in surface.singular_classes if vc.kind not in (KIND_LARGE, KIND_MARKED)]
         if small:
             raise DomainError(f"strict mode requires no small singular classes; found {small}")
-    lengths = sorted(float(L) for L in lengths)
+    lengths = [float(L) for L in lengths]
+    if not all(math.isfinite(L) for L in lengths):
+        raise DomainError(f"lengths must be finite, got {lengths}")
+    if threshold is not None and not math.isfinite(threshold):
+        raise DomainError(f"threshold must be finite, got {threshold}")
+    lengths.sort()
     if not lengths or lengths[0] <= 0.0:
         raise DomainError("lengths must be positive")
     tr = trace(surface, start, lengths[-1], options=options)
-    rows = [(L, min_singular_distance_up_to(surface, tr, min(L, tr.total_length)))
-            for L in lengths]
+    values = _distances_up_to(surface, tr, [min(L, tr.total_length) for L in lengths])
+    rows = list(zip(lengths, values))
     monotone = all(rows[i + 1][1] <= rows[i][1] + 1e-15 for i in range(len(rows) - 1))
     passed = monotone and (threshold is None or rows[-1][1] < threshold)
     return MinDistanceReport(rows=rows, threshold=threshold, passed=passed, trace=tr)

@@ -9,6 +9,9 @@ window sweep's saddle connections with the package's tracer.
 for the tracer's hashed recurrence index, and ``anchor_on_chain`` measures
 one chain sample at a time with the package's ``surface_point_distance``, as
 the reference for the density experiment's vectorized chain anchors.
+``min_distance_series`` and ``min_singular_distance_up_to`` call the package's
+distance kernel on every segment, as the reference for the tracer's culling of
+segments that cannot lower m(T).
 """
 
 from __future__ import annotations
@@ -378,3 +381,50 @@ def first_recurrence(crossings, chart, p, d, s, tau_rec):
         return None
     matched = float(arr[int(np.argmax(close)), 4])
     return {"period": s - matched, "detected_at": s, "matched_at": matched}
+
+
+# -- m(T), every segment through the kernel ---------------------------------------------
+
+
+def min_distance_series(surface, records) -> list:
+    """The m(T) series of ``trace`` from its per-segment records, calling the
+    package's kernel on every segment.
+
+    ``records`` holds (chart, p0, p1, s0, s1) per recorded segment, as
+    ``trace`` hands them to ``tracer._min_distance_series``. Each row is the
+    minimum of the previous row and the kernel on the segment, with length
+    s1 - s0, capped at the max chart diameter; a segment of positive length
+    starting at 0 first adds the row at 0.
+    """
+    from conesurf.tracer import _segment_distance
+
+    cap = surface.max_diameter
+    series = []
+    for chart, p0, p1, s0, s1 in records:
+        cands = surface.singular_images(chart)
+        best = series[-1][1] if series else math.inf
+        length = s1 - s0
+        ends = [(0.0, 0.0), (s1, length)] if s0 == 0.0 and length > 0.0 else [(s1, length)]
+        for s, reach in ends:
+            best = min(best, _segment_distance(cands, p0, p1, length, reach))
+            series.append((s, min(best, cap) if best < math.inf else math.inf))
+    return series
+
+
+def min_singular_distance_up_to(surface, trace_result, T: float) -> float:
+    """m(T) of a traced path for T > 0, rescanning its segments from 0:
+    every segment starting before T, cut at T, through the package's kernel."""
+    from conesurf.tracer import _segment_distance
+
+    best = math.inf
+    s0 = 0.0
+    for cid, a, b in trace_result.segments:
+        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
+        if s0 >= T:
+            break
+        dist = _segment_distance(surface.singular_images(cid), a, b, seg_len,
+                                 min(T - s0, seg_len))
+        if dist < best:
+            best = dist
+        s0 += seg_len
+    return min(best, surface.max_diameter) if best < math.inf else math.inf

@@ -236,6 +236,28 @@ def test_experiment_no_strips_pass_and_fail(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("scenario, bad", [
+    ("no-strips", {"lengths": [math.nan, 50], "threshold": math.nan}),
+    ("no-strips", {"threshold": math.inf}),
+    ("density", {"window": math.nan}),
+])
+def test_experiment_non_finite_config_exits_2(tmp_path, scenario, bad):
+    config = {"start": GOLDEN_TARGET, "lengths": [5, 10], "threshold": 0.1, **bad}
+    path = write_json(tmp_path / "cfg.json", config)
+    report = tmp_path / "report.json"
+    rc = run(["--quiet", "experiment", scenario, "--surface", MARKED,
+              "--config", path, "--report", str(report)])
+    assert rc == 2
+    assert not report.exists()
+
+
+def test_sanitize_writes_non_finite_floats_as_strings():
+    from conesurf.cli import _sanitize
+
+    assert _sanitize({"a": [math.nan, math.inf, -math.inf, 1.5], "b": (2, "x")}) == {
+        "a": ["nan", "inf", "-inf", 1.5], "b": [2, "x"]}
+
+
 # --------------------------------------------------------------------------
 # cover
 # --------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_diagonal_passes_unmarked_corner(torus):
     assert math.isclose(res.end_state.direction[1], 1 / SQRT2, abs_tol=1e-12)
 
 
+def test_ray_cutting_a_corner_within_tau_hit_crosses_the_edge(mtorus):
+    # Aimed 3e-9 past the marked point at (-1, 0): after two crossings the
+    # ray enters at (3.2e-9, 1) and leaves through x = 0 at 5e-10 below the
+    # corner (0, 1), moving away from it, so it has no incoming coordinate
+    # there and crosses the edge instead of hitting the corner.
+    res = trace(mtorus, GeodesicState("sq", (0.18996196406382287, 0.18996196406382287),
+                                      (-1.1899619639853278, -0.18996196455553152)), 5.0)
+    assert res.termination == "MaxLengthReached"
+    assert not [e for e in res.events if e.kind == "ConeHit"]
+    cid, a, b = res.segments[2]
+    assert a[1] == 1.0 and b[0] == 0.0 and 0.0 < 1.0 - b[1] < 1e-9
+    assert develop(res).collinearity_residual <= 1e-15
+
+
 def test_trace_start_validation(torus):
     with pytest.raises(StartOutsideSurface):
         trace(torus, GeodesicState("sq", (1.5, 0.5), (1.0, 0.0), 0.0), 1.0)
@@ -444,6 +458,83 @@ def test_min_distance_at_segment_ends_matches_recomputation(name, length, reques
             # arclength conventions (ray parameter vs segment hypot) agree to
             # 1e-12 in m^2, i.e. to 1e-12 / (2 m) in m itself.
             assert abs(m_series ** 2 - m_direct ** 2) <= 1e-12, (s, m_series, m_direct)
+
+
+def _grazing_start(surface, rng):
+    """A random start aimed within 3e-9 of one of its chart's singular images:
+    the distance kernel's cancellation error is largest on such segments, and
+    the aims within tau_hit of a corner end in a cone hit."""
+    start = _random_start(surface, rng)
+    (x, y), cands = start.point, surface.singular_images(start.chart)
+    wx, wy = cands[rng.randrange(len(cands))]
+    dx, dy = wx - x, wy - y
+    off = rng.uniform(-3e-9, 3e-9) / math.hypot(dx, dy)
+    return GeodesicState(start.chart, start.point, (dx - off * dy, dy + off * dx), 0.0)
+
+
+def _hop_start(surface, rng):
+    """A start at an edge midpoint of a random chart, pointing out of the
+    chart: the trace begins with a zero-length hop into the partner chart."""
+    chart = rng.choice(sorted(surface.charts))
+    verts = surface.geometry[chart].vertices
+    k = rng.randrange(len(verts))
+    (ax, ay), (bx, by) = verts[k], verts[(k + 1) % len(verts)]
+    ex, ey = bx - ax, by - ay
+    slant = rng.uniform(-0.8, 0.8)
+    return GeodesicState(chart, ((ax + bx) / 2.0, (ay + by) / 2.0),
+                         (ey + slant * ex, -ex + slant * ey), 0.0)
+
+
+@pytest.mark.parametrize("name, length", [("octagon", 150.0), ("mtorus", 80.0),
+                                          ("pcase", 60.0), ("triple_cover", 40.0)])
+def test_min_distance_culling_matches_per_segment_loop(name, length, request, monkeypatch):
+    # The series and the no-strips rows skip the kernel where a lower bound
+    # shows it cannot lower m(T); they must equal calling it everywhere.
+    surface = request.getfixturevalue(name)
+    records = []
+    real = tracer._min_distance_series
+    monkeypatch.setattr(tracer, "_min_distance_series",
+                        lambda s, recs: records.append(recs) or real(s, recs))
+    rng = random.Random(20261018)
+    starts = ([_random_start(surface, rng) for _ in range(4)]
+              + [_grazing_start(surface, rng) for _ in range(12)]
+              + [_hop_start(surface, rng) for _ in range(3)]
+              + [dataclasses.replace(_random_start(surface, rng), direction=(1.0, 0.0))])
+    seen, hops = set(), 0
+    for start in starts:
+        for options in (TraceOptions(), TraceOptions(stop_on_recurrence=True)):
+            records.clear()
+            tr = trace(surface, start, length, options=options)
+            assert tr.min_distance_series == oracles.min_distance_series(surface, records[0])
+            seen.add(tr.termination)
+            hops += sum(a == b for _, a, b in tr.segments)
+        lengths = [length * f for f in (1.0, 0.5, 0.31, 0.07, rng.random())]
+        rep = min_distance_experiment(surface, start, lengths,
+                                      options=tracer.PLAIN_TRACE_OPTIONS)
+        total = rep.trace.total_length
+        assert rep.rows == [(L, oracles.min_singular_distance_up_to(surface, rep.trace,
+                                                                    min(L, total)))
+                            for L in sorted(lengths)]
+    assert {"ConeHit", "MaxLengthReached", "SelfRecurrence"} <= seen
+    assert hops >= 3
+
+
+def test_min_singular_distance_at_zero_is_the_start_point(octagon):
+    tr = trace(octagon, GeodesicState("oct", (0.0, 0.0), (1.0, math.pi / 10.0)), 50.0)
+    assert min_singular_distance_up_to(octagon, tr, 0.0) == tr.min_distance_at(0.0)
+    assert math.isclose(tr.min_distance_at(0.0), 1.0, rel_tol=1e-12)  # the circumradius
+    for T in (-1e-9, math.nan):
+        with pytest.raises(DomainError, match="non-negative"):
+            min_singular_distance_up_to(octagon, tr, T)
+
+
+@pytest.mark.parametrize("lengths, threshold", [([math.nan, 10.0], None),
+                                                ([5.0, 10.0], math.nan),
+                                                ([5.0, 10.0], math.inf)])
+def test_min_distance_experiment_rejects_non_finite(mtorus, lengths, threshold):
+    with pytest.raises(DomainError, match="finite"):
+        min_distance_experiment(mtorus, state("sq", 0.3, 0.4, 1, GOLDEN), lengths,
+                                threshold=threshold)
 
 
 def test_octagon_min_distance_matches_oracle(octagon):
