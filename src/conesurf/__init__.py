@@ -2,7 +2,7 @@
 
 Geodesic tracing by straight-line flow across gluings; saddle connections and
 flat cylinder widths by one exact window sweep of the developed surface, whose
-chart copies ``unfolding_budget`` counts; compact-open distance between
+windows ``unfolding_budget`` counts; compact-open distance between
 trajectories; branched covers driven by edge permutations.
 """
 
@@ -47,7 +47,6 @@ from .surface import (
     VertexClass,
     build_surface,
     classify_singularities,
-    cone_angle,
     load_surface,
     save_surface,
     surface_from_dict,

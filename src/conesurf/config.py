@@ -28,7 +28,7 @@ class Tolerances:
     tau_exit: float = 1e-12      # minimum advance when solving for a chart exit
     distance_step: float = 1e-3  # quadrature step for the compact-open distance
     w_max_factor: float = 1e3    # strip-width cap, in units of max chart diameter
-    unfolding_budget: int = 10**6   # max chart copies one window sweep visits
+    unfolding_budget: int = 10**6   # max windows one window sweep visits
     search_budget: int = 10**5      # max nodes in monodromy backtracking
 
 

@@ -85,16 +85,3 @@ BUILDERS = {
     "pillowcase": pillowcase,
 }
 
-
-def write_corpus(directory) -> list[str]:
-    """Write the four shipped corpus surfaces as JSON files; returns the paths."""
-    import os
-    from .surface import save_surface
-
-    paths = []
-    os.makedirs(directory, exist_ok=True)
-    for name, builder in BUILDERS.items():
-        path = os.path.join(directory, f"{name}.json")
-        save_surface(builder(), path)
-        paths.append(path)
-    return paths

@@ -287,26 +287,23 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     Traces from the start point (default: a point inside the first chart)
     until self-recurrence, then certifies one period by re-tracing. When the
     launch runs into a cone point, retries from points moved perpendicular to
-    the direction. Returns None when nothing closes within the circumference
-    bound.
+    the direction, each built only when the launch before it failed, so an
+    offset trace that raises an error other than DomainError raises only when
+    its launch is needed. Returns None when nothing closes within the
+    circumference bound.
     """
-    diam = surface.max_diameter
     if max_circumference is None:
-        max_circumference = 128.0 * diam
+        max_circumference = 128.0 * surface.max_diameter
     if start is None:
         cid = min(surface.charts)
         start = (cid, interior_point(surface.charts[cid]))
     chart, point = start
-    base_state = GeodesicState(chart, point, normalize(direction))
-
-    attempts = [base_state]
-    for f in _JIGGLE_FRACTIONS:
+    base = GeodesicState(chart, point, normalize(direction))
+    for f in (0.0,) + _JIGGLE_FRACTIONS:
         try:
-            attempts.append(offset_state(surface, base_state, f * diam))
+            state = offset_state(surface, base, f * surface.max_diameter) if f else base
         except DomainError:
             continue
-
-    for state in attempts:
         cyl = _close(surface, state, max_circumference)
         if cyl is None:
             continue
@@ -454,7 +451,8 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     the target's start point in each saddle direction, plus closed chains of
     one or two connections when the connection inventory is small enough.
     Passes when the best distance is non-increasing in L and the final value
-    drops below eta.
+    drops below eta. Length bounds must be finite and positive, and eta
+    finite; otherwise DomainError is raised before any tracing.
 
     Candidates are taken in order of length, and each row reports the first
     least distance among those within its bound. A candidate after the first
@@ -468,8 +466,12 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     """
     tol = surface.tolerances
     lengths = [float(L) for L in lengths]
+    if not all(math.isfinite(L) and L > 0.0 for L in lengths):
+        raise DomainError(f"length bounds must be finite and positive, got {lengths}")
     if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise DomainError("length bounds must be strictly increasing and non-empty")
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     L_max = lengths[-1]
     diam = surface.max_diameter
 

@@ -74,7 +74,7 @@ class AngleOutOfRange(DomainError):
 # -- saddle connections -------------------------------------------------------
 
 class UnfoldingBudgetExceeded(ConeSurfaceError):
-    """A window sweep visited more chart copies than the configured budget."""
+    """A window sweep visited more windows than the configured budget."""
 
 
 class EndpointMismatch(ConeSurfaceError):

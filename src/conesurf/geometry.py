@@ -66,10 +66,6 @@ class Isometry:
         ty = b0[1] - (s * a0[0] + c * a0[1])
         return Isometry(c, s, tx, ty)
 
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.s, self.c)
-
     def apply(self, p):
         return (self.c * p[0] - self.s * p[1] + self.tx,
                 self.s * p[0] + self.c * p[1] + self.ty)
@@ -214,23 +210,3 @@ def point_segment_distance(p, a, b) -> float:
     t = dot(ap, ab) / l2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     return math.hypot(ap[0] - t * ab[0], ap[1] - t * ab[1])
-
-
-def segment_intersection(p0, p1, q0, q1, eps: float = 1e-12):
-    """Proper intersection of two segments.
-
-    Returns (s, t, point) with s, t in [0, 1] the arclength fractions along each
-    segment, or None when the segments do not cross (parallel overlap included).
-    """
-    d1 = (p1[0] - p0[0], p1[1] - p0[1])
-    d2 = (q1[0] - q0[0], q1[1] - q0[1])
-    denom = cross(d1, d2)
-    if abs(denom) <= eps:
-        return None
-    rel = (q0[0] - p0[0], q0[1] - p0[1])
-    s = cross(rel, d2) / denom
-    t = cross(rel, d1) / denom
-    if -eps <= s <= 1.0 + eps and -eps <= t <= 1.0 + eps:
-        pt = (p0[0] + s * d1[0], p0[1] + s * d1[1])
-        return (s, t, pt)
-    return None

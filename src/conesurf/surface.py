@@ -375,7 +375,7 @@ class WindowSweep:
             self.windows += 1
             if self.windows > tol.unfolding_budget:
                 raise UnfoldingBudgetExceeded(
-                    f"window sweep exceeded {tol.unfolding_budget} chart copies "
+                    f"window sweep exceeded {tol.unfolding_budget} windows "
                     f"at depth {depth:.6g} of reach {self.reach:.6g}")
             pts = [iso.apply(v) for v in surface.charts[chart]]
             hits, parts = self._cut(chart, pts, e_in, window)
@@ -656,10 +656,6 @@ def _vertex_classes(charts, edge_partner, marked_corners, tolerances) -> dict[st
 
 
 # -- reports ----------------------------------------------------------------------
-
-
-def cone_angle(surface: ConeSurface, class_id: str) -> float:
-    return surface.vertex_class(class_id).angle
 
 
 def validate_gauss_bonnet(surface: ConeSurface) -> GaussBonnetReport:

@@ -87,25 +87,6 @@ class ContinuationSector:
     start: float            # (incoming_coordinate + pi) mod angle
     width: float            # max(0, angle - 2*pi)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.width <= 0.0
-
-    def contains(self, t: float, tol: float = 1e-12) -> bool:
-        if self.is_empty:
-            return False
-        rel = (t - self.start) % self.angle
-        return rel <= self.width + tol
-
-    def coordinates(self, count: int) -> list[float]:
-        """Evenly spaced admissible coordinates (inclusive of both ends)."""
-        if self.is_empty:
-            return []
-        if count == 1:
-            return [(self.start + 0.5 * self.width) % self.angle]
-        return [(self.start + self.width * k / (count - 1)) % self.angle
-                for k in range(count)]
-
 
 @dataclass(frozen=True)
 class TraceOptions:
@@ -915,12 +896,14 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
     Segment k starts at s0, the sum of the earlier segments' lengths
     |b - a| in order, and counts for T when s0 < T (every segment starting
     at 0 counts for T = 0); for T it is cut to the piece of length
-    min(T - s0, |b - a|). Each T keeps its own minimum of the kernel values,
-    capped as in the series. A larger T sees every segment a smaller one
-    sees, with a piece at least as long, so its minimum is never larger:
-    a segment whose ``_segment_lower_bounds`` value is at least the minimum
-    of the smallest T still open cannot lower any, and the kernel is skipped.
-    The values are those of a rescan from 0 for each T, bit for bit.
+    min(T - s0, |b - a|), and the minimum of the kernel values is capped as
+    in the series. A larger T sees every segment a smaller one sees, with a
+    piece at least as long, and the kernel does not increase with the piece,
+    so one running minimum carried from T to T is exact. Each T rescans from
+    the first segment an earlier T cut short, which only moves forward, and
+    skips a segment whose ``_segment_lower_bounds`` value is at least the
+    running minimum. The values are those of a rescan from 0 for each T,
+    bit for bit.
     """
     segments = trace_result.segments
     starts, lengths = [], []
@@ -932,29 +915,23 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
         starts.append(s0)
         lengths.append(seg_len)
         s0 += seg_len
-    used = segments[:len(starts)]
-    bounds = _segment_lower_bounds(surface, used, lengths)
-    best = [math.inf] * len(Ts)
-    lo = 0
-    for (cid, a, b), s0, seg_len, lb in zip(used, starts, lengths, bounds.tolist()):
-        while s0 >= Ts[lo] and s0 > 0.0:
-            lo += 1
-        if lb >= best[lo]:
-            continue
-        cands = surface.singular_images(cid)
-        full = None
-        for j in range(lo, len(Ts)):
-            reach = min(Ts[j] - s0, seg_len)
-            if reach != seg_len:
-                d = _segment_distance(cands, a, b, seg_len, reach)
-            else:
-                if full is None:
-                    full = _segment_distance(cands, a, b, seg_len, seg_len)
-                d = full
-            if d < best[j]:
-                best[j] = d
+    bounds = _segment_lower_bounds(surface, segments[:len(starts)], lengths).tolist()
     cap = surface.max_diameter
-    return [min(m, cap) if m < math.inf else math.inf for m in best]
+    best = math.inf
+    rows = []
+    cut = end = 0     # first segment cut short so far; end of those counting for T
+    for T in Ts:
+        while end < len(starts) and (starts[end] < T or starts[end] == 0.0):
+            end += 1
+        for k in range(cut, end):
+            if not bounds[k] >= best:
+                cid, a, b = segments[k]
+                best = min(best, _segment_distance(surface.singular_images(cid), a, b,
+                                                   lengths[k], min(T - starts[k], lengths[k])))
+        while cut < end and T - starts[cut] >= lengths[cut]:
+            cut += 1
+        rows.append(min(best, cap) if best < math.inf else math.inf)
+    return rows
 
 
 @dataclass

@@ -11,7 +11,10 @@ one chain sample at a time with the package's ``surface_point_distance``, as
 the reference for the density experiment's vectorized chain anchors.
 ``min_distance_series`` and ``min_singular_distance_up_to`` call the package's
 distance kernel on every segment, as the reference for the tracer's culling of
-segments that cannot lower m(T).
+segments that cannot lower m(T). ``find_closed_geodesic_eager`` builds every
+offset launch state before the first launch, with the package's closing,
+width and boundary steps, as the reference for the search that builds them on
+demand.
 """
 
 from __future__ import annotations
@@ -428,3 +431,44 @@ def min_singular_distance_up_to(surface, trace_result, T: float) -> float:
             best = dist
         s0 += seg_len
     return min(best, surface.max_diameter) if best < math.inf else math.inf
+
+
+# -- closed geodesics, every launch state built first ------------------------------------
+
+
+def find_closed_geodesic_eager(surface, direction, start=None, max_circumference=None):
+    """``find_closed_geodesic`` with all offset launch states built before the
+    first launch is tried, through the package's closing, width and boundary
+    steps."""
+    from conesurf.cylinders import (_JIGGLE_FRACTIONS, _boundary_saddles, _close,
+                                    offset_state, strip_width)
+    from conesurf.errors import DomainError
+    from conesurf.geometry import interior_point, normalize
+    from conesurf.tracer import GeodesicState
+
+    diam = surface.max_diameter
+    if max_circumference is None:
+        max_circumference = 128.0 * diam
+    if start is None:
+        cid = min(surface.charts)
+        start = (cid, interior_point(surface.charts[cid]))
+    chart, point = start
+    base_state = GeodesicState(chart, point, normalize(direction))
+
+    attempts = [base_state]
+    for f in _JIGGLE_FRACTIONS:
+        try:
+            attempts.append(offset_state(surface, base_state, f * diam))
+        except DomainError:
+            continue
+
+    for state in attempts:
+        cyl = _close(surface, state, max_circumference)
+        if cyl is None:
+            continue
+        cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
+        cyl.bounding = {
+            side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
+            for side, sign in (("left", 1.0), ("right", -1.0))}
+        return cyl
+    return None

@@ -99,11 +99,11 @@ def test_tolerance_overrides(tmp_path):
 
 
 def test_tolerance_overrides_reach_the_algorithms(tmp_path, capsys):
-    # the window sweep of one octagon corner's wedge visits 7 chart copies at L = 1.45
+    # the window sweep of one octagon corner's wedge visits 7 windows at L = 1.45
     unfolding = write_json(tmp_path / "unfold.json", {"unfolding_budget": 5})
     assert run(["--quiet", "--tolerance-overrides", unfolding,
                 "saddles", "--surface", OCTAGON, "--max-length", "1.45"]) == 2
-    assert "exceeded 5 chart copies" in capsys.readouterr().err
+    assert "exceeded 5 windows" in capsys.readouterr().err
     search = write_json(tmp_path / "search.json", {"search_budget": 3})
     assert run(["--quiet", "--tolerance-overrides", search,
                 "cover", "--surface", PILLOW, "--degree", "3"]) == 2
@@ -247,6 +247,16 @@ def test_experiment_non_finite_config_exits_2(tmp_path, scenario, bad):
     report = tmp_path / "report.json"
     rc = run(["--quiet", "experiment", scenario, "--surface", MARKED,
               "--config", path, "--report", str(report)])
+    assert rc == 2
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("extra", [["--lengths", "nan,2"], ["--lengths", "1,2", "--eta", "nan"]])
+def test_density_non_finite_input_exits_2(tmp_path, extra):
+    target = write_json(tmp_path / "target.json", GOLDEN_TARGET)
+    report = tmp_path / "d.json"
+    rc = run(["--quiet", "density", "--surface", MARKED, "--target-spec", target,
+              "--report", str(report), *extra])
     assert rc == 2
     assert not report.exists()
 

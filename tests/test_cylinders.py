@@ -256,11 +256,40 @@ def test_bounding_saddles_close_up(request, name, directions):
             assert all(oracles.passes_trace_audit(surface, c) for c in conns), (p, q, side)
 
 
+def test_launch_states_are_built_on_demand(mtorus, monkeypatch):
+    calls = []
+    real = cylinders.offset_state
+    monkeypatch.setattr(cylinders, "offset_state",
+                        lambda *args: calls.append(args) or real(*args))
+    # from the default start (0.5, 0.5), (1, 0) closes at once; (1, 1) runs
+    # into the cone point at (1, 1) and closes from the first offset
+    assert find_closed_geodesic(mtorus, (1.0, 0.0)) is not None
+    assert len(calls) == 0
+    assert find_closed_geodesic(mtorus, (1.0, 1.0)) is not None
+    assert len(calls) == 1
+
+
+def _cylinder_record(cyl):
+    return (cyl.circumference, cyl.width_left, cyl.width_right, cyl.witnesses,
+            {side: [(c.start, c.end, c.length, c.holonomy) for c in conns]
+             for side, conns in cyl.bounding.items()})
+
+
+@pytest.mark.parametrize("name", ["mtorus", "pcover"])
+def test_launch_states_on_demand_match_eager_search(request, name):
+    surface = request.getfixturevalue(name)
+    for p, q in _primitive_directions(25):
+        cyl = find_closed_geodesic(surface, (float(p), float(q)))
+        eager = oracles.find_closed_geodesic_eager(surface, (float(p), float(q)))
+        assert cyl is not None and eager is not None, (p, q)
+        assert _cylinder_record(cyl) == _cylinder_record(eager), (p, q)
+
+
 def test_strip_width_budget_guard():
-    # each side's window sweep visits 3 chart copies for the horizontal core
+    # each side's window sweep visits 3 windows for the horizontal core
     octagon = regular_octagon(
         tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=2))
-    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 2 chart copies"):
+    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 2 windows"):
         find_closed_geodesic(octagon, (1.0, 0.0))
 
 
@@ -413,6 +442,18 @@ def test_density_short_run_improves_but_fails_threshold(mtorus):
     inv = rep.inventory
     assert inv["connections"] == 16 and inv["closed_geodesics"] == 8
     assert inv["chains"] > 0 and inv["chains_skipped"] is False
+
+
+@pytest.mark.parametrize("lengths, eta", [([math.nan, 2.0], 0.05), ([1.0, math.inf], 0.05),
+                                          ([0.0, 1.0], 0.05), ([-1.0, 1.0], 0.05),
+                                          ([1.0, 2.0], math.nan), ([1.0, 2.0], math.inf)])
+def test_density_rejects_invalid_bounds_and_eta(mtorus, monkeypatch, lengths, eta):
+    traced = []
+    monkeypatch.setattr(cylinders, "two_sided_trace", lambda *args, **kw: traced.append(1))
+    target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
+    with pytest.raises(DomainError, match="finite"):
+        density_experiment(mtorus, target, lengths, eta=eta)
+    assert not traced
 
 
 def _density_json(surface, target, lengths, window, chain_budget):

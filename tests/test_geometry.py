@@ -16,7 +16,6 @@ from conesurf.geometry import (
     point_in_polygon,
     point_segment_distance,
     polygon_area,
-    segment_intersection,
 )
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
@@ -142,12 +141,3 @@ def test_point_segment_distance_clamps_to_endpoints():
     assert math.isclose(point_segment_distance((2.0, 1.0), (0.0, 0.0), (1.0, 0.0)),
                         math.hypot(1.0, 1.0))
     assert math.isclose(point_segment_distance((0.5, 0.3), (0.0, 0.0), (1.0, 0.0)), 0.3)
-
-
-def test_segment_intersection_crossing_and_parallel():
-    hit = segment_intersection((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
-    assert hit is not None
-    s, t, pt = hit
-    assert math.isclose(s, 0.5) and math.isclose(t, 0.5)
-    assert math.isclose(pt[0], 0.5) and math.isclose(pt[1], 0.5)
-    assert segment_intersection((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)) is None

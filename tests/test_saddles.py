@@ -80,11 +80,11 @@ def test_enumeration_input_validation(torus, mtorus):
 
 
 def test_unfolding_budget_guard():
-    # The window sweep of one corner's wedge visits 7 chart copies at L = 1.45;
+    # The window sweep of one corner's wedge visits 7 windows at L = 1.45;
     # a budget below that makes the enumeration refuse instead of finishing.
     octagon = regular_octagon(
         tolerances=dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=5))
-    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 5 chart copies"):
+    with pytest.raises(UnfoldingBudgetExceeded, match="exceeded 5 windows"):
         enumerate_saddles(octagon, "v0", 1.45)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import math
 import types
 from pathlib import Path
@@ -260,6 +261,14 @@ def test_file_roundtrip(tmp_path, mtorus):
     assert rebuilt.marked_corners == mtorus.marked_corners
     (vc,) = rebuilt.vertex_classes.values()
     assert vc.singular and vc.kind == "marked"
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+def test_shipped_surface_files_equal_their_builders(name):
+    # surfaces/<name>.json is what save_surface(corpus.BUILDERS[name](), path) writes
+    path = Path(__file__).resolve().parent.parent / "surfaces" / f"{name}.json"
+    built = json.loads(json.dumps(surface_to_dict(corpus.BUILDERS[name]())))
+    assert built == json.loads(path.read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------

@@ -519,6 +519,18 @@ def test_min_distance_culling_matches_per_segment_loop(name, length, request, mo
     assert hops >= 3
 
 
+def test_no_strips_rows_inside_one_segment(mtorus):
+    # every row ends inside the first segment, so each bound cuts it short and
+    # the next bound must measure it again
+    lengths = [0.1, 0.2, 0.3, 0.4]
+    rep = min_distance_experiment(mtorus, state("sq", 0.5, 0.3, 1, 0), lengths)
+    assert len(rep.trace.segments) == 1
+    for (L, m), T in zip(rep.rows, lengths):
+        assert L == T
+        assert math.isclose(m, math.hypot(0.5 - T, 0.3), rel_tol=0, abs_tol=1e-12)
+        assert m == oracles.min_singular_distance_up_to(mtorus, rep.trace, T)
+
+
 def test_min_singular_distance_at_zero_is_the_start_point(octagon):
     tr = trace(octagon, GeodesicState("oct", (0.0, 0.0), (1.0, math.pi / 10.0)), 50.0)
     assert min_singular_distance_up_to(octagon, tr, 0.0) == tr.min_distance_at(0.0)
