@@ -72,9 +72,6 @@ class ExperimentConfig:
             raise ValueError("threshold must be positive")
         if self.window <= 0:
             raise ValueError("window must be positive")
-        for key in ("chart", "x", "y", "dx", "dy"):
-            if key not in self.start:
-                raise ValueError(f"experiment start is missing {key!r}")
 
 
 @dataclasses.dataclass
@@ -142,7 +139,9 @@ def _parse_direction(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
-def _state_from_dict(data: dict) -> GeodesicState:
+def _state_from_dict(data) -> GeodesicState:
+    if not (isinstance(data, dict) and {"chart", "x", "y", "dx", "dy"} <= data.keys()):
+        raise ConeSurfaceError("a start state is a JSON object with keys chart, x, y, dx, dy")
     return GeodesicState(str(data["chart"]), (float(data["x"]), float(data["y"])),
                          (float(data["dx"]), float(data["dy"])))
 
@@ -350,6 +349,9 @@ def cmd_cover(args) -> int:
     else:
         with open(args.monodromy, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not (isinstance(raw, dict) and all(isinstance(v, list) for v in raw.values())):
+            raise ConeSurfaceError(f"--monodromy {args.monodromy} must hold a JSON object "
+                                   "mapping gluing indices to permutation lists")
         spec = CoverSpec(degree, {int(k): tuple(v) for k, v in raw.items()})
     cover, report = build_cover(surface, spec)
     residual = riemann_hurwitz_check(surface, cover, report)
@@ -378,6 +380,9 @@ def cmd_experiment(args) -> int:
     surface = load_surface(args.surface, args.tolerances)
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not (isinstance(raw, dict) and isinstance(raw.get("lengths", []), list)):
+        raise ConeSurfaceError(f"--config {args.config} must hold a JSON object whose "
+                               "lengths are a list")
     cfg = ExperimentConfig(
         scenario=args.scenario,
         start=raw.get("start", raw.get("target", {})),
@@ -446,6 +451,25 @@ def _series_mismatches(surface, tr) -> int:
     return sum(m != w for (_, m), w in zip(series, want))
 
 
+def _rows_mismatches(surface, rep) -> int:
+    """Rows of a no-strips report that differ from a rescan of its trace from
+    arclength 0 for each T with the distance kernel: every segment starting
+    before T, or at 0, cut at T, the minimum capped as in the rows."""
+    cap, bad = surface.max_diameter, 0
+    for L, m in rep.rows:
+        T = min(L, rep.trace.total_length)
+        best, s0 = math.inf, 0.0
+        for chart, a, b in rep.trace.segments:
+            if s0 >= T and s0 > 0.0:
+                break
+            length = math.hypot(b[0] - a[0], b[1] - a[1])
+            best = min(best, _segment_distance(surface.singular_images(chart), a, b,
+                                               length, min(T - s0, length)))
+            s0 += length
+        bad += m != (min(best, cap) if best < math.inf else math.inf)
+    return bad
+
+
 def cmd_selftest(args) -> int:
     import numpy as np
 
@@ -462,7 +486,7 @@ def cmd_selftest(args) -> int:
     octagon = surfaces["octagon"]
     n_traces = 20 if args.quick else 100
     worst_col, worst_add = 0.0, 0.0
-    m_mismatch = 0
+    m_mismatch = row_mismatch = 0
     geo = octagon.geometry["oct"]
     for _ in range(n_traces):
         w = rng.uniform(0.05, 0.6)
@@ -476,12 +500,17 @@ def cmd_selftest(args) -> int:
         seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)
         worst_add = max(worst_add, abs(seg_sum - tr.total_length))
         m_mismatch += _series_mismatches(octagon, tr)
+        lengths = [f * tr.total_length for f in (0.07, 0.31, 0.5, 1.0)]
+        rep = min_distance_experiment(octagon, st, lengths, options=PLAIN_TRACE_OPTIONS)
+        row_mismatch += _rows_mismatches(octagon, rep)
     checks.append((f"collinearity <= 1e-8/unit over {n_traces} random octagon traces",
                    worst_col <= 1e-8, f"{worst_col:.3e}"))
     checks.append((f"arclength additivity <= 1e-7 over {n_traces} random octagon traces",
                    worst_add <= 1e-7, f"{worst_add:.3e}"))
     checks.append((f"m(T) series equals the per-segment recomputation over {n_traces} "
                    "random octagon traces", m_mismatch == 0, f"{m_mismatch} rows differ"))
+    checks.append((f"no-strips rows equal a per-T rescan over {n_traces} random octagon traces",
+                   row_mismatch == 0, f"{row_mismatch} rows differ"))
 
     sector_ok = True
     detail = []

@@ -340,14 +340,16 @@ class PeriodicPath:
 
 @dataclass
 class ChainPath:
-    """A closed chain of saddle connections traversed periodically."""
+    """A closed chain of saddle connections traversed periodically, piece by
+    piece: a generalized link runs through its pieces in turn."""
 
     pg: PiecewiseGeodesic
 
     def __post_init__(self):
         if not self.pg.closed:
             raise DomainError("only closed chains can be traversed periodically")
-        self.offsets = np.cumsum([0.0] + [l.length for l in self.pg.links])
+        self.pieces = [p for l in self.pg.links for p in l.pieces]
+        self.offsets = np.cumsum([0.0] + [p.total_length for p in self.pieces])
 
     @property
     def length(self) -> float:
@@ -361,15 +363,15 @@ class ChainPath:
         the chain length (path protocol)."""
         ts = np.mod(np.asarray(ts, dtype=float), self.pg.total_length)
         idx = np.clip(np.searchsorted(self.offsets, ts, side="right") - 1,
-                      0, len(self.pg.links) - 1)
+                      0, len(self.pieces) - 1)
         codes = np.empty(len(ts), dtype=np.int64)
         xy = np.empty((len(ts), 2))
-        for j, link in enumerate(self.pg.links):
+        for j, piece in enumerate(self.pieces):
             sel = idx == j
             if not sel.any():
                 continue
-            local = np.minimum(ts[sel] - self.offsets[j], link.path.total_length)
-            codes[sel], xy[sel] = link.path.positions(local)
+            local = np.minimum(ts[sel] - self.offsets[j], piece.total_length)
+            codes[sel], xy[sel] = piece.positions(local)
         return codes, xy
 
 

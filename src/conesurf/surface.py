@@ -242,15 +242,13 @@ class ConeSurface:
             steps.append((nb.gluing_index, nb.side))
         return steps
 
-    def unfold(self, root: str, keep=None, max_level: int | None = None):
-        """Develop the surface into ``root``'s frame, breadth-first.
+    def unfold(self, root: str, max_level: int):
+        """Develop the surface into ``root``'s frame, breadth-first, up to
+        ``max_level`` gluing crossings.
 
         Yields (level, chart, iso) once per chart copy, deduplicated by
         (chart, iso.rounded_key()): iso maps the copy into root's frame and
-        level counts gluing crossings from root. A copy for which
-        ``keep(chart, iso)`` is false is neither yielded nor crossed, and
-        nothing is crossed beyond ``max_level``; with neither, the caller
-        must stop the generator.
+        level counts gluing crossings from root.
         """
         ident = Isometry.identity()
         seen = {(root, ident.rounded_key())}
@@ -259,8 +257,6 @@ class ConeSurface:
         while frontier:
             nxt = []
             for chart, iso in frontier:
-                if keep is not None and not keep(chart, iso):
-                    continue
                 yield level, chart, iso
                 if level == max_level:
                     continue

@@ -47,7 +47,7 @@ from .geometry import (
     point_in_polygon,
     point_segment_distance,
 )
-from .surface import KIND_LARGE, KIND_MARKED, ConeSurface
+from .surface import KIND_MARKED, ConeSurface
 
 EVENT_EDGE_CROSS = "EdgeCross"
 EVENT_CONE_HIT = "ConeHit"
@@ -98,8 +98,8 @@ class TraceOptions:
     earlier; the earliest matching crossing wins. Each check costs O(1) on
     average. ``stop_on_recurrence`` ends the trace there and requires
     ``detect_recurrence``. With ``record_min_distance`` the trace fills
-    ``min_distance_series`` once its stepping ends, calling the distance
-    kernel only on segments that could lower the running minimum.
+    ``min_distance_series`` once its stepping ends, from one vectorized pass
+    of the distance kernel over its segments.
     """
 
     stop_on_cone: bool = True          # False: pass through marked (2*pi) points
@@ -317,73 +317,55 @@ def _segment_distance(cands: np.ndarray, p0, p1, length: float, reach: float) ->
     return float(np.sqrt(perp2 + gap ** 2).min())
 
 
-# Segment-candidate pairs per chunk of ``_segment_lower_bounds``: its seven
-# (pairs,) float temporaries then take about 0.1 MB on any trace length, and
-# larger chunks measured no faster.
-_BOUND_CHUNK_PAIRS = 2048
-_EPS = float(np.finfo(float).eps)
+# Segment-candidate pairs per chunk of ``_segment_distances``: its float
+# temporaries then take about 0.5 MB on any trace length; 2048 and 16384
+# measured slower.
+_CHUNK_PAIRS = 8192
 
 
-def _segment_lower_bounds(surface: ConeSurface, segments, lengths) -> np.ndarray:
-    """Per segment, a lower bound on every ``_segment_distance`` value of it.
+def _segment_distances(surface: ConeSurface, segments, lengths, reaches) -> np.ndarray:
+    """``_segment_distance`` of many segments at once, bit for bit.
 
-    Segment k runs from p0 to p1 in chart c, where segments[k] starts with
-    (c, p0, p1), and the kernel is called on it with ``length`` = lengths[k]
-    and any reach in [0, length].
-
-    With r = w - p0 and v = p1 - p0 for a singular image w of the chart, let
-    D_w be the distance from w to the segment, computed in the
-    clamped-projection form, which has no cancellation (error a few eps |r|,
-    eps = 2.2e-16). The kernel's value for w is at least D_w - delta_w:
-
-    - The kernel forms h2 = |r|^2 - t^2 with t = r . u. Rounding puts h2 off
-      by at most about 16 eps |r|^2 and the along-track gap by a few eps R,
-      so the squared result is off by under 45 eps R^2, and as
-      |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), the result by under 1e-7 R, where
-      R = |r| + max(length, |v|).
-    - The kernel's u = v / length is a unit vector only when length = |v|;
-      ``trace`` passes arclength differences, which differ from |v| by
-      rounding. With mu = |length - |v|| / min(length, |v|), t is off by
-      mu |r|, h2 by 3 mu |r|^2 and the gap by mu R, which moves the squared
-      result by under 6 mu R^2 and the result by under sqrt(6 mu) R. Adding
-      2 eps to mu covers the rounding of |v| itself.
-
-    So delta_w = e (1 + |r| + m) with e = 1e-7 + 3 sqrt(mu + 2 eps) and
-    m = max(length, |v|). As |r| <= D_w + |v|, the bound
-    (1 - e) min_w D_w - e (1 + 2 m) lies below every D_w - delta_w when
-    e <= 1, and below 0 otherwise. The bound
-    of a whole segment bounds any piece [0, reach] of it too, as a piece
-    lies no closer to w. A segment with length or |v| zero gets a bound of
-    -inf or NaN, which skips nothing; with no singular images in the chart
-    the bound is inf, as is the kernel's value.
+    Segment k starts with (chart, p0, p1) and is measured against its chart's
+    singular images with ``length`` = lengths[k] and ``reach`` = reaches[k].
+    Segments are grouped by chart and evaluated in chunks, by the kernel's
+    operations on the same inputs.
     """
-    charts = [seg[0] for seg in segments]
+    charts = np.asarray([seg[0] for seg in segments])
     p0 = np.array([seg[1] for seg in segments], dtype=float).reshape(-1, 2)
-    v = np.array([seg[2] for seg in segments], dtype=float).reshape(-1, 2) - p0
+    p1 = np.array([seg[2] for seg in segments], dtype=float).reshape(-1, 2)
     lengths = np.asarray(lengths, dtype=float)
-    ell = np.hypot(v[:, 0], v[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.abs(lengths - ell) / np.minimum(lengths, ell)
-    e = 1e-7 + 3.0 * np.sqrt(mu + 2.0 * _EPS)
-    vv = (v * v).sum(axis=1)
-    inv_vv = 1.0 / np.where(vv > 0.0, vv, 1.0)   # v = 0 projects onto p0
-    d2 = np.full(len(lengths), np.inf)
-    chart_of = np.asarray(charts)
-    for chart in set(charts):
+    reaches = np.asarray(reaches, dtype=float)
+    out = np.full(len(lengths), np.inf)
+    for chart in set(charts.tolist()):
         cands = surface.singular_images(chart)
         if len(cands) == 0:
             continue
-        idx = np.flatnonzero(chart_of == chart)
-        step = max(1, _BOUND_CHUNK_PAIRS // len(cands))
+        idx = np.flatnonzero(charts == chart)
+        step = max(1, _CHUNK_PAIRS // len(cands))
         for lo in range(0, len(idx), step):
             sel = idx[lo:lo + step]
-            vx, vy = v[sel, 0:1], v[sel, 1:2]
-            rx = cands[:, 0] - p0[sel, 0:1]
-            ry = cands[:, 1] - p0[sel, 1:2]
-            tau = np.clip((rx * vx + ry * vy) * inv_vv[sel, None], 0.0, 1.0)
-            d2[sel] = ((rx - tau * vx) ** 2 + (ry - tau * vy) ** 2).min(axis=1)
-    with np.errstate(invalid="ignore"):
-        return (1.0 - e) * np.sqrt(d2) - e * (1.0 + 2.0 * np.maximum(lengths, ell))
+            # rel = cands - p0 per segment, written one coordinate plane at a
+            # time: a broadcast over the length-2 last axis is several times slower
+            rel = np.empty((len(sel), len(cands), 2))
+            rx, ry = rel[:, :, 0], rel[:, :, 1]
+            np.subtract(cands[:, 0], p0[sel, 0:1], out=rx)
+            np.subtract(cands[:, 1], p0[sel, 1:2], out=ry)
+            rr = rx * rx + ry * ry
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = (p1[sel] - p0[sel]) / lengths[sel, None]
+                # np.matmul makes the kernel's own call, rel @ u, per segment;
+                # the elementwise rx * ux + ry * uy rounds about 30 % of the dot
+                # products differently (octagon, L = 500) and moves the
+                # exported m(T) digits
+                t = np.matmul(rel, u[:, :, None])[:, :, 0]
+                perp2 = np.maximum(rr - t * t, 0.0)
+                gap = t - np.clip(t, 0.0, reaches[sel, None])
+                d = np.sqrt(perp2 + gap ** 2)
+            flat = lengths[sel] <= 0.0      # a segment of length 0 is its start point
+            d[flat] = np.sqrt(rr[flat])
+            out[sel] = d.min(axis=1)
+    return out
 
 
 def _min_distance_series(surface: ConeSurface, records: list) -> list:
@@ -392,30 +374,25 @@ def _min_distance_series(surface: ConeSurface, records: list) -> list:
     ``records`` holds (chart, p0, p1, s0, s1) per traced segment, in order;
     the kernel sees the segment with length s1 - s0. The series has a row at
     each s1 and, for a segment of positive length starting at arclength 0,
-    one at 0 first. Each row is min(previous row, kernel value), capped at
-    the max chart diameter, the radius within which the one-ring candidate
-    set (own chart corners plus one unfolded ring) is meaningful.
-
-    The kernel runs only where it could lower the running minimum: when the
-    segment's ``_segment_lower_bounds`` value is at least the previous row,
-    so is the kernel's value, and the row repeats. The series is thus the
-    one that calling the kernel on every segment gives, bit for bit; on a
-    long trace most segments are skipped, as the minimum keeps falling.
+    one at 0 first, with reach 0. Each row is the minimum of the kernel values
+    so far, all from one ``_segment_distances`` pass, capped at the max chart
+    diameter, the radius within which the one-ring candidate set (own chart
+    corners plus one unfolded ring) is meaningful.
     """
-    bounds = _segment_lower_bounds(surface, records, [s1 - s0 for *_, s0, s1 in records])
-    cap = surface.max_diameter
-    series = []
-    best = math.inf
-    for (chart, a, b, s0, s1), lb in zip(records, bounds.tolist()):
+    segs, lengths, reaches, at = [], [], [], []
+    for rec in records:
+        s0, s1 = rec[3], rec[4]
         length = s1 - s0
         ends = ((0.0, 0.0), (s1, length)) if s0 == 0.0 and length > 0.0 else ((s1, length),)
         for s, reach in ends:
-            if not lb >= best:
-                d = _segment_distance(surface.singular_images(chart), a, b, length, reach)
-                if d < best:
-                    best = min(d, cap)
-            series.append((s, best))
-    return series
+            segs.append(rec)
+            lengths.append(length)
+            reaches.append(reach)
+            at.append(s)
+    # a NaN kernel value never lowers the minimum: fmin skips it
+    best = np.fmin.accumulate(_segment_distances(surface, segs, lengths, reaches))
+    best = np.where(best < np.inf, np.minimum(best, surface.max_diameter), np.inf)
+    return list(zip(at, best.tolist()))
 
 
 def _arrives_at_corner(surface: ConeSurface, chart: str, vertex: int, d) -> bool:
@@ -897,13 +874,11 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
     |b - a| in order, and counts for T when s0 < T (every segment starting
     at 0 counts for T = 0); for T it is cut to the piece of length
     min(T - s0, |b - a|), and the minimum of the kernel values is capped as
-    in the series. A larger T sees every segment a smaller one sees, with a
-    piece at least as long, and the kernel does not increase with the piece,
-    so one running minimum carried from T to T is exact. Each T rescans from
-    the first segment an earlier T cut short, which only moves forward, and
-    skips a segment whose ``_segment_lower_bounds`` value is at least the
-    running minimum. The values are those of a rescan from 0 for each T,
-    bit for bit.
+    in the series. One ``_segment_distances`` pass gives every whole
+    segment's value, and their prefix minima cover the leading segments that
+    lie wholly before T; the scalar kernel runs only on the counting segments
+    after them, usually the one that T cuts short. The values are those of a
+    rescan from 0 for each T, bit for bit.
     """
     segments = trace_result.segments
     starts, lengths = [], []
@@ -915,21 +890,22 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
         starts.append(s0)
         lengths.append(seg_len)
         s0 += seg_len
-    bounds = _segment_lower_bounds(surface, segments[:len(starts)], lengths).tolist()
+    whole = _segment_distances(surface, segments[:len(starts)], lengths, lengths)
+    # prefix[k]: the least whole value before segment k; fmin skips a NaN one
+    prefix = np.fmin.accumulate(np.concatenate([[math.inf], whole])).tolist()
     cap = surface.max_diameter
-    best = math.inf
     rows = []
-    cut = end = 0     # first segment cut short so far; end of those counting for T
+    cut = end = 0     # leading segments wholly before T; those counting for T
     for T in Ts:
         while end < len(starts) and (starts[end] < T or starts[end] == 0.0):
             end += 1
-        for k in range(cut, end):
-            if not bounds[k] >= best:
-                cid, a, b = segments[k]
-                best = min(best, _segment_distance(surface.singular_images(cid), a, b,
-                                                   lengths[k], min(T - starts[k], lengths[k])))
         while cut < end and T - starts[cut] >= lengths[cut]:
             cut += 1
+        best = prefix[cut]
+        for k in range(cut, end):
+            cid, a, b = segments[k]
+            best = min(best, _segment_distance(surface.singular_images(cid), a, b,
+                                               lengths[k], min(T - starts[k], lengths[k])))
         rows.append(min(best, cap) if best < math.inf else math.inf)
     return rows
 
@@ -943,23 +919,15 @@ class MinDistanceReport:
 
 
 def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
-                            threshold: float | None = None, mode: str = "extended", *,
+                            threshold: float | None = None, *,
                             options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> MinDistanceReport:
     """Trace once and tabulate m(T) = min distance to the singular set up to T.
 
     All rows come from one pass over the segments (``_distances_up_to``),
     equal to ``min_singular_distance_up_to`` at each length. Lengths and a
     given threshold must be finite. The tabulated sequence is non-increasing
-    by construction. ``strict`` mode refuses surfaces with small singular
-    classes, where generic trajectories terminate at cone points instead of
-    accumulating near them.
+    by construction.
     """
-    if mode not in ("extended", "strict"):
-        raise DomainError(f"mode must be 'extended' or 'strict', got {mode!r}")
-    if mode == "strict":
-        small = [vc.id for vc in surface.singular_classes if vc.kind not in (KIND_LARGE, KIND_MARKED)]
-        if small:
-            raise DomainError(f"strict mode requires no small singular classes; found {small}")
     lengths = [float(L) for L in lengths]
     if not all(math.isfinite(L) for L in lengths):
         raise DomainError(f"lengths must be finite, got {lengths}")

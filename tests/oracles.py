@@ -10,11 +10,11 @@ for the tracer's hashed recurrence index, and ``anchor_on_chain`` measures
 one chain sample at a time with the package's ``surface_point_distance``, as
 the reference for the density experiment's vectorized chain anchors.
 ``min_distance_series`` and ``min_singular_distance_up_to`` call the package's
-distance kernel on every segment, as the reference for the tracer's culling of
-segments that cannot lower m(T). ``find_closed_geodesic_eager`` builds every
-offset launch state before the first launch, with the package's closing,
-width and boundary steps, as the reference for the search that builds them on
-demand.
+distance kernel on every segment, one call each, as the reference for the
+tracer's vectorized pass over the segments. ``find_closed_geodesic_eager``
+builds every offset launch state before the first launch, with the package's
+closing, width and boundary steps, as the reference for the search that builds
+them on demand.
 """
 
 from __future__ import annotations
@@ -262,18 +262,18 @@ def path_sample(path, t: float):
         return trace_sample(path.forward, t) if t >= 0.0 else trace_sample(path.backward, -t)
     if hasattr(path, "core"):               # closed geodesic, periodic
         return trace_sample(path.core, t % path.core.total_length)
-    if hasattr(path, "pg"):                 # closed chain, periodic
+    if hasattr(path, "pg"):                 # closed chain, periodic, piece by piece
         t = t % path.pg.total_length
+        pieces = [p for link in path.pg.links for p in link.pieces]
         start, j = 0.0, 0
         offsets = []
-        for link in path.pg.links:
+        for piece in pieces:
             offsets.append(start)
-            start += link.length
+            start += piece.total_length
         for i, off in enumerate(offsets):
             if off <= t:
                 j = i
-        link = path.pg.links[j].path
-        return trace_sample(link, min(t - offsets[j], link.total_length))
+        return trace_sample(pieces[j], min(t - offsets[j], pieces[j].total_length))
     return trace_sample(path, t)
 
 

@@ -261,6 +261,27 @@ def test_density_non_finite_input_exits_2(tmp_path, extra):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command, option, payload", [
+    (["cover", "--surface", TORUS, "--degree", "2"], "--monodromy", [[2, 1]]),
+    (["cover", "--surface", TORUS, "--degree", "2"], "--monodromy", {"0": 5}),
+    (["density", "--surface", MARKED, "--lengths", "1,2"], "--target-spec",
+     {k: v for k, v in GOLDEN_TARGET.items() if k != "y"}),
+    (["density", "--surface", MARKED, "--lengths", "1,2"], "--target-spec",
+     list(GOLDEN_TARGET.values())),
+    (["experiment", "no-strips", "--surface", MARKED], "--config",
+     [GOLDEN_TARGET, [5, 10], 0.1]),
+    (["experiment", "no-strips", "--surface", MARKED], "--config",
+     {"start": GOLDEN_TARGET, "lengths": 5, "threshold": 0.1}),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, option, payload):
+    path = write_json(tmp_path / "input.json", payload)
+    report = tmp_path / "report.json"
+    extra = [] if command[0] == "cover" else ["--report", str(report)]
+    assert run(["--quiet", *command, option, path, *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
 def test_sanitize_writes_non_finite_floats_as_strings():
     from conesurf.cli import _sanitize
 

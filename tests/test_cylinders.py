@@ -17,6 +17,7 @@ from conesurf import (
     GeodesicState,
     PeriodicPath,
     TraceOptions,
+    as_generalized,
     build_cover,
     build_surface,
     chain,
@@ -30,6 +31,7 @@ from conesurf import (
     project_trace,
     strip_quadrangle,
     strip_width,
+    trace_connection,
     two_sided_trace,
 )
 from conesurf import cylinders, tracer
@@ -392,6 +394,32 @@ def test_path_protocol_chart_codes(request, name):
         want = [oracles.path_sample(path, t) for t in grid]
         assert list(surface.chart_names[codes]) == [c for c, _ in want]
         assert np.abs(xy - np.array([p for _, p in want])).max() <= 1e-12
+
+
+def test_chain_path_samples_generalized_links(pcase):
+    # A closed chain whose first link is a generalized connection: two pieces
+    # through a 3*pi class of the cover branched over v0 and v1, and no path.
+    cover = build_cover(pcase, find_monodromy(pcase, 3, branch_classes=("v0", "v1")))[0]
+    s2 = 1.0 / math.sqrt(2.0)
+    first = trace_connection(cover, ("front@1", 2), (-s2, -s2), math.sqrt(2.0))
+    jc = cover.vertex_classes[first.end]
+    t_in = first.path.events[-1].detail["sector"].incoming_coordinate
+    chart, vertex, u = jc.direction_at((t_in + math.pi) % jc.angle)
+    second = trace_connection(cover, (chart, vertex), u, math.sqrt(2.0))
+    merged = as_generalized(cover, chain(cover, [first, second]))
+    assert merged.path is None and len(merged.pieces) == 2
+    back = next([a, b] for a in enumerate_saddles(cover, merged.end, 3.0)
+                for b in enumerate_saddles(cover, a.end, 3.0) if b.end == merged.start)
+    path = ChainPath(chain(cover, [merged, *back]))
+    grid = np.linspace(-1.3, 2.0 * path.length, 501)
+    codes, xy = path.positions(grid)
+    want = [oracles.path_sample(path, t) for t in grid]
+    assert list(cover.chart_names[codes]) == [c for c, _ in want]
+    assert np.abs(xy - np.array([p for _, p in want])).max() <= 1e-12
+    # halfway along the merged link is the start of its second piece
+    mid_codes, mid_xy = path.positions([first.length])
+    want_codes, want_xy = second.path.positions([0.0])
+    assert mid_codes[0] == want_codes[0] and np.abs(mid_xy - want_xy).max() <= 1e-12
 
 
 def test_two_sided_positions_follow_a_changed_grid(pcase):

@@ -407,20 +407,8 @@ def test_min_distance_matches_lattice_oracle(mtorus):
     for L, m in rep.rows:
         expected = oracles.lattice_segment_min_distance(start, direction, L)
         assert math.isclose(m, expected, rel_tol=0, abs_tol=1e-9)
-
-
-def test_min_distance_strict_mode_refuses_small_cones(pcase, mtorus):
-    with pytest.raises(DomainError, match="strict"):
-        min_distance_experiment(pcase, state("front", 0.5, 0.5, 1, GOLDEN),
-                                [5.0], mode="strict")
-    rep = min_distance_experiment(mtorus, state("sq", 0.3, 0.4, 1, GOLDEN),
-                                  [5.0], mode="strict")
-    assert rep.rows[0][1] > 0.0
-    with pytest.raises(DomainError):
-        min_distance_experiment(mtorus, state("sq", 0.3, 0.4, 1, 0), [5.0],
-                                mode="banana")
-    with pytest.raises(DomainError):
-        min_distance_experiment(mtorus, state("sq", 0.3, 0.4, 1, 0), [])
+    with pytest.raises(DomainError, match="positive"):
+        min_distance_experiment(mtorus, GeodesicState("sq", start, direction, 0.0), [])
 
 
 def _random_start(surface, rng):
@@ -488,8 +476,8 @@ def _hop_start(surface, rng):
 @pytest.mark.parametrize("name, length", [("octagon", 150.0), ("mtorus", 80.0),
                                           ("pcase", 60.0), ("triple_cover", 40.0)])
 def test_min_distance_culling_matches_per_segment_loop(name, length, request, monkeypatch):
-    # The series and the no-strips rows skip the kernel where a lower bound
-    # shows it cannot lower m(T); they must equal calling it everywhere.
+    # The series and the no-strips rows take whole-segment values from one
+    # vectorized kernel pass; they must equal calling the kernel everywhere.
     surface = request.getfixturevalue(name)
     records = []
     real = tracer._min_distance_series
@@ -517,6 +505,34 @@ def test_min_distance_culling_matches_per_segment_loop(name, length, request, mo
                             for L in sorted(lengths)]
     assert {"ConeHit", "MaxLengthReached", "SelfRecurrence"} <= seen
     assert hops >= 3
+
+
+@pytest.mark.parametrize("name", ["octagon", "triple_cover", "torus"])
+def test_segment_distances_equal_the_scalar_kernel(name, request, monkeypatch):
+    # Many chunks of segments in random charts (chunks of 256 pairs here),
+    # grazing and length-0 ones among them, at reaches 0, mid-segment and
+    # whole, and with lengths off |p1 - p0| by rounding as the arclength
+    # differences of ``trace`` are. The flat torus's chart has no singular
+    # images, so every value is inf.
+    surface = request.getfixturevalue(name)
+    monkeypatch.setattr(tracer, "_CHUNK_PAIRS", 256)
+    rng = random.Random(20261018)
+    segments, lengths, reaches = [], [], []
+    for k in range(3000):
+        graze = k % 4 == 0 and surface.singular_classes
+        start = _grazing_start(surface, rng) if graze else _random_start(surface, rng)
+        (x, y), (dx, dy) = start.point, start.direction
+        step = 0.0 if k % 7 == 0 else rng.uniform(0.01, surface.geometry[start.chart].diameter)
+        p1 = (x + step * dx, y + step * dy)
+        length = math.dist(start.point, p1) * (1.0 + rng.choice([0.0, 2.2e-16, -4.4e-16]))
+        segments.append((start.chart, start.point, p1))
+        lengths.append(length)
+        reaches.append(rng.choice([0.0, length, rng.uniform(0.0, length)]))
+    got = tracer._segment_distances(surface, segments, lengths, reaches).tolist()
+    want = [tracer._segment_distance(surface.singular_images(c), a, b, length, reach)
+            for (c, a, b), length, reach in zip(segments, lengths, reaches)]
+    assert got == want
+    assert (name == "torus") == all(v == math.inf for v in want)
 
 
 def test_no_strips_rows_inside_one_segment(mtorus):
