@@ -139,11 +139,20 @@ def _parse_direction(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
-def _state_from_dict(data) -> GeodesicState:
+def _number(value, field: str, convert=float):
+    """A number read from an input file; ConeSurfaceError naming the field if
+    the value is a list, an object or anything else ``convert`` refuses."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConeSurfaceError(f"{field} must be a number, got {json.dumps(value)}") from None
+
+
+def _state_from_dict(data, name: str) -> GeodesicState:
     if not (isinstance(data, dict) and {"chart", "x", "y", "dx", "dy"} <= data.keys()):
         raise ConeSurfaceError("a start state is a JSON object with keys chart, x, y, dx, dy")
-    return GeodesicState(str(data["chart"]), (float(data["x"]), float(data["y"])),
-                         (float(data["dx"]), float(data["dy"])))
+    x, y, dx, dy = (_number(data[k], f"{name}.{k}") for k in ("x", "y", "dx", "dy"))
+    return GeodesicState(str(data["chart"]), (x, y), (dx, dy))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -316,7 +325,7 @@ def _run_density(surface, target, lengths, window, eta, chain_budget):
 def cmd_density(args) -> int:
     surface = load_surface(args.surface, args.tolerances)
     with open(args.target_spec, "r", encoding="utf-8") as fh:
-        target = _state_from_dict(json.load(fh))
+        target = _state_from_dict(json.load(fh), "--target-spec")
     lengths = [float(v) for v in args.lengths.split(",")]
     started = time.perf_counter()
     passed, metrics = _run_density(surface, target, lengths, args.window, args.eta,
@@ -383,20 +392,22 @@ def cmd_experiment(args) -> int:
     if not (isinstance(raw, dict) and isinstance(raw.get("lengths", []), list)):
         raise ConeSurfaceError(f"--config {args.config} must hold a JSON object whose "
                                "lengths are a list")
+    start = "start" if "start" in raw else "target"
+    threshold = "threshold" if "threshold" in raw else "eta"
     cfg = ExperimentConfig(
         scenario=args.scenario,
-        start=raw.get("start", raw.get("target", {})),
-        lengths=[float(v) for v in raw.get("lengths", [])],
-        threshold=float(raw.get("threshold", raw.get("eta", 0.05))),
-        window=float(raw.get("window", 5.0)),
-        chain_budget=int(raw.get("chain_budget", 200)),
+        start=raw.get(start, {}),
+        lengths=[_number(v, f"lengths[{k}]") for k, v in enumerate(raw.get("lengths", []))],
+        threshold=_number(raw.get(threshold, 0.05), threshold),
+        window=_number(raw.get("window", 5.0), "window"),
+        chain_budget=_number(raw.get("chain_budget", 200), "chain_budget", int),
     )
     try:
         cfg.validate()
     except ValueError as exc:
         raise ConeSurfaceError(str(exc)) from exc
     started = time.perf_counter()
-    state = _state_from_dict(cfg.start)
+    state = _state_from_dict(cfg.start, start)
 
     if args.scenario == "no-strips":
         # the rows come from min_singular_distance_up_to, not the trace's series

@@ -453,8 +453,9 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     the target's start point in each saddle direction, plus closed chains of
     one or two connections when the connection inventory is small enough.
     Passes when the best distance is non-increasing in L and the final value
-    drops below eta. Length bounds must be finite and positive, and eta
-    finite; otherwise DomainError is raised before any tracing.
+    drops below eta. Length bounds and the window must be finite and
+    positive, and eta finite; otherwise DomainError is raised before any
+    tracing.
 
     Candidates are taken in order of length, and each row reports the first
     least distance among those within its bound. A candidate after the first
@@ -474,6 +475,8 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
         raise DomainError("length bounds must be strictly increasing and non-empty")
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
+    if not (math.isfinite(window) and window > 0.0):
+        raise DomainError(f"window must be finite and positive, got {window}")
     L_max = lengths[-1]
     diam = surface.max_diameter
 

@@ -97,10 +97,12 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleC
     A WindowSweep of reach L follows the rays of each member corner's wedge
     (start ray included, end ray excluded) to the first singular corner each
     meets; the surface's ``unfolding_budget`` bounds the windows one wedge's
-    sweep visits. Hits are deduplicated by (classes, chart-frame holonomy,
-    length) rounded to 1e-9, the first member corner winning, and
-    one ``trace_connection`` turns each into its connection, raising
-    TraceNumericalError if it disagrees. Sorted by length, then angle.
+    sweep visits. Rays entering one chart copy through one edge share a
+    window, so on the marked torus that is O(L^2) windows. Hits are
+    deduplicated by (classes, chart-frame holonomy, length) rounded to 1e-9,
+    the first member corner winning, and one ``trace_connection`` turns each
+    into its connection, raising TraceNumericalError if it disagrees. Sorted
+    by length, then angle.
     """
     vc = surface.vertex_class(base)
     if not vc.singular:

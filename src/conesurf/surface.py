@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,14 +324,7 @@ class VerticalPencil:
         return min(a[1], b[1])
 
 
-def _ray_edge(o, u, edge):
-    """(t, s) with o + t*u == a + s*e for edge (ax, ay, ex, ey), or None if parallel."""
-    ax, ay, ex, ey = edge
-    den = u[0] * ey - u[1] * ex
-    if abs(den) <= 1e-15 * (abs(ex) + abs(ey)):
-        return None
-    rx, ry = ax - o[0], ay - o[1]
-    return (rx * ey - ry * ex) / den, (rx * u[1] - ry * u[0]) / den
+_iso_bits = struct.Struct("4d").pack   # a bitwise key: 0.0 and -0.0 differ
 
 
 def _offset(ray, p) -> float:
@@ -354,6 +348,21 @@ class WindowSweep:
     deeper corner yielded; the caller may lower it while iterating. Windows are
     visited nearest first, and more than the surface's ``unfolding_budget``
     raise UnfoldingBudgetExceeded.
+
+    A part that enters a chart copy through the same edge as a window still
+    waiting, with a bitwise-equal isometry, joins that window when the two
+    share a bound. The joined window is one ray interval plus holes: a bound
+    open on both sides is a ray that ended at a hit, and the window is cut
+    there and never follows it, so no ray behind a hit reports a longer
+    connection; a bound closed on either side (a ray through a flat corner, or
+    between two root windows) is a live ray and becomes an ordinary one,
+    followed once even where both windows followed it.
+    Equal isometries place the chart at identical floats, so every corner,
+    depth, hit and exit edge comes from the same numbers as in separate
+    windows; copies that carry rounding merely join less. On a translation
+    surface distinct copies of a chart differ by the holonomy of a loop, so
+    the marked torus costs O(L^2) windows. Root windows never join and come
+    first in heap order, which keeps a caller's first-found image of a point.
     """
 
     def __init__(self, surface: ConeSurface, pencil, roots, reach: float):
@@ -362,12 +371,16 @@ class WindowSweep:
 
     def __iter__(self):
         surface, tol = self.surface, self.surface.tolerances
-        # ties in depth go by visit, then by part: the order the windows were made in
-        heap = [(0.0, 0, k, c, iso, None, w) for k, (c, iso, w) in enumerate(self.roots)]
+        # a window is [lo bound, hi bound, holes]; ties in depth go by visit, then by
+        # part: the order the windows were made in
+        heap = [(0.0, 0, k, c, iso, None, [lo, hi, ()], None)
+                for k, (c, iso, (lo, hi)) in enumerate(self.roots)]
+        waiting: dict[tuple, list] = {}   # (chart, entry edge, iso bits) -> window in the heap
         while heap:
-            depth, _, _, chart, iso, e_in, window = heapq.heappop(heap)
+            depth, _, _, chart, iso, e_in, window, key = heapq.heappop(heap)
             if depth > self.reach + tol.tau_len:
                 break
+            waiting.pop(key, None)
             self.windows += 1
             if self.windows > tol.unfolding_budget:
                 raise UnfoldingBudgetExceeded(
@@ -382,28 +395,48 @@ class WindowSweep:
                 depth = self.pencil.nearest(pts[e], pts[(e + 1) % len(pts)])
                 if depth <= self.reach + tol.tau_len:
                     nb = surface.edge_lookup[(chart, e)]
-                    heapq.heappush(heap, (depth, self.windows, k, nb.chart, iso.compose(nb.inv),
-                                          nb.edge, part))
+                    niso = iso.compose(nb.inv)
+                    key = (nb.chart, nb.edge, _iso_bits(niso.c, niso.s, niso.tx, niso.ty))
+                    window = waiting.get(key)
+                    if window is not None and _join(window, *part):
+                        continue
+                    waiting[key] = window = part
+                    heapq.heappush(heap, (depth, self.windows, k, nb.chart, niso, nb.edge,
+                                          window, key))
 
     def _cut(self, chart, pts, e_in, window):
         """The singular corners where the window's rays end in one chart copy,
         as (depth, vertex) in corner order, and its parts leaving through each
-        edge, as (edge, window)."""
+        edge, as (edge, [lo bound, hi bound, holes])."""
         surface, pencil, tol = self.surface, self.pencil, self.surface.tolerances
         tau, tau_exit = tol.tau_hit, tol.tau_exit
-        inv_len = [row[4] for row in surface.geometry[chart].scalar_edges]
-        edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+        # per edge: start, vector, the |u x e| below which a ray is parallel, 1/length
+        edges = []
+        for a, b, row in zip(pts, pts[1:] + pts[:1], surface.geometry[chart].scalar_edges):
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            edges.append((a[0], a[1], ex, ey, 1e-15 * (abs(ex) + abs(ey)), row[4]))
 
         def cast(c, margin):
             # the ray at coordinate c, its entry depth, and the depth and edge of its
-            # first crossing after that at least `margin` from the edge's ends
+            # first crossing after that at least `margin` from the edge's ends; the
+            # crossing o + t*u == a + s*e solved by Cramer's rule
             o, u = pencil.ray(c)
-            t0 = 0.0 if e_in is None else _ray_edge(o, u, edges[e_in])[0]
+            (ox, oy), (ux, uy) = o, u
+            if e_in is None:
+                t0 = 0.0
+            else:
+                ax, ay, ex, ey, _, _ = edges[e_in]
+                t0 = ((ax - ox) * ey - (ay - oy) * ex) / (ux * ey - uy * ex)
             after, t, edge = t0 + margin + tau_exit, math.inf, None
-            for j, e in enumerate(edges):
-                h = None if j == e_in else _ray_edge(o, u, e)
-                if h and after < h[0] < t and margin * inv_len[j] <= h[1] <= 1 - margin * inv_len[j]:
-                    t, edge = h[0], j
+            for j, (ax, ay, ex, ey, flat, inv_len) in enumerate(edges):
+                den = ux * ey - uy * ex
+                if j == e_in or abs(den) <= flat:
+                    continue
+                rx, ry = ax - ox, ay - oy
+                tj = (rx * ey - ry * ex) / den
+                if after < tj < t and (margin * inv_len <= (rx * uy - ry * ux) / den
+                                       <= 1 - margin * inv_len):
+                    t, edge = tj, j
             return o, u, t0, t, edge
 
         def follow(group, bound):
@@ -422,8 +455,9 @@ class WindowSweep:
                 t0 = d
             return None
 
-        # the corners on each bound, and the clusters of corners strictly inside
-        (lo, lo_open), (hi, hi_open) = window
+        # the corners on each bound, and the clusters of corners strictly inside;
+        # corners on a hole are ignored, like those on an open bound
+        (lo, lo_open), (hi, hi_open), holes = window
         lo_ray, hi_ray = pencil.ray(lo), pencil.ray(hi)
         on_lo, on_hi, inside = [], [], []
         for i, p in enumerate(pts):
@@ -434,7 +468,7 @@ class WindowSweep:
                 on_lo.append((c, d, i))
             elif _offset(hi_ray, p) <= tau:
                 on_hi.append((c, d, i))
-            elif lo < c < hi:
+            elif lo < c < hi and not any(_offset(pencil.ray(h), p) <= tau for h in holes):
                 inside.append((c, d, i))
         stops: list[list] = []
         for v in sorted(inside):
@@ -447,24 +481,43 @@ class WindowSweep:
         hi_hit = not hi_open and on_hi and follow(on_hi, True)
         hits = [h for h in (lo_hit, hi_hit) if h]
         lo_open, hi_open = lo_open or bool(lo_hit), hi_open or bool(hi_hit)
-        cuts = [lo] + [g[0][0] for g in stops] + [hi]
+        # each hole and stop cuts the window; a hole is a stop whose ray has ended
+        stops = [(g[0][0], g) for g in stops]
+        if holes:
+            stops = sorted(stops + [(h, None) for h in holes], key=lambda s: s[0])
+        cuts = [lo] + [c for c, _ in stops] + [hi]
         exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
-        parts, start = [], (lo, lo_open)
-        for k, group in enumerate(stops):
-            c = group[0][0]
-            if h := follow(group, False):
-                hits.append(h)
-                parts.append((exits[k], (start, (c, True))))
-                start = (c, True)
-            elif exits[k] != exits[k + 1]:
+        parts, start, kept = [], (lo, lo_open), []
+        for k, (c, group) in enumerate(stops):
+            hit = group and follow(group, False)
+            if hit:
+                hits.append(hit)
+            ended = group is None or bool(hit)
+            if exits[k] == exits[k + 1]:
+                if ended:
+                    kept.append(c)
+            else:
                 # the ray through a flat corner goes on with the lower part; where
                 # that part's copies miss it, follow's inside check skips them
-                parts.append((exits[k], (start, (c, False))))
-                start = (c, True)
-        parts.append((exits[-1], (start, (hi, hi_open))))
+                parts.append((exits[k], [start, (c, ended), tuple(kept)]))
+                start, kept = (c, True), []
+        parts.append((exits[-1], [start, (hi, hi_open), tuple(kept)]))
         # corner order keeps ties between images of one point stable
         hits.sort(key=lambda h: h[1])
         return hits, [(e, part) for e, part in parts if e is not None]
+
+
+def _join(window, lo, hi, holes) -> bool:
+    """Add an interval's rays to a window that shares one of its bounds; a
+    bound open on both sides becomes a hole. Whether it joined."""
+    (w_lo, w_hi, w_holes) = window
+    if w_hi[0] == lo[0]:
+        window[1:] = hi, w_holes + ((lo[0],) if w_hi[1] and lo[1] else ()) + holes
+    elif hi[0] == w_lo[0]:
+        window[0], window[2] = lo, holes + ((hi[0],) if hi[1] and w_lo[1] else ()) + w_holes
+    else:
+        return False
+    return True
 
 
 def _chart_geometry(vertices) -> ChartGeometry:

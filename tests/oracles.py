@@ -14,18 +14,23 @@ distance kernel on every segment, one call each, as the reference for the
 tracer's vectorized pass over the segments. ``find_closed_geodesic_eager``
 builds every offset launch state before the first launch, with the package's
 closing, width and boundary steps, as the reference for the search that builds
-them on demand.
+them on demand. ``WindowSweep`` is the window sweep with one window per part:
+each window is one ray interval, parts entering the same chart copy are never
+joined, and it shares only the ray offset helper with the package.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from conesurf.geometry import Isometry
+from conesurf.errors import UnfoldingBudgetExceeded
+from conesurf.geometry import Isometry, point_in_polygon
+from conesurf.surface import _offset
 
 TWO_PI = 2.0 * math.pi
 
@@ -472,3 +477,143 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
             for side, sign in (("left", 1.0), ("right", -1.0))}
         return cyl
     return None
+
+
+# -- the window sweep, one window per part ----------------------------------------------
+
+
+def _ray_edge(o, u, edge):
+    """(t, s) with o + t*u == a + s*e for edge (ax, ay, ex, ey), or None if parallel."""
+    ax, ay, ex, ey = edge
+    den = u[0] * ey - u[1] * ex
+    if abs(den) <= 1e-15 * (abs(ex) + abs(ey)):
+        return None
+    rx, ry = ax - o[0], ay - o[1]
+    return (rx * ey - ry * ex) / den, (rx * u[1] - ry * u[0]) / den
+
+
+class WindowSweep:
+    """Exact sweep of a pencil of rays through the developed surface.
+
+    ``roots`` are (chart, iso, ((lo, lo_open), (hi, hi_open))): iso maps the
+    chart into the pencil's frame, and the rays with coordinates between the
+    bounds start in that chart copy. A window is cut at the corners it sees,
+    and each part leaves through one edge with just the rays crossing it, on
+    convex and non-convex charts alike. Rays pass through non-singular corners
+    and end at the first singular one, within ``tau_hit`` as the tracer snaps;
+    iterating yields each as (point in the pencil's frame, depth, chart,
+    vertex, iso of the chart copy). No edge beyond ``reach`` is crossed and no
+    deeper corner yielded; the caller may lower it while iterating. Windows are
+    visited nearest first, and more than the surface's ``unfolding_budget``
+    raise UnfoldingBudgetExceeded.
+    """
+
+    def __init__(self, surface: ConeSurface, pencil, roots, reach: float):
+        self.surface, self.pencil, self.roots, self.reach = surface, pencil, roots, reach
+        self.windows = 0
+
+    def __iter__(self):
+        surface, tol = self.surface, self.surface.tolerances
+        # ties in depth go by visit, then by part: the order the windows were made in
+        heap = [(0.0, 0, k, c, iso, None, w) for k, (c, iso, w) in enumerate(self.roots)]
+        while heap:
+            depth, _, _, chart, iso, e_in, window = heapq.heappop(heap)
+            if depth > self.reach + tol.tau_len:
+                break
+            self.windows += 1
+            if self.windows > tol.unfolding_budget:
+                raise UnfoldingBudgetExceeded(
+                    f"window sweep exceeded {tol.unfolding_budget} windows "
+                    f"at depth {depth:.6g} of reach {self.reach:.6g}")
+            pts = [iso.apply(v) for v in surface.charts[chart]]
+            hits, parts = self._cut(chart, pts, e_in, window)
+            for d, i in hits:
+                if d <= self.reach + tol.tau_len:
+                    yield pts[i], d, chart, i, iso
+            for k, (e, part) in enumerate(parts):
+                depth = self.pencil.nearest(pts[e], pts[(e + 1) % len(pts)])
+                if depth <= self.reach + tol.tau_len:
+                    nb = surface.edge_lookup[(chart, e)]
+                    heapq.heappush(heap, (depth, self.windows, k, nb.chart, iso.compose(nb.inv),
+                                          nb.edge, part))
+
+    def _cut(self, chart, pts, e_in, window):
+        """The singular corners where the window's rays end in one chart copy,
+        as (depth, vertex) in corner order, and its parts leaving through each
+        edge, as (edge, window)."""
+        surface, pencil, tol = self.surface, self.pencil, self.surface.tolerances
+        tau, tau_exit = tol.tau_hit, tol.tau_exit
+        inv_len = [row[4] for row in surface.geometry[chart].scalar_edges]
+        edges = [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+
+        def cast(c, margin):
+            # the ray at coordinate c, its entry depth, and the depth and edge of its
+            # first crossing after that at least `margin` from the edge's ends
+            o, u = pencil.ray(c)
+            t0 = 0.0 if e_in is None else _ray_edge(o, u, edges[e_in])[0]
+            after, t, edge = t0 + margin + tau_exit, math.inf, None
+            for j, e in enumerate(edges):
+                h = None if j == e_in else _ray_edge(o, u, e)
+                if h and after < h[0] < t and margin * inv_len[j] <= h[1] <= 1 - margin * inv_len[j]:
+                    t, edge = h[0], j
+            return o, u, t0, t, edge
+
+        def follow(group, bound):
+            # the singular corner ending the ray through the group here, if any; a
+            # ray on a window bound may run outside this copy, so that is checked too
+            o, u, t0, block, _ = cast(group[0][0], tau)
+            for _, d, i in sorted(group, key=lambda g: g[1]):
+                if d <= t0 + tau:
+                    continue
+                mid = 0.5 * (t0 + d)
+                if block < d - tau or bound and not point_in_polygon(
+                        pts, (o[0] + mid * u[0], o[1] + mid * u[1]), tau):
+                    return None
+                if surface.corner_class[(chart, i)].singular:
+                    return d, i
+                t0 = d
+            return None
+
+        # the corners on each bound, and the clusters of corners strictly inside
+        (lo, lo_open), (hi, hi_open) = window
+        lo_ray, hi_ray = pencil.ray(lo), pencil.ray(hi)
+        on_lo, on_hi, inside = [], [], []
+        for i, p in enumerate(pts):
+            c, d = pencil.locate(p)
+            if d <= tau or e_in is not None and i in (e_in, (e_in + 1) % len(pts)):
+                continue
+            if _offset(lo_ray, p) <= tau:
+                on_lo.append((c, d, i))
+            elif _offset(hi_ray, p) <= tau:
+                on_hi.append((c, d, i))
+            elif lo < c < hi:
+                inside.append((c, d, i))
+        stops: list[list] = []
+        for v in sorted(inside):
+            if stops and _offset(pencil.ray(stops[-1][-1][0]), pts[v[2]]) <= tau:
+                stops[-1].append(v)
+            else:
+                stops.append([v])
+
+        lo_hit = not lo_open and on_lo and follow(on_lo, True)
+        hi_hit = not hi_open and on_hi and follow(on_hi, True)
+        hits = [h for h in (lo_hit, hi_hit) if h]
+        lo_open, hi_open = lo_open or bool(lo_hit), hi_open or bool(hi_hit)
+        cuts = [lo] + [g[0][0] for g in stops] + [hi]
+        exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
+        parts, start = [], (lo, lo_open)
+        for k, group in enumerate(stops):
+            c = group[0][0]
+            if h := follow(group, False):
+                hits.append(h)
+                parts.append((exits[k], (start, (c, True))))
+                start = (c, True)
+            elif exits[k] != exits[k + 1]:
+                # the ray through a flat corner goes on with the lower part; where
+                # that part's copies miss it, follow's inside check skips them
+                parts.append((exits[k], (start, (c, False))))
+                start = (c, True)
+        parts.append((exits[-1], (start, (hi, hi_open))))
+        # corner order keeps ties between images of one point stable
+        hits.sort(key=lambda h: h[1])
+        return hits, [(e, part) for e, part in parts if e is not None]

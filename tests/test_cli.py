@@ -261,6 +261,40 @@ def test_density_non_finite_input_exits_2(tmp_path, extra):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("window", ["nan", "inf", "0"])
+def test_density_invalid_window_exits_2(tmp_path, capsys, window):
+    target = write_json(tmp_path / "target.json", GOLDEN_TARGET)
+    report = tmp_path / "d.json"
+    rc = run(["--quiet", "density", "--surface", MARKED, "--target-spec", target,
+              "--lengths", "1,2", "--window", window, "--report", str(report)])
+    assert rc == 2
+    assert "window must be finite and positive" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("scenario, config, field", [
+    ("no-strips", {"start": GOLDEN_TARGET, "lengths": [5, 10], "threshold": [0.1]}, "threshold"),
+    ("no-strips", {"start": {**GOLDEN_TARGET, "x": [0.4]}, "lengths": [5, 10],
+                   "threshold": 0.1}, "start.x"),
+    ("no-strips", {"start": GOLDEN_TARGET, "lengths": [[10]], "threshold": 0.1}, "lengths[0]"),
+    ("no-strips", {"start": GOLDEN_TARGET, "lengths": [5, 10**400], "threshold": 0.1},
+     "lengths[1]"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "eta": [0.05]}, "eta"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "window": {}}, "window"),
+    ("density", {"target": {**GOLDEN_TARGET, "dx": [1.0]}, "lengths": [1, 2]}, "target.dx"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "chain_budget": [5]},
+     "chain_budget"),
+])
+def test_experiment_non_numeric_field_exits_2(tmp_path, capsys, scenario, config, field):
+    path = write_json(tmp_path / "cfg.json", config)
+    report = tmp_path / "report.json"
+    rc = run(["--quiet", "experiment", scenario, "--surface", MARKED,
+              "--config", path, "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a number")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command, option, payload", [
     (["cover", "--surface", TORUS, "--degree", "2"], "--monodromy", [[2, 1]]),
     (["cover", "--surface", TORUS, "--degree", "2"], "--monodromy", {"0": 5}),
@@ -272,6 +306,8 @@ def test_density_non_finite_input_exits_2(tmp_path, extra):
      [GOLDEN_TARGET, [5, 10], 0.1]),
     (["experiment", "no-strips", "--surface", MARKED], "--config",
      {"start": GOLDEN_TARGET, "lengths": 5, "threshold": 0.1}),
+    (["density", "--surface", MARKED, "--lengths", "1,2"], "--target-spec",
+     {**GOLDEN_TARGET, "dx": [1.0]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, option, payload):
     path = write_json(tmp_path / "input.json", payload)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -38,6 +39,8 @@ from conesurf import cylinders, tracer
 from conesurf.config import DEFAULT_TOLERANCES
 from conesurf.corpus import marked_torus, pillowcase, regular_octagon
 from conesurf.errors import DomainError, UnfoldingBudgetExceeded
+from conesurf.geometry import Isometry
+from conesurf.surface import FanPencil, WindowSweep
 
 import oracles
 
@@ -238,10 +241,14 @@ def test_default_start_lies_inside_a_non_convex_chart(notched):
     assert cyl is not None and math.isclose(cyl.circumference, 1.0, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("name,directions", [
+BOUNDING_CASES = [
     ("mtorus", _primitive_directions(25)), ("octagon", _primitive_directions(20)),
     ("pcover", _primitive_directions(25)), ("ls", [(1, 0), (0, 1), (1, 1)]),
-    ("notched", _primitive_directions(25))], ids=["mtorus", "octagon", "pcover", "ls", "notched"])
+    ("notched", _primitive_directions(25))]
+BOUNDING_IDS = [name for name, _ in BOUNDING_CASES]
+
+
+@pytest.mark.parametrize("name,directions", BOUNDING_CASES, ids=BOUNDING_IDS)
 def test_bounding_saddles_close_up(request, name, directions):
     # one connection per pair of consecutive witnesses, joining their classes,
     # whose lengths add up to the circumference
@@ -285,6 +292,53 @@ def test_launch_states_on_demand_match_eager_search(request, name):
         eager = oracles.find_closed_geodesic_eager(surface, (float(p), float(q)))
         assert cyl is not None and eager is not None, (p, q)
         assert _cylinder_record(cyl) == _cylinder_record(eager), (p, q)
+
+
+# --------------------------------------------------------------------------
+# The window sweep against one window per part
+# --------------------------------------------------------------------------
+
+def _wedge_sweeps(sweep_class, surface, L):
+    """The hits of the sweeps of every v0 wedge, as a multiset, and the
+    number of windows they visit."""
+    vc = surface.vertex_class("v0")
+    hits, windows = collections.Counter(), 0
+    for m, (chart, vertex) in enumerate(vc.members):
+        pencil = FanPencil(surface.charts[chart][vertex], vc.start_rays[m], vc.angles[m])
+        root = (chart, Isometry.identity(), ((0.0, False), (vc.angles[m], True)))
+        sweep = sweep_class(surface, pencil, [root], L)
+        hits.update(sweep)
+        windows += sweep.windows
+    return hits, windows
+
+
+@pytest.mark.parametrize("name, L", [("mtorus", 21.0), ("octagon", 8.0), ("pcase", 8.0),
+                                     ("pcover", 4.0), ("notched", 6.0), ("ls", 10.0)])
+def test_joined_windows_hit_what_single_windows_hit(request, name, L):
+    # (point, depth, chart, vertex, isometry) of every hit, compared with ==
+    surface = request.getfixturevalue(name)
+    joined, windows = _wedge_sweeps(WindowSweep, surface, L)
+    single, single_windows = _wedge_sweeps(oracles.WindowSweep, surface, L)
+    assert joined and joined == single
+    assert windows <= single_windows
+
+
+def test_marked_torus_sweep_visits_quadratically_many_windows(mtorus):
+    # 832 connections at L = 21; one window per part visits about 0.86 L^3
+    assert _wedge_sweeps(oracles.WindowSweep, mtorus, 21.0)[1] == 8636
+    hits, windows = _wedge_sweeps(WindowSweep, mtorus, 21.0)
+    assert sum(hits.values()) == 832 and windows == 2748
+
+
+@pytest.mark.parametrize("name,directions", BOUNDING_CASES, ids=BOUNDING_IDS)
+def test_strip_widths_match_single_interval_sweep(request, monkeypatch, name, directions):
+    surface = request.getfixturevalue(name)
+    for p, q in directions:
+        joined = find_closed_geodesic(surface, (float(p), float(q)))
+        with monkeypatch.context() as m:
+            m.setattr(cylinders, "WindowSweep", oracles.WindowSweep)
+            single = find_closed_geodesic(surface, (float(p), float(q)))
+        assert _cylinder_record(joined) == _cylinder_record(single), (p, q)
 
 
 def test_strip_width_budget_guard():
@@ -481,6 +535,16 @@ def test_density_rejects_invalid_bounds_and_eta(mtorus, monkeypatch, lengths, et
     target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
     with pytest.raises(DomainError, match="finite"):
         density_experiment(mtorus, target, lengths, eta=eta)
+    assert not traced
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_density_rejects_invalid_window(mtorus, monkeypatch, window):
+    traced = []
+    monkeypatch.setattr(cylinders, "two_sided_trace", lambda *args, **kw: traced.append(1))
+    target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
+    with pytest.raises(DomainError, match="window must be finite and positive"):
+        density_experiment(mtorus, target, [1.0, 2.0], window=window)
     assert not traced
 
 
