@@ -348,8 +348,6 @@ def find_monodromy(base: ConeSurface, degree: int,
         by_last.setdefault(last, []).append(vc_id)
 
     identity = _identity(d)
-    candidates = [identity] + sorted(p for p in itertools.permutations(range(1, d + 1))
-                                     if p != identity)
     budget = base.tolerances.search_budget
     nodes = 0
 
@@ -359,7 +357,9 @@ def find_monodromy(base: ConeSurface, degree: int,
         nonlocal nodes
         if idx == n_gluings:
             return True
-        for perm in candidates:
+        # lexicographic, so the identity comes first; generated lazily, so
+        # the node budget applies before d! permutations are ever built
+        for perm in itertools.permutations(identity):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
@@ -372,11 +372,7 @@ def find_monodromy(base: ConeSurface, degree: int,
         assigned[idx] = None
         return False
 
-    found = backtrack(0)
-    # backtrack's closure refers to itself; the cycle would hold all d!
-    # candidates until the cyclic collector runs
-    del backtrack
-    if not found:
+    if not backtrack(0):
         raise SearchBudgetExceeded(
             f"no degree-{d} monodromy realizes full branching at {branch_classes} "
             f"(searched {nodes} nodes)")

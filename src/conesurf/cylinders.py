@@ -1,9 +1,13 @@
 """Flat cylinders: closed geodesics, strip widths, and density approximation.
 
-A closed regular geodesic sits inside a maximal flat cylinder. The core is
-found by tracing until the trajectory revisits its own state; widths come from
-sweeping vertical rays out of the core with the window sweep, on convex and
-non-convex charts, to the nearest singular images. Each boundary is a chain of
+A closed regular geodesic sits inside a maximal flat cylinder. Closing a
+direction takes two steps: trace until the trajectory revisits its own state
+(the period), then trace one period from a chosen state and check that it
+returns there. The cylinder search certifies from the matched state, the
+density experiment from the target's point, so each closed direction costs
+two traces. Widths come from sweeping vertical rays out of the core with the
+window sweep, on convex and non-convex charts, to the nearest singular
+images. Each boundary is a chain of
 saddle connections joining consecutive boundary witnesses: the sweep records
 the corner and chart copy of every witness, so each connection is one trace
 from its starting witness. The density experiment approximates a target
@@ -30,7 +34,6 @@ from .saddles import (
 )
 from .surface import ConeSurface, VerticalPencil, WindowSweep
 from .tracer import (
-    EVENT_CONE_HIT,
     EVENT_MAX_LENGTH,
     EVENT_SELF_RECURRENCE,
     PLAIN_TRACE_OPTIONS,
@@ -255,28 +258,31 @@ def _boundary_saddles(surface: ConeSurface, witnesses: list[StripWitness], circ:
     return out
 
 
-def _close(surface: ConeSurface, state: GeodesicState,
-           max_circumference: float) -> Cylinder | None:
-    """The closed geodesic through a launch state, without widths: trace to
-    the first self-recurrence, bound its period, re-trace one period from the
-    matched state and check that it returns there; None when a step fails."""
-    tol = surface.tolerances
+def _recurrence(surface: ConeSurface, state: GeodesicState,
+                max_circumference: float) -> tuple[GeodesicState, float] | None:
+    """Trace to the first self-recurrence: the matched state and the period,
+    or None when the trace does not recur or its period exceeds the bound."""
     budget = 2.0 * max_circumference + 4.0 * surface.max_diameter
     tr = trace(surface, state, budget, options=_CORE_OPTIONS)
     if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
         return None
     period = tr.recurrence["period"]
-    if period > max_circumference + tol.tau_len:
+    if period > max_circumference + surface.tolerances.tau_len:
         return None
-    s0 = tr.state_at(tr.recurrence["matched_at"])
-    core = trace(surface, s0, period, options=PLAIN_TRACE_OPTIONS)
-    if core.termination == EVENT_CONE_HIT:
+    return tr.state_at(tr.recurrence["matched_at"]), period
+
+
+def _one_period(surface: ConeSurface, state: GeodesicState,
+                period: float) -> tuple[TraceResult, float] | None:
+    """Trace one period from a state: the trace and its gap back to the
+    state, or None when it meets a cone point or does not return there."""
+    core = trace(surface, state, period, options=PLAIN_TRACE_OPTIONS)
+    if core.termination != EVENT_MAX_LENGTH:
         return None
-    gap = _state_gap(surface, s0, core.end_state)
-    if gap > 100.0 * tol.tau_rec:
+    gap = _state_gap(surface, state, core.end_state)
+    if gap > 100.0 * surface.tolerances.tau_rec:
         return None
-    return Cylinder(core=core, circumference=core.total_length, start=s0,
-                    direction=s0.direction, closure_error=gap)
+    return core, gap
 
 
 def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
@@ -285,7 +291,9 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     strip widths, boundary witnesses and bounding saddle connections.
 
     Traces from the start point (default: a point inside the first chart)
-    until self-recurrence, then certifies one period by re-tracing. When the
+    until self-recurrence, then certifies one period by re-tracing it from
+    the matched state, which becomes the core's start; ``closure_error`` is
+    the gap between that state and the re-trace's end. When the
     launch runs into a cone point, retries from points moved perpendicular to
     the direction, each built only when the launch before it failed, so an
     offset trace that raises an error other than DomainError raises only when
@@ -304,9 +312,13 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
             state = offset_state(surface, base, f * surface.max_diameter) if f else base
         except DomainError:
             continue
-        cyl = _close(surface, state, max_circumference)
-        if cyl is None:
+        rec = _recurrence(surface, state, max_circumference)
+        closed = _one_period(surface, *rec) if rec else None
+        if closed is None:
             continue
+        core, gap = closed
+        cyl = Cylinder(core=core, circumference=core.total_length, start=rec[0],
+                       direction=rec[0].direction, closure_error=gap)
         cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
         cyl.bounding = {
             side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
@@ -493,21 +505,18 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
         connections.extend(enumerate_saddles(surface, vc.id, L_max))
 
     # closed geodesics through the target start, one per direction mod sign,
-    # re-traced from the anchor so parameter 0 aligns with the target's
+    # certified from the anchor so parameter 0 aligns with the target's
     cores = []
     for d in _inventory_directions(surface, target.chart, connections):
-        cyl = _close(surface, GeodesicState(target.chart, target.point, normalize(d)), L_max)
-        if cyl is None:
-            continue
-        anchored = trace(surface, GeodesicState(target.chart, target.point, d),
-                         cyl.circumference, options=PLAIN_TRACE_OPTIONS)
-        if (anchored.termination != EVENT_MAX_LENGTH
-                or _state_gap(surface, anchored.start, anchored.end_state)
-                > 100.0 * tol.tau_rec):
+        rec = _recurrence(surface, GeodesicState(target.chart, target.point, normalize(d)),
+                          L_max)
+        closed = (_one_period(surface, GeodesicState(target.chart, target.point, d), rec[1])
+                  if rec else None)
+        if closed is None:
             continue
         label = f"closed[{d[0]:+.6f},{d[1]:+.6f}]"
-        cores.append((cyl.circumference, "closed_geodesic", label,
-                      PeriodicPath(anchored), 0.0))
+        cores.append((closed[0].total_length, "closed_geodesic", label,
+                      PeriodicPath(closed[0]), 0.0))
 
     # closed chains of one or two connections
     chains = []

@@ -427,34 +427,16 @@ def _vertex_alignment(v_cur, v_next, d_cur, d_next) -> Isometry:
     return Isometry(c, s, tx, ty)
 
 
-def continuation_sector(surface: ConeSurface, class_id: str, incoming,
-                        chart: str | None = None,
-                        corner: tuple[str, int] | None = None) -> ContinuationSector:
+def continuation_sector(surface: ConeSurface, class_id: str, incoming, *,
+                        corner: tuple[str, int]) -> ContinuationSector:
     """Admissible outgoing sector after arriving at a vertex class.
 
-    ``incoming`` is the arrival direction in chart coordinates. When the class
-    has several corners in the chart, ``corner`` picks which wedge the arrival
-    used; otherwise the first wedge containing the reversed direction wins
-    (the sector width is corner-independent).
+    ``incoming`` is the arrival direction in chart coordinates, and ``corner``
+    the (chart, vertex) whose wedge the arrival used; a direction outside
+    that wedge raises ValueError.
     """
     vc = surface.vertex_class(class_id)
-    u_in = (-incoming[0], -incoming[1])
-    if corner is not None:
-        t_in = vc.cone_coordinate(corner[0], corner[1], u_in)
-    else:
-        t_in = None
-        for c, k in vc.members:
-            if chart is not None and c != chart:
-                continue
-            try:
-                t_in = vc.cone_coordinate(c, k, u_in)
-                break
-            except ValueError:
-                continue
-        if t_in is None:
-            raise ValueError(
-                f"incoming direction does not arrive at class {class_id} "
-                f"through any wedge" + (f" of chart {chart!r}" if chart else ""))
+    t_in = vc.cone_coordinate(corner[0], corner[1], (-incoming[0], -incoming[1]))
     width = max(0.0, vc.angle - 2.0 * math.pi)
     return ContinuationSector(
         class_id=vc.id, angle=vc.angle, incoming_coordinate=t_in,

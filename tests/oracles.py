@@ -14,16 +14,19 @@ distance kernel on every segment, one call each, as the reference for the
 tracer's vectorized pass over the segments. ``find_closed_geodesic_eager``
 builds every offset launch state before the first launch, with the package's
 closing, width and boundary steps, as the reference for the search that builds
-them on demand. ``WindowSweep`` is the window sweep with one window per part:
-each window is one ray interval, parts entering the same chart copy are never
-joined, and it shares only the ray offset helper with the package.
+them on demand. ``density_cores_three_traces`` closes each density direction
+with the package's tracer in three traces (recurrence, a re-trace from the
+matched state, a re-trace from the target's point), as the reference for the
+two that the density experiment makes. ``WindowSweep`` is the window sweep
+with one window per part: each window is one ray interval, parts entering the
+same chart copy are never joined, and it shares only the ray offset helper
+with the package.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -445,8 +448,8 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
     """``find_closed_geodesic`` with all offset launch states built before the
     first launch is tried, through the package's closing, width and boundary
     steps."""
-    from conesurf.cylinders import (_JIGGLE_FRACTIONS, _boundary_saddles, _close,
-                                    offset_state, strip_width)
+    from conesurf.cylinders import (_JIGGLE_FRACTIONS, Cylinder, _boundary_saddles,
+                                    _one_period, _recurrence, offset_state, strip_width)
     from conesurf.errors import DomainError
     from conesurf.geometry import interior_point, normalize
     from conesurf.tracer import GeodesicState
@@ -468,15 +471,70 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
             continue
 
     for state in attempts:
-        cyl = _close(surface, state, max_circumference)
-        if cyl is None:
+        rec = _recurrence(surface, state, max_circumference)
+        closed = _one_period(surface, *rec) if rec else None
+        if closed is None:
             continue
+        core, gap = closed
+        cyl = Cylinder(core=core, circumference=core.total_length, start=rec[0],
+                       direction=rec[0].direction, closure_error=gap)
         cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
         cyl.bounding = {
             side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
             for side, sign in (("left", 1.0), ("right", -1.0))}
         return cyl
     return None
+
+
+# -- density cores, three traces per direction ------------------------------------------
+
+
+def density_cores_three_traces(surface, target, directions, max_circumference):
+    """The density experiment's closed cores, one per direction (None when the
+    direction does not close), made with three traces each: trace to
+    recurrence, re-trace one period from the matched state and check that it
+    closes, then trace one circumference from the target's point and check
+    that it closes too. Only that last trace is returned."""
+    from conesurf.cylinders import _CORE_OPTIONS, Cylinder, _state_gap
+    from conesurf.geometry import normalize
+    from conesurf.tracer import (EVENT_CONE_HIT, EVENT_MAX_LENGTH, EVENT_SELF_RECURRENCE,
+                                 PLAIN_TRACE_OPTIONS, GeodesicState, trace)
+
+    def close(state, max_circumference):
+        tol = surface.tolerances
+        budget = 2.0 * max_circumference + 4.0 * surface.max_diameter
+        tr = trace(surface, state, budget, options=_CORE_OPTIONS)
+        if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
+            return None
+        period = tr.recurrence["period"]
+        if period > max_circumference + tol.tau_len:
+            return None
+        s0 = tr.state_at(tr.recurrence["matched_at"])
+        core = trace(surface, s0, period, options=PLAIN_TRACE_OPTIONS)
+        if core.termination == EVENT_CONE_HIT:
+            return None
+        gap = _state_gap(surface, s0, core.end_state)
+        if gap > 100.0 * tol.tau_rec:
+            return None
+        return Cylinder(core=core, circumference=core.total_length, start=s0,
+                        direction=s0.direction, closure_error=gap)
+
+    tol = surface.tolerances
+    cores = []
+    for d in directions:
+        cyl = close(GeodesicState(target.chart, target.point, normalize(d)), max_circumference)
+        if cyl is None:
+            cores.append(None)
+            continue
+        anchored = trace(surface, GeodesicState(target.chart, target.point, d),
+                         cyl.circumference, options=PLAIN_TRACE_OPTIONS)
+        if (anchored.termination != EVENT_MAX_LENGTH
+                or _state_gap(surface, anchored.start, anchored.end_state)
+                > 100.0 * tol.tau_rec):
+            cores.append(None)
+            continue
+        cores.append(anchored)
+    return cores
 
 
 # -- the window sweep, one window per part ----------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,19 @@ def test_monodromy_search_budget():
     pcase = pillowcase(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, search_budget=3))
     with pytest.raises(SearchBudgetExceeded):
         find_monodromy(pcase, 3)
+
+
+def test_monodromy_search_budget_applies_before_permutations_are_built():
+    # 9! permutations would take tens of MB; the search generates them lazily
+    pcase = pillowcase(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, search_budget=1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            find_monodromy(pcase, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_cover_inherits_base_tolerances():

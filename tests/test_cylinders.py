@@ -548,6 +548,16 @@ def test_density_rejects_invalid_window(mtorus, monkeypatch, window):
     assert not traced
 
 
+def _golden_target(surface, chart, point):
+    """A golden-slope target at a point of a chart, or, with chart None,
+    offset by ``point`` from the centroid of the first chart."""
+    if chart is None:
+        chart = sorted(surface.charts)[0]
+        cx, cy = surface.geometry[chart].centroid
+        point = (cx + point[0], cy + point[1])
+    return GeodesicState(chart, point, unit(1.0, GOLDEN))
+
+
 def _density_json(surface, target, lengths, window, chain_budget):
     rep = density_experiment(surface, target, lengths, window=window, chain_budget=chain_budget)
     return json.dumps({"rows": rep.rows, "inventory": rep.inventory})
@@ -563,11 +573,7 @@ def _density_json(surface, target, lengths, window, chain_budget):
 def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, chart, point,
                                                  lengths, window, chain_budget, prunes):
     surface = request.getfixturevalue(name)
-    if chart is None:       # offset from the centroid of the first chart
-        chart = sorted(surface.charts)[0]
-        cx, cy = surface.geometry[chart].centroid
-        point = (cx + point[0], cy + point[1])
-    target = GeodesicState(chart, point, unit(1.0, GOLDEN))
+    target = _golden_target(surface, chart, point)
     calls = []
     full = cylinders.geodesic_distance
     monkeypatch.setattr(cylinders, "geodesic_distance",
@@ -578,6 +584,54 @@ def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, cha
     monkeypatch.setattr(cylinders, "_pruning_bound", lambda *args: None)
     assert _density_json(surface, target, lengths, window, chain_budget) == pruned
     assert (pruned_calls < len(calls)) if prunes else (pruned_calls == len(calls))
+
+
+def test_density_traces_each_closed_direction_twice(mtorus, monkeypatch):
+    # one trace to recurrence and one period from the target's point
+    calls = []
+    real = cylinders.trace
+    monkeypatch.setattr(cylinders, "trace", lambda *a, **k: calls.append(1) or real(*a, **k))
+    target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
+    rep = density_experiment(mtorus, target, [1.0, 2.0, 3.0])
+    assert rep.inventory["closed_geodesics"] == 8
+    assert len(calls) == 2 * 8
+
+
+@pytest.mark.parametrize("name, chart, point, lengths, window, chain_budget", [
+    ("mtorus", "sq", (0.31, 0.17), [float(L) for L in range(1, 14)], 5.0, 0),
+    ("mtorus", "sq", (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0), [2.0, 5.0, 8.0], 5.0, 0),
+    ("mtorus", "sq", (0.73, 0.41), [3.0, 13.0], 5.0, 0),
+    ("octagon", None, (0.05, 0.02), [1.0, 1.5, 2.0], 3.0, 200),
+    ("pcase", "front", (0.3, 0.45), [1.0, 2.0, 3.0, 4.0], 3.0, 200),
+    ("pcover", "front@1", (0.3, 0.45), [1.0, 2.0, 3.0], 3.0, 0),
+])
+def test_density_cores_match_three_traces(request, monkeypatch, name, chart, point,
+                                          lengths, window, chain_budget):
+    # whether each direction closes, and the core from the target's point,
+    # equal those of re-tracing the period from the matched state first
+    surface = request.getfixturevalue(name)
+    target = _golden_target(surface, chart, point)
+    cores = {}
+    one_period = cylinders._one_period
+
+    def spy(surface, state, period):
+        closed = one_period(surface, state, period)
+        cores[state.direction] = closed[0] if closed else None
+        return closed
+
+    monkeypatch.setattr(cylinders, "_one_period", spy)
+    rep = density_experiment(surface, target, lengths, window=window, chain_budget=chain_budget)
+    conns = [c for vc in surface.singular_classes
+             for c in enumerate_saddles(surface, vc.id, lengths[-1])]
+    directions = cylinders._inventory_directions(surface, target.chart, conns)
+    reference = oracles.density_cores_three_traces(surface, target, directions, lengths[-1])
+    for d, want in zip(directions, reference):
+        got = cores.get(d)
+        assert (got is None) == (want is None), d
+        if got is not None:
+            assert got.segments == want.segments, d
+            assert got.total_length == want.total_length, d
+    assert rep.inventory["closed_geodesics"] == sum(c is not None for c in reference) > 0
 
 
 def _closed_chains(surface, L):

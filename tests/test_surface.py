@@ -26,7 +26,7 @@ from conesurf import (
     validate_gauss_bonnet,
 )
 from conesurf import corpus
-from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle, pillowcase
+from conesurf.corpus import UNIT_SQUARE, pillowcase
 from conesurf.covering import build_cover, find_monodromy
 from conesurf.errors import (
     DisconnectedSurface,

@@ -28,7 +28,7 @@ from conesurf import (
 )
 from conesurf import tracer
 from conesurf.config import DEFAULT_TOLERANCES, load_tolerance_overrides
-from conesurf.corpus import UNIT_SQUARE, doubled_right_triangle, marked_torus, regular_octagon
+from conesurf.corpus import UNIT_SQUARE, marked_torus, regular_octagon
 from conesurf.errors import (
     AngleOutOfRange,
     DomainError,
@@ -294,7 +294,7 @@ def test_sector_width_law(mtorus, octagon, pcase):
 
 def test_sector_unknown_class(torus):
     with pytest.raises(UnknownVertexClass):
-        continuation_sector(torus, "v99", (1.0, 0.0))
+        continuation_sector(torus, "v99", (1.0, 0.0), corner=("sq", 0))
 
 
 def test_sector_rejects_direction_outside_wedge(octagon):
