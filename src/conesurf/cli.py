@@ -497,7 +497,7 @@ def cmd_selftest(args) -> int:
     octagon = surfaces["octagon"]
     n_traces = 20 if args.quick else 100
     worst_col, worst_add = 0.0, 0.0
-    m_mismatch = row_mismatch = 0
+    m_mismatch = row_mismatch = path_mismatch = 0
     geo = octagon.geometry["oct"]
     for _ in range(n_traces):
         w = rng.uniform(0.05, 0.6)
@@ -505,7 +505,12 @@ def cmd_selftest(args) -> int:
         p = (geo.centroid[0] * (1 - w) + v[0] * w, geo.centroid[1] * (1 - w) + v[1] * w)
         a = rng.uniform(0.0, 2.0 * math.pi)
         st = GeodesicState("oct", p, (math.cos(a), math.sin(a)))
-        tr = trace(octagon, st, float(rng.uniform(20.0, 60.0)))
+        length = float(rng.uniform(20.0, 60.0))
+        tr = trace(octagon, st, length)
+        # telemetry options never alter the path
+        plain = trace(octagon, st, length, options=PLAIN_TRACE_OPTIONS)
+        path_mismatch += (plain.segments, plain.transitions, plain.end_state) != (
+            tr.segments, tr.transitions, tr.end_state)
         dv = develop(tr)
         worst_col = max(worst_col, dv.collinearity_residual)
         seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)
@@ -522,6 +527,8 @@ def cmd_selftest(args) -> int:
                    "random octagon traces", m_mismatch == 0, f"{m_mismatch} rows differ"))
     checks.append((f"no-strips rows equal a per-T rescan over {n_traces} random octagon traces",
                    row_mismatch == 0, f"{row_mismatch} rows differ"))
+    checks.append((f"default and plain options trace the same path over {n_traces} random "
+                   "octagon traces", path_mismatch == 0, f"{path_mismatch} paths differ"))
 
     sector_ok = True
     detail = []

@@ -259,9 +259,10 @@ def _boundary_saddles(surface: ConeSurface, witnesses: list[StripWitness], circ:
 
 
 def _recurrence(surface: ConeSurface, state: GeodesicState,
-                max_circumference: float) -> tuple[GeodesicState, float] | None:
-    """Trace to the first self-recurrence: the matched state and the period,
-    or None when the trace does not recur or its period exceeds the bound."""
+                max_circumference: float) -> tuple[float, TraceResult] | None:
+    """Trace to the first self-recurrence: the period and the trace, whose
+    ``recurrence`` holds the matched arclength, or None when the trace does
+    not recur or its period exceeds the bound."""
     budget = 2.0 * max_circumference + 4.0 * surface.max_diameter
     tr = trace(surface, state, budget, options=_CORE_OPTIONS)
     if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
@@ -269,7 +270,7 @@ def _recurrence(surface: ConeSurface, state: GeodesicState,
     period = tr.recurrence["period"]
     if period > max_circumference + surface.tolerances.tau_len:
         return None
-    return tr.state_at(tr.recurrence["matched_at"]), period
+    return period, tr
 
 
 def _one_period(surface: ConeSurface, state: GeodesicState,
@@ -313,12 +314,16 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
         except DomainError:
             continue
         rec = _recurrence(surface, state, max_circumference)
-        closed = _one_period(surface, *rec) if rec else None
+        if rec is None:
+            continue
+        period, tr = rec
+        matched = tr.state_at(tr.recurrence["matched_at"])
+        closed = _one_period(surface, matched, period)
         if closed is None:
             continue
         core, gap = closed
-        cyl = Cylinder(core=core, circumference=core.total_length, start=rec[0],
-                       direction=rec[0].direction, closure_error=gap)
+        cyl = Cylinder(core=core, circumference=core.total_length, start=matched,
+                       direction=matched.direction, closure_error=gap)
         cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
         cyl.bounding = {
             side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
@@ -510,7 +515,7 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     for d in _inventory_directions(surface, target.chart, connections):
         rec = _recurrence(surface, GeodesicState(target.chart, target.point, normalize(d)),
                           L_max)
-        closed = (_one_period(surface, GeodesicState(target.chart, target.point, d), rec[1])
+        closed = (_one_period(surface, GeodesicState(target.chart, target.point, d), rec[0])
                   if rec else None)
         if closed is None:
             continue

@@ -39,7 +39,7 @@ def ccw_angle(from_angle: float, to_angle: float) -> float:
     return (to_angle - from_angle) % TWO_PI
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Isometry:
     """Orientation-preserving rigid motion p -> R p + t with R = [[c,-s],[s,c]]."""
 
@@ -47,6 +47,14 @@ class Isometry:
     s: float
     tx: float
     ty: float
+
+    def __init__(self, c: float, s: float, tx: float, ty: float):
+        # the slots' own setters cost about 60 % of the object.__setattr__ calls
+        # of a generated frozen __init__; develop builds one per segment
+        _SET_C(self, c)
+        _SET_S(self, s)
+        _SET_TX(self, tx)
+        _SET_TY(self, ty)
 
     @staticmethod
     def identity() -> "Isometry":
@@ -75,10 +83,9 @@ class Isometry:
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other))(p) == self(other(p))."""
-        c = self.c * other.c - self.s * other.s
-        s = self.s * other.c + self.c * other.s
-        tx, ty = self.apply((other.tx, other.ty))
-        return Isometry(c, s, tx, ty)
+        c, s, ox, oy = self.c, self.s, other.tx, other.ty
+        return Isometry(c * other.c - s * other.s, s * other.c + c * other.s,
+                        c * ox - s * oy + self.tx, s * ox + c * oy + self.ty)
 
     def inverse(self) -> "Isometry":
         # R^-1 = R^T; t' = -R^T t
@@ -90,6 +97,10 @@ class Isometry:
     def rounded_key(self, digits: int = 9):
         return (round(self.c, digits), round(self.s, digits),
                 round(self.tx, digits), round(self.ty, digits))
+
+
+_SET_C, _SET_S, _SET_TX, _SET_TY = (Isometry.c.__set__, Isometry.s.__set__,
+                                    Isometry.tx.__set__, Isometry.ty.__set__)
 
 
 # -- polygon predicates --------------------------------------------------------

@@ -64,7 +64,7 @@ class GeodesicState:
     arclength: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     kind: str
     arclength: float
@@ -192,17 +192,16 @@ class TraceResult:
 # -- stepping -------------------------------------------------------------------
 
 
-def _ray_exit(geo, p, d, tau_exit, tau_hit):
-    """First boundary intersection of the ray p + s d, s > tau_exit.
+def _ray_exit(rows, px, py, dx, dy, tau_exit, tau_hit):
+    """First boundary intersection of the ray p + s d, s > tau_exit, against
+    a chart's ``scalar_edges`` rows.
 
     Returns (edge index, s, u) or None. u is the fraction along the edge,
     tolerantly clamped near endpoints (vertex hits are resolved by the caller).
     """
-    px, py = float(p[0]), float(p[1])
-    dx, dy = float(d[0]), float(d[1])
     best = None
     best_s = math.inf
-    for i, (vx, vy, ex, ey, inv_len) in enumerate(geo.scalar_edges):
+    for i, (vx, vy, ex, ey, inv_len) in enumerate(rows):
         denom = dx * ey - dy * ex
         relx = vx - px
         rely = vy - py
@@ -231,22 +230,30 @@ def _ray_exit(geo, p, d, tau_exit, tau_hit):
 class _CrossingIndex:
     """The crossing states of a trace, hashed by chart and cell of the point.
 
-    Cells are squares of side h >= 2 * tau_rec, so a state that matches (by
-    the rule in ``trace``) lies in the 3 x 3 cells around the query point.
+    Cells are squares of side h = 64 * tau (at least 1e-12), and a state at
+    (x, y) is stored in cell (floor(x / h), floor(y / h)). A query at p
+    probes the cells from floor((px - tau) / h) to floor((px + tau) / h),
+    likewise in y: one cell with probability (1 - 2 * tau / h)**2, about
+    0.94, and never more than 2 x 2, as h >= 2 * tau. No rounding margin is
+    needed: a stored state that matches has |x - px| < tau as computed, so
+    exactly, since rounding is monotone and tau is a float; then x lies
+    between the rounded px - tau and px + tau, rounded division by h and
+    floor keep that order, and x's cell is probed. A cell's rows are in
+    insertion order, so its first match is its earliest; across cells the
+    least arclength wins, which is the earliest match, since arclength never
+    decreases along a trace and equal arclengths report the same match.
     """
 
     def __init__(self, tau_rec: float):
         self.tau = tau_rec
-        # any h >= 2 * tau_rec is exact; the floor keeps h positive when
-        # tau_rec <= 0 (which never matches) and p / h finite when it is tiny
-        self.h = max(1e-12, 2.0 * tau_rec)
+        # the floor keeps h positive when tau_rec <= 0 (which never matches)
+        # and p / h finite when it is tiny
+        self.h = max(1e-12, 64.0 * tau_rec)
         self.cells: dict[tuple, list] = {}
-        self.count = 0
 
     def add(self, chart, p, d, s: float) -> None:
         key = (chart, math.floor(p[0] / self.h), math.floor(p[1] / self.h))
-        self.cells.setdefault(key, []).append((self.count, p[0], p[1], d[0], d[1], s))
-        self.count += 1
+        self.cells.setdefault(key, []).append((p[0], p[1], d[0], d[1], s))
 
     def match(self, chart, p, d, s: float) -> dict | None:
         """{period, detected_at, matched_at} for the earliest stored match.
@@ -254,22 +261,22 @@ class _CrossingIndex:
         The period is the arclength elapsed since the matched state, i.e. the
         first-return time of the recurring state.
         """
-        tau = self.tau
+        tau, h = self.tau, self.h
         px, py, dx, dy = p[0], p[1], d[0], d[1]
-        i, j = math.floor(px / self.h), math.floor(py / self.h)
+        i0, i1 = math.floor((px - tau) / h), math.floor((px + tau) / h)
+        j0, j1 = math.floor((py - tau) / h), math.floor((py + tau) / h)
         best = None
-        for a in (i - 1, i, i + 1):
-            for b in (j - 1, j, j + 1):
-                for row in self.cells.get((chart, a, b), ()):
-                    k, x, y, ex, ey, sr = row
+        for i in (i0,) if i0 == i1 else range(i0, i1 + 1):
+            for j in (j0,) if j0 == j1 else range(j0, j1 + 1):
+                for x, y, ex, ey, sr in self.cells.get((chart, i, j), ()):
                     if (abs(x - px) < tau and abs(y - py) < tau and abs(ex - dx) < tau
                             and abs(ey - dy) < tau and s - sr > 1e-9):
-                        if best is None or k < best[0]:
-                            best = row
-                        break  # a cell's rows are in insertion order
+                        if best is None or sr < best:
+                            best = sr
+                        break
         if best is None:
             return None
-        return {"period": s - best[5], "detected_at": s, "matched_at": best[5]}
+        return {"period": s - best, "detected_at": s, "matched_at": best}
 
 
 def _outward_edge(geo, p, d, tau_hit: float):
@@ -455,9 +462,11 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     within ``tau_rec`` per component of an earlier crossing's in the same
     chart, more than 1e-9 of arclength later; the earliest such crossing is
     matched, and ``recurrence`` reports {period, detected_at, matched_at}.
-    Each check costs O(1) on average, so detection keeps the trace linear in
-    its crossings. The m(T) series is built from the recorded segments after
-    the loop (``_min_distance_series``).
+    Each check probes one cell of a hash of crossing points
+    (``_CrossingIndex``), so detection keeps the trace linear in its
+    crossings. The loop reads chart corners and edges as plain floats from
+    ``scalar_edges``. The m(T) series is built from the recorded segments
+    after the loop (``_min_distance_series``).
     """
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
@@ -470,12 +479,14 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     dn = norm(start.direction)
     if dn < tol.tau_len or not math.isfinite(dn):
         raise ZeroDirection(f"direction {start.direction} has no usable length")
-    d = (start.direction[0] / dn, start.direction[1] / dn)
+    d = (float(start.direction[0]) / dn, float(start.direction[1]) / dn)
     p = (float(start.point[0]), float(start.point[1]))
     if not point_in_polygon(surface.charts[cid], p, tol=tol.tau_hit):
         raise StartOutsideSurface(f"point {p} is outside chart {cid!r}")
     norm_start = GeodesicState(cid, p, d, 0.0)
 
+    tau_hit, tau_exit = tol.tau_hit, tol.tau_exit
+    geometry, edge_lookup = surface.geometry, surface.edge_lookup
     segments: list = []
     transitions: list = []
     events: list[TraceEvent] = []
@@ -492,8 +503,11 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
 
     hops = 0
     for _ in range(max_iter):
-        geo = surface.geometry[cid]
-        hit = _ray_exit(geo, p, d, tol.tau_exit, tol.tau_hit)
+        geo = geometry[cid]
+        rows = geo.scalar_edges
+        px, py = p
+        dx, dy = d
+        hit = _ray_exit(rows, px, py, dx, dy, tau_exit, tau_hit)
         remaining = max_length - s
         if hit is None:
             # a state on a gluing edge pointing out of this chart expression
@@ -501,10 +515,10 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             # not a knob: a point on an edge needs one hop and a corner a few,
             # so the cap of 8 only stops ping-pong between partner charts
             # when rounding makes the direction look outward on both sides.
-            oe = _outward_edge(geo, p, d, tol.tau_hit)
+            oe = _outward_edge(geo, p, d, tau_hit)
             if oe is not None and hops < 8:
                 hops += 1
-                nb = surface.edge_lookup[(cid, oe)]
+                nb = edge_lookup[(cid, oe)]
                 segments.append((cid, p, p))
                 events.append(_edge_cross_event(s, cid, oe, nb))
                 transitions.append(nb.inv)
@@ -514,24 +528,25 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 raise TraceNumericalError(
                     f"no chart exit from {p} along {d} in chart {cid!r}")
 
-        # the next stop: a chart corner (vtx), an edge crossing, or max_length
+        # the next stop: a chart corner (vtx), an edge crossing, or max_length;
+        # a corner's floats are the first two of its scalar_edges row
         vtx = None
         done = hit is None or hit[1] >= remaining
         if not done:
             edge, step, _ = hit
-            x = (p[0] + step * d[0], p[1] + step * d[1])
-            for cand in (edge, (edge + 1) % geo.n):
-                v = geo.vertices[cand]
-                if (math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit
+            x = (px + step * dx, py + step * dy)
+            for cand in (edge, (edge + 1) % len(rows)):
+                vx, vy = rows[cand][0], rows[cand][1]
+                if (math.hypot(x[0] - vx, x[1] - vy) <= tau_hit
                         and _arrives_at_corner(surface, cid, cand, d)):
                     vtx = cand
-                    x = (float(v[0]), float(v[1]))
-                    step = math.hypot(x[0] - p[0], x[1] - p[1])
+                    x = (vx, vy)
+                    step = math.hypot(vx - px, vy - py)
                     done = step >= remaining
                     break
         if done:
-            x = (p[0] + remaining * d[0], p[1] + remaining * d[1])
-            if hit is None and not point_in_polygon(geo.vertices, x, tol.tau_hit):
+            x = (px + remaining * dx, py + remaining * dy)
+            if hit is None and not point_in_polygon(geo.vertices, x, tau_hit):
                 raise TraceNumericalError(
                     f"no chart exit from {p} along {d} in chart {cid!r}, "
                     f"yet the endpoint {x} leaves the chart")
@@ -544,7 +559,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             termination = EVENT_MAX_LENGTH
             end_state = GeodesicState(cid, x, d, s)
             break
-        s += math.hypot(x[0] - p[0], x[1] - p[1])
+        s += math.hypot(x[0] - px, x[1] - py)
         hops = 0
 
         if vtx is not None:
@@ -560,18 +575,23 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 end_state = GeodesicState(cid, x, d, s)
                 break
             # flat passage: unique straight continuation through a 2*pi corner
-            t_in = vc.cone_coordinate(cid, vtx, (-d[0], -d[1]))
+            t_in = vc.cone_coordinate(cid, vtx, (-dx, -dy))
             t_out = (t_in + math.pi) % vc.angle
             ncid, nvtx, nd = vc.direction_at(t_out)
-            nv = surface.geometry[ncid].vertices[nvtx]
-            nv = (float(nv[0]), float(nv[1]))
+            nv = geometry[ncid].scalar_edges[nvtx][:2]
             transitions.append(_vertex_alignment(x, nv, d, nd))
             cid, p, d = ncid, nv, nd
         else:
-            nb = surface.edge_lookup[(cid, edge)]
+            # the neighbour's iso applied to x and rotating d, written out
+            # with the operations of Isometry.apply and Isometry.rotate
+            nb = edge_lookup[(cid, edge)]
             events.append(_edge_cross_event(s, cid, edge, nb))
             transitions.append(nb.inv)
-            cid, p, d = nb.chart, nb.iso.apply(x), nb.iso.rotate(d)
+            iso = nb.iso
+            c, sn = iso.c, iso.s
+            cid = nb.chart
+            p = (c * x[0] - sn * x[1] + iso.tx, sn * x[0] + c * x[1] + iso.ty)
+            d = (c * dx - sn * dy, sn * dx + c * dy)
 
         if options.detect_recurrence and recurrence is None:
             hit_rec = crossings.match(cid, p, d, s)

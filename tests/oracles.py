@@ -20,7 +20,12 @@ matched state, a re-trace from the target's point), as the reference for the
 two that the density experiment makes. ``WindowSweep`` is the window sweep
 with one window per part: each window is one ray interval, parts entering the
 same chart copy are never joined, and it shares only the ray offset helper
-with the package.
+with the package. ``reference_trace``, with its ``_ray_exit`` and
+``_CrossingIndex``, is the package's stepper as it was before its
+per-crossing rewrite (the corner, event and m(T) helpers it calls are the
+package's), and ``reference_develop`` composes the developing map on plain
+floats: the references that the stepper and ``develop`` must equal bit for
+bit.
 """
 
 from __future__ import annotations
@@ -31,9 +36,32 @@ import math
 import mpmath
 import numpy as np
 
-from conesurf.errors import UnfoldingBudgetExceeded
-from conesurf.geometry import Isometry, point_in_polygon
-from conesurf.surface import _offset
+from conesurf.errors import (
+    DomainError,
+    StartOutsideSurface,
+    TraceNumericalError,
+    UnfoldingBudgetExceeded,
+    ZeroDirection,
+)
+from conesurf.geometry import Isometry, norm, point_in_polygon
+from conesurf.surface import KIND_MARKED, ConeSurface, _offset
+from conesurf.tracer import (
+    DEFAULT_TRACE_OPTIONS,
+    EVENT_CONE_HIT,
+    EVENT_MAX_LENGTH,
+    EVENT_SELF_RECURRENCE,
+    EVENT_VERTEX_PASS,
+    GeodesicState,
+    TraceEvent,
+    TraceOptions,
+    TraceResult,
+    _arrives_at_corner,
+    _edge_cross_event,
+    _min_distance_series,
+    _outward_edge,
+    _vertex_alignment,
+    continuation_sector,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -394,6 +422,264 @@ def first_recurrence(crossings, chart, p, d, s, tau_rec):
     return {"period": s - matched, "detected_at": s, "matched_at": matched}
 
 
+# -- the reference stepper: the package's tracer before its per-crossing rewrite ----------
+
+
+def _ray_exit(geo, p, d, tau_exit, tau_hit):
+    """First boundary intersection of the ray p + s d, s > tau_exit.
+
+    Returns (edge index, s, u) or None. u is the fraction along the edge,
+    tolerantly clamped near endpoints (vertex hits are resolved by the caller).
+    """
+    px, py = float(p[0]), float(p[1])
+    dx, dy = float(d[0]), float(d[1])
+    best = None
+    best_s = math.inf
+    for i, (vx, vy, ex, ey, inv_len) in enumerate(geo.scalar_edges):
+        denom = dx * ey - dy * ex
+        relx = vx - px
+        rely = vy - py
+        if -1e-15 < denom < 1e-15:
+            # a ray running along the edge leaves it at the far endpoint, which
+            # may be a corner between collinear edges
+            if abs(relx * dy - rely * dx) <= tau_hit:
+                a, b = relx * dx + rely * dy, (relx + ex) * dx + (rely + ey) * dy
+                s, u = (b, 1.0) if b >= a else (a, 0.0)
+                if tau_exit < s < best_s:
+                    best_s = s
+                    best = (i, s, u)
+            continue
+        s = (relx * ey - rely * ex) / denom
+        if s <= tau_exit or s >= best_s:
+            continue
+        u = (relx * dy - rely * dx) / denom
+        eps_u = 2.0 * tau_hit * inv_len
+        if u < -eps_u or u > 1.0 + eps_u:
+            continue
+        best_s = s
+        best = (i, s, u)
+    return best
+
+
+class _CrossingIndex:
+    """The crossing states of a trace, hashed by chart and cell of the point.
+
+    Cells are squares of side h >= 2 * tau_rec, so a state that matches (by
+    the rule in ``trace``) lies in the 3 x 3 cells around the query point.
+    """
+
+    def __init__(self, tau_rec: float):
+        self.tau = tau_rec
+        # any h >= 2 * tau_rec is exact; the floor keeps h positive when
+        # tau_rec <= 0 (which never matches) and p / h finite when it is tiny
+        self.h = max(1e-12, 2.0 * tau_rec)
+        self.cells: dict[tuple, list] = {}
+        self.count = 0
+
+    def add(self, chart, p, d, s: float) -> None:
+        key = (chart, math.floor(p[0] / self.h), math.floor(p[1] / self.h))
+        self.cells.setdefault(key, []).append((self.count, p[0], p[1], d[0], d[1], s))
+        self.count += 1
+
+    def match(self, chart, p, d, s: float) -> dict | None:
+        """{period, detected_at, matched_at} for the earliest stored match.
+
+        The period is the arclength elapsed since the matched state, i.e. the
+        first-return time of the recurring state.
+        """
+        tau = self.tau
+        px, py, dx, dy = p[0], p[1], d[0], d[1]
+        i, j = math.floor(px / self.h), math.floor(py / self.h)
+        best = None
+        for a in (i - 1, i, i + 1):
+            for b in (j - 1, j, j + 1):
+                for row in self.cells.get((chart, a, b), ()):
+                    k, x, y, ex, ey, sr = row
+                    if (abs(x - px) < tau and abs(y - py) < tau and abs(ex - dx) < tau
+                            and abs(ey - dy) < tau and s - sr > 1e-9):
+                        if best is None or k < best[0]:
+                            best = row
+                        break  # a cell's rows are in insertion order
+        if best is None:
+            return None
+        return {"period": s - best[5], "detected_at": s, "matched_at": best[5]}
+
+
+def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
+                    options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TraceResult:
+    """Trace the geodesic from ``start`` for at most ``max_length``.
+
+    Stops at singular cone hits (unless the class is marked and
+    ``options.stop_on_cone`` is false), at ``max_length``, or -- when
+    ``options.stop_on_recurrence`` -- at the first detected state recurrence.
+
+    A recurrence is a chart crossing whose point and direction each lie
+    within ``tau_rec`` per component of an earlier crossing's in the same
+    chart, more than 1e-9 of arclength later; the earliest such crossing is
+    matched, and ``recurrence`` reports {period, detected_at, matched_at}.
+    Each check costs O(1) on average, so detection keeps the trace linear in
+    its crossings. The m(T) series is built from the recorded segments after
+    the loop (``_min_distance_series``).
+    """
+    tol = surface.tolerances
+    if max_length <= 0.0 or not math.isfinite(max_length):
+        raise DomainError(f"max_length must be positive and finite, got {max_length}")
+    if options.stop_on_recurrence and not options.detect_recurrence:
+        raise DomainError("stop_on_recurrence requires detect_recurrence")
+    cid = start.chart
+    if cid not in surface.charts:
+        raise StartOutsideSurface(f"unknown chart {cid!r}")
+    dn = norm(start.direction)
+    if dn < tol.tau_len or not math.isfinite(dn):
+        raise ZeroDirection(f"direction {start.direction} has no usable length")
+    d = (start.direction[0] / dn, start.direction[1] / dn)
+    p = (float(start.point[0]), float(start.point[1]))
+    if not point_in_polygon(surface.charts[cid], p, tol=tol.tau_hit):
+        raise StartOutsideSurface(f"point {p} is outside chart {cid!r}")
+    norm_start = GeodesicState(cid, p, d, 0.0)
+
+    segments: list = []
+    transitions: list = []
+    events: list[TraceEvent] = []
+    records = [] if options.record_min_distance else None  # m(T) input, per segment
+    crossings = _CrossingIndex(tol.tau_rec)
+    recurrence = None
+    s = 0.0
+    termination = None
+    end_state = None
+    # A guard, not a knob: each pass ends at a chart boundary, so a trace of
+    # length L makes about L / (chart width) passes (0.7 per unit length on
+    # the octagon); only a stalled state gets near 10**7.
+    max_iter = 10_000_000
+
+    hops = 0
+    for _ in range(max_iter):
+        geo = surface.geometry[cid]
+        hit = _ray_exit(geo, p, d, tol.tau_exit, tol.tau_hit)
+        remaining = max_length - s
+        if hit is None:
+            # a state on a gluing edge pointing out of this chart expression
+            # continues in the partner chart (zero-length crossing). A guard,
+            # not a knob: a point on an edge needs one hop and a corner a few,
+            # so the cap of 8 only stops ping-pong between partner charts
+            # when rounding makes the direction look outward on both sides.
+            oe = _outward_edge(geo, p, d, tol.tau_hit)
+            if oe is not None and hops < 8:
+                hops += 1
+                nb = surface.edge_lookup[(cid, oe)]
+                segments.append((cid, p, p))
+                events.append(_edge_cross_event(s, cid, oe, nb))
+                transitions.append(nb.inv)
+                cid, p, d = nb.chart, nb.iso.apply(p), nb.iso.rotate(d)
+                continue
+            if remaining > geo.diameter + 1.0:
+                raise TraceNumericalError(
+                    f"no chart exit from {p} along {d} in chart {cid!r}")
+
+        # the next stop: a chart corner (vtx), an edge crossing, or max_length
+        vtx = None
+        done = hit is None or hit[1] >= remaining
+        if not done:
+            edge, step, _ = hit
+            x = (p[0] + step * d[0], p[1] + step * d[1])
+            for cand in (edge, (edge + 1) % geo.n):
+                v = geo.vertices[cand]
+                if (math.hypot(x[0] - v[0], x[1] - v[1]) <= tol.tau_hit
+                        and _arrives_at_corner(surface, cid, cand, d)):
+                    vtx = cand
+                    x = (float(v[0]), float(v[1]))
+                    step = math.hypot(x[0] - p[0], x[1] - p[1])
+                    done = step >= remaining
+                    break
+        if done:
+            x = (p[0] + remaining * d[0], p[1] + remaining * d[1])
+            if hit is None and not point_in_polygon(geo.vertices, x, tol.tau_hit):
+                raise TraceNumericalError(
+                    f"no chart exit from {p} along {d} in chart {cid!r}, "
+                    f"yet the endpoint {x} leaves the chart")
+        segments.append((cid, p, x))
+        if records is not None:
+            records.append((cid, p, x, s, max_length if done else s + step))
+        if done:
+            s = max_length
+            events.append(TraceEvent(EVENT_MAX_LENGTH, s, {}))
+            termination = EVENT_MAX_LENGTH
+            end_state = GeodesicState(cid, x, d, s)
+            break
+        s += math.hypot(x[0] - p[0], x[1] - p[1])
+        hops = 0
+
+        if vtx is not None:
+            vc = surface.corner_class[(cid, vtx)]
+            sector = continuation_sector(surface, vc.id, d, corner=(cid, vtx))
+            terminal = vc.singular and (options.stop_on_cone or vc.kind != KIND_MARKED)
+            kind = EVENT_CONE_HIT if vc.singular else EVENT_VERTEX_PASS
+            events.append(TraceEvent(kind, s, {
+                "vertex_class": vc.id, "chart": cid, "vertex": vtx,
+                "incoming": d, "terminal": terminal, "sector": sector}))
+            if terminal:
+                termination = EVENT_CONE_HIT
+                end_state = GeodesicState(cid, x, d, s)
+                break
+            # flat passage: unique straight continuation through a 2*pi corner
+            t_in = vc.cone_coordinate(cid, vtx, (-d[0], -d[1]))
+            t_out = (t_in + math.pi) % vc.angle
+            ncid, nvtx, nd = vc.direction_at(t_out)
+            nv = surface.geometry[ncid].vertices[nvtx]
+            nv = (float(nv[0]), float(nv[1]))
+            transitions.append(_vertex_alignment(x, nv, d, nd))
+            cid, p, d = ncid, nv, nd
+        else:
+            nb = surface.edge_lookup[(cid, edge)]
+            events.append(_edge_cross_event(s, cid, edge, nb))
+            transitions.append(nb.inv)
+            cid, p, d = nb.chart, nb.iso.apply(x), nb.iso.rotate(d)
+
+        if options.detect_recurrence and recurrence is None:
+            hit_rec = crossings.match(cid, p, d, s)
+            if hit_rec is not None:
+                recurrence = hit_rec
+                events.append(TraceEvent(EVENT_SELF_RECURRENCE,
+                                         recurrence["period"], dict(recurrence)))
+                if options.stop_on_recurrence:
+                    termination = EVENT_SELF_RECURRENCE
+                    end_state = GeodesicState(cid, p, d, s)
+                    break
+            else:
+                crossings.add(cid, p, d, s)
+    else:
+        raise TraceNumericalError("step budget exceeded; degenerate trajectory")
+
+    events.sort(key=lambda e: e.arclength)
+    series = []
+    if records is not None:
+        series = _min_distance_series(surface, records or [
+            (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
+    return TraceResult(
+        start=norm_start, segments=segments, transitions=transitions,
+        events=events, total_length=s, end_state=end_state,
+        termination=termination, recurrence=recurrence,
+        min_distance_series=series,
+        chart_index=surface.chart_index)
+
+
+def reference_develop(trace_result) -> tuple[list, list]:
+    """The developed segment endpoints and the per-segment (c, s, tx, ty) of
+    ``develop``, composing the transitions with the arithmetic of
+    ``Isometry.compose`` and ``Isometry.apply`` written out on floats."""
+    c, s, tx, ty = 1.0, 0.0, 0.0, 0.0
+    isos = [(c, s, tx, ty)]
+    pts = [trace_result.segments[0][1]]
+    for k, (_, _, b) in enumerate(trace_result.segments):
+        pts.append((c * b[0] - s * b[1] + tx, s * b[0] + c * b[1] + ty))
+        if k < len(trace_result.transitions):
+            t = trace_result.transitions[k]
+            c, s, tx, ty = (c * t.c - s * t.s, s * t.c + c * t.s,
+                            c * t.tx - s * t.ty + tx, s * t.tx + c * t.ty + ty)
+            isos.append((c, s, tx, ty))
+    return pts, isos
+
+
 # -- m(T), every segment through the kernel ---------------------------------------------
 
 
@@ -450,9 +736,7 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
     steps."""
     from conesurf.cylinders import (_JIGGLE_FRACTIONS, Cylinder, _boundary_saddles,
                                     _one_period, _recurrence, offset_state, strip_width)
-    from conesurf.errors import DomainError
     from conesurf.geometry import interior_point, normalize
-    from conesurf.tracer import GeodesicState
 
     diam = surface.max_diameter
     if max_circumference is None:
@@ -472,12 +756,16 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
 
     for state in attempts:
         rec = _recurrence(surface, state, max_circumference)
-        closed = _one_period(surface, *rec) if rec else None
+        if rec is None:
+            continue
+        period, tr = rec
+        matched = tr.state_at(tr.recurrence["matched_at"])
+        closed = _one_period(surface, matched, period)
         if closed is None:
             continue
         core, gap = closed
-        cyl = Cylinder(core=core, circumference=core.total_length, start=rec[0],
-                       direction=rec[0].direction, closure_error=gap)
+        cyl = Cylinder(core=core, circumference=core.total_length, start=matched,
+                       direction=matched.direction, closure_error=gap)
         cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
         cyl.bounding = {
             side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)

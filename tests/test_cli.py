@@ -371,3 +371,6 @@ def test_selftest_quick(tmp_path):
     data = json.loads(report.read_text())
     assert data["verdicts"] == {"passed": True}
     assert data["seed"] == 20260814
+    (same_path,) = [c for c in data["metrics"]["checks"]
+                    if c["name"].startswith("default and plain options trace the same path")]
+    assert same_path["passed"] and same_path["note"] == "0 paths differ"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,45 @@ def test_unused_imports_are_found():
     source = ("import os\nimport numpy as np\nfrom a.b import c, d as e\n"
               "def f(x: np.ndarray) -> None:\n    return c\n")
     assert unused_imports(source) == [(1, "os"), (3, "e")]
+
+
+def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every private top-level function or class in the
+    given sources that no code outside its own definition refers to, by a
+    bare name, an attribute or an import."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+
+    def references(node) -> Counter:
+        seen = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                seen[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                seen[sub.attr] += 1
+            elif isinstance(sub, ast.ImportFrom):
+                seen.update(a.name for a in sub.names)
+        return seen
+
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and everywhere[node.name] == references(node)[node.name]):
+                orphans.append(f"{module}.{node.name}")
+    return orphans
+
+
+def test_every_private_helper_is_used():
+    # a helper that inlining made obsolete is deleted or moved to the tests'
+    # oracles, not left beside the code that replaced it
+    package = ROOT / "src" / "conesurf"
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert orphaned_private_definitions(sources) == []
+
+
+def test_orphaned_private_helpers_are_found():
+    sources = {"a": "def _used(): pass\ndef _self(n): return _self(n - 1)\nclass _Gone: pass\n",
+               "b": "from .a import _used\n"}
+    assert orphaned_private_definitions(sources) == ["a._self", "a._Gone"]

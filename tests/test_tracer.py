@@ -170,10 +170,12 @@ def _feed(tau_rec, stream):
         index.add(chart, (x, y), (dx, dy), s)
 
 
-# components on two cells of size 2 * tau_rec, offset so that pairs straddle
-# cell boundaries, sit exactly at the open bound, and match several rows at once
-_grid_value = st.builds(lambda k, off: 2.0 * TAU_REC * k + off,
-                        st.integers(0, 1),
+# components near the boundaries of the index's own cells, on both sides of
+# 0, offset so that pairs straddle a boundary, sit exactly at the open bound,
+# and match several rows at once
+CELL = tracer._CrossingIndex(TAU_REC).h
+_grid_value = st.builds(lambda k, off: CELL * k + off,
+                        st.integers(-1, 1),
                         st.sampled_from((0.0, 0.999 * TAU_REC, -0.999 * TAU_REC,
                                          TAU_REC, -TAU_REC)))
 _grid_state = st.tuples(st.sampled_from(("A", "B")), _grid_value, _grid_value,
@@ -187,10 +189,13 @@ def _on_x(*xs):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_grid_state, min_size=1, max_size=80))
-# the earlier of two matches sits in the cell searched later
+# two matches on both sides of a cell boundary: the earlier one wins, in
+# the cell probed last or first
 @example(_on_x(0.999 * TAU_REC, -0.999 * TAU_REC, 0.0))
-# the only match sits in a neighbouring cell
+@example(_on_x(-0.999 * TAU_REC, 0.999 * TAU_REC, 0.0))
+# the only match lies across a cell boundary from the query
 @example(_on_x(-0.999 * TAU_REC, 0.0))
+@example(_on_x(CELL - 0.999 * TAU_REC, CELL))
 # a difference of exactly tau_rec does not match
 @example(_on_x(0.0, TAU_REC))
 def test_crossing_index_matches_linear_scan(stream):
@@ -471,6 +476,73 @@ def _hop_start(surface, rng):
     slant = rng.uniform(-0.8, 0.8)
     return GeodesicState(chart, ((ax + bx) / 2.0, (ay + by) / 2.0),
                          (ey + slant * ex, -ex + slant * ey), 0.0)
+
+
+# --------------------------------------------------------------------------
+# The stepper against the reference stepper, bit for bit
+# --------------------------------------------------------------------------
+
+def _corner_start(surface, rng):
+    """A random start aimed within 3e-9 of one of its own chart's corners:
+    aims within tau_hit meet the corner (a cone hit, or a flat passage), the
+    others graze it and cross an edge next to it."""
+    start = _random_start(surface, rng)
+    (x, y), corners = start.point, surface.geometry[start.chart].vertices
+    wx, wy = corners[rng.randrange(len(corners))]
+    dx, dy = wx - x, wy - y
+    off = rng.uniform(-3e-9, 3e-9) / math.hypot(dx, dy)
+    return GeodesicState(start.chart, start.point, (dx - off * dy, dy + off * dx), 0.0)
+
+
+def _rational_start(surface, rng):
+    """A random start in a rational direction (p, q): periodic on the tori."""
+    start = _random_start(surface, rng)
+    return dataclasses.replace(start, direction=(float(rng.randint(-3, 3)),
+                                                 float(rng.randint(1, 3))))
+
+
+REFERENCE_OPTIONS = (tracer.PLAIN_TRACE_OPTIONS, TraceOptions(),
+                     TraceOptions(stop_on_cone=False), TraceOptions(stop_on_recurrence=True))
+
+
+@pytest.mark.parametrize("name, length", [("octagon", 40.0), ("torus", 30.0), ("mtorus", 30.0),
+                                          ("pcase", 30.0), ("triple_cover", 25.0)])
+def test_stepper_matches_reference_stepper(name, length, request):
+    # 52 starts x 4 option sets per surface, 1,040 traces in all: every output
+    # of trace and of develop equals the reference stepper's with ==
+    surface = request.getfixturevalue(name)
+    rng = random.Random(20261019)
+    starts = [_corner_start(surface, rng) for _ in range(16)]
+    starts += [_hop_start(surface, rng) for _ in range(8)]
+    if name in ("torus", "mtorus"):
+        starts += [_rational_start(surface, rng) for _ in range(12)]
+    elif surface.singular_classes:
+        starts += [_grazing_start(surface, rng) for _ in range(12)]
+    starts += [_random_start(surface, rng) for _ in range(52 - len(starts))]
+    seen = set()
+    for start in starts:
+        for options in REFERENCE_OPTIONS:
+            got = trace(surface, start, length, options=options)
+            want = oracles.reference_trace(surface, start, length, options=options)
+            assert got.start == want.start
+            assert got.segments == want.segments
+            assert ([(t.c, t.s, t.tx, t.ty) for t in got.transitions]
+                    == [(t.c, t.s, t.tx, t.ty) for t in want.transitions])
+            assert ([(e.kind, e.arclength, e.detail) for e in got.events]
+                    == [(e.kind, e.arclength, e.detail) for e in want.events])
+            assert got.total_length == want.total_length
+            assert got.termination == want.termination
+            assert got.recurrence == want.recurrence
+            assert got.min_distance_series == want.min_distance_series
+            assert got.end_state == want.end_state
+            developed = develop(got)
+            points, isos = oracles.reference_develop(want)
+            assert developed.points == points
+            assert [(g.c, g.s, g.tx, g.ty) for g in developed.isometries] == isos
+            seen.add(got.termination)
+    assert len(starts) == 52
+    assert {"MaxLengthReached", "SelfRecurrence"} <= seen
+    assert ("ConeHit" in seen) == bool(surface.singular_classes)
 
 
 @pytest.mark.parametrize("name, length", [("octagon", 150.0), ("mtorus", 80.0),
