@@ -28,6 +28,7 @@ from .surface import (
     save_surface,
     validate_gauss_bonnet,
 )
+from . import tracer
 from .svgout import write_trace_svg
 from .tracer import (
     PLAIN_TRACE_OPTIONS,
@@ -565,6 +566,23 @@ def cmd_selftest(args) -> int:
                 options=TraceOptions(record_min_distance=False))
     checks.append(("octagon at slope pi/10: no recurrence up to L=2000",
                    far.recurrence is None, f"{len(far.segments)} segments"))
+
+    # density pruning never changes a row: with an infinite first ring no
+    # ring is narrower than the grid, so every candidate is evaluated in full
+    golden = GeodesicState("sq", (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0),
+                           (1.0, 0.5 + 0.5 * math.sqrt(5.0)))
+    bounds = [1.0, 2.0, 3.0, 4.0, 5.0]
+    pruned = density_experiment(torus, golden, bounds)
+    first_ring, tracer._FIRST_RING = tracer._FIRST_RING, math.inf
+    try:
+        full = density_experiment(torus, golden, bounds)
+    finally:
+        tracer._FIRST_RING = first_ring
+    same = sum(a == b for a, b in zip(pruned.rows, full.rows))
+    checks.append(("density rows with pruning equal rows with every candidate evaluated "
+                   "in full (marked torus, golden target, bounds 1..5)",
+                   same == len(full.rows) and pruned.inventory == full.inventory,
+                   f"{same} of {len(full.rows)} rows equal"))
 
     # the octagon's saddle set is invariant under its rotation by pi/4
     hol = [c.holonomy for c in enumerate_saddles(octagon, "v0", 2.0)]

@@ -419,22 +419,10 @@ def _anchor_on_chain(surface: ConeSurface, path: ChainPath, point, samples: int 
     return float(ts[int(np.argmin(dists))])
 
 
-# half-widths of the nested parameter intervals around t = 0 whose partial
-# distance sums may rule a candidate out before its full evaluation: the
-# approximants start at the target's point, so their distance grows from 0
-_PRUNE_HALF_WIDTHS = (0.1, 0.5)
-# covers the rounding of a partial sum against the full one (about 1e-15)
+# covers the rounding of a ring bound against the full sum (about 1e-15)
 _PRUNE_MARGIN = 1e-12
-
-
-def _pruning_bound(grid: _DistanceGrid, path, anchor: float, best: float) -> float | None:
-    """A lower bound on the candidate's distance that exceeds ``best``, or
-    None when no partial sum rules the candidate out."""
-    for half_width in _PRUNE_HALF_WIDTHS:
-        partial = grid.partial(path, anchor, half_width)
-        if partial > best * (1.0 + _PRUNE_MARGIN):
-            return partial
-    return None
+# candidates whose first distance rings share one kernel call
+_RING_BLOCK = 32
 
 
 def _inventory_directions(surface: ConeSurface, anchor_chart: str,
@@ -476,13 +464,15 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
 
     Candidates are taken in order of length, and each row reports the first
     least distance among those within its bound. A candidate after the first
-    is ruled out before its full evaluation when the trapezoid sum over the
-    grid nodes with |t| <= 0.1, or else |t| <= 0.5, exceeds the best distance
-    before it by a relative 1e-12. Those terms are non-negative and bitwise
-    terms of the full sum, so the candidate cannot win, and the rows, labels
-    and tie order equal those of evaluating every candidate in full. The
-    partial sums run the same checks as ``geodesic_distance`` and raise the
-    same errors.
+    is ruled out before its full evaluation at the first distance ring, the
+    trapezoid sum over the grid nodes with |t| <= 0.1, 0.2, 0.4, ..., that
+    exceeds the best distance before it by a relative 1e-12. Ring terms are
+    non-negative and bitwise terms of the full sum, so the candidate cannot
+    win, and the rows, labels and tie order equal those of evaluating every
+    candidate in full; a candidate no ring rules out is evaluated in full.
+    The first ring is computed for a block of upcoming candidates in one
+    kernel call. Each candidate's checks, those of ``geodesic_distance``,
+    still run in candidate order and raise the same errors.
     """
     tol = surface.tolerances
     lengths = [float(L) for L in lengths]
@@ -554,17 +544,29 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     candidates = sorted(cores + chains, key=lambda c: (c[0], c[1], c[2]))
     sorted_lengths = [c[0] for c in candidates]
     cuts = [bisect.bisect_right(sorted_lengths, L + tol.tau_len) for L in lengths]
+    todo = candidates[:cuts[-1]]
     known: dict = {}    # label -> its distance, or a lower bound above the best before it
+    first: dict = {}    # label -> its first ring, computed for a block of upcoming labels
     grid = None         # built at the first pruning test, once a full evaluation passed its checks
     best = None
     prefix_best = [None]
-    for length, kind, label, path, anchor in candidates[:cuts[-1]]:
+    for i, (length, kind, label, path, anchor) in enumerate(todo):
         if label not in known:
             bound = None
             if best is not None:
                 if grid is None:
                     grid = _DistanceGrid(surface, tgt, window)
-                bound = _pruning_bound(grid, path, anchor, best[0])
+                if label not in first:
+                    block = {}
+                    for c in todo[i:]:
+                        if len(block) == _RING_BLOCK:
+                            break
+                        if c[2] not in known:
+                            block.setdefault(c[2], (c[3], c[4]))
+                    first = dict(zip(block, grid.first_rings(list(block.values()))))
+                limit = best[0] * (1.0 + _PRUNE_MARGIN)
+                bound = next((b for b in grid.ring_bounds(path, anchor, first.pop(label))
+                              if b > limit), None)
             known[label] = bound if bound is not None else geodesic_distance(
                 surface, tgt, path, window, anchor2=anchor).value
         if best is None or known[label] < best[0]:

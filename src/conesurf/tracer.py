@@ -462,7 +462,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     within ``tau_rec`` per component of an earlier crossing's in the same
     chart, more than 1e-9 of arclength later; the earliest such crossing is
     matched, and ``recurrence`` reports {period, detected_at, matched_at}.
-    Each check probes one cell of a hash of crossing points
+    Events are appended in order of arclength, the recurrence's at
+    ``detected_at``. Each check probes one cell of a hash of crossing points
     (``_CrossingIndex``), so detection keeps the trace linear in its
     crossings. The loop reads chart corners and edges as plain floats from
     ``scalar_edges``. The m(T) series is built from the recorded segments
@@ -597,8 +598,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             hit_rec = crossings.match(cid, p, d, s)
             if hit_rec is not None:
                 recurrence = hit_rec
-                events.append(TraceEvent(EVENT_SELF_RECURRENCE,
-                                         recurrence["period"], dict(recurrence)))
+                events.append(TraceEvent(EVENT_SELF_RECURRENCE, s, dict(recurrence)))
                 if options.stop_on_recurrence:
                     termination = EVENT_SELF_RECURRENCE
                     end_state = GeodesicState(cid, p, d, s)
@@ -608,7 +608,6 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
-    events.sort(key=lambda e: e.arclength)
     series = []
     if records is not None:
         series = _min_distance_series(surface, records or [
@@ -778,13 +777,25 @@ class DistanceResult:
     diameter_bound: float
 
 
+# the first ring's half-width; each further ring doubles it (``_DistanceGrid``)
+_FIRST_RING = 0.1
+
+
 class _DistanceGrid:
     """The quadrature of ``geodesic_distance`` for one first path.
 
     Holds the trapezoid nodes over the window, their weights exp(-|t|) and
     the first path's samples, so any number of second paths are compared on
     the same grid without rebuilding it. The constructor checks the window
-    and the first path's coverage; ``partial`` checks the second path's.
+    and the first path's coverage; ``distance`` and ``ring_bounds`` check the
+    second path's coverage and its chart alignment at t = 0.
+
+    ``rings`` are the node slices |t| <= h, with the node nearest t = 0,
+    for h = 0.1, 0.2, 0.4, ... while narrower than the grid. Every weighted
+    term is non-negative and depends on its node alone, so the trapezoid
+    over a ring is a lower bound on the distance up to the rounding of the
+    order of summation (relative 1e-15 for 10^4 terms), and its terms are
+    bitwise those of the whole grid, whichever nodes share a kernel call.
     """
 
     def __init__(self, surface: ConeSurface, path1, window, anchor1: float = 0.0):
@@ -797,42 +808,90 @@ class _DistanceGrid:
             raise DomainError(f"empty window ({w0}, {w1})")
         self.surface, self.window, self.step = surface, (w0, w1), step
         self.diameter_bound = sum(g.diameter for g in surface.geometry.values())
-        self._check_covers(path1, anchor1, "path1")
+        if err := self._uncovered(path1, anchor1, "path1"):
+            raise err
         count = max(2, int(round((w1 - w0) / step)) + 1)
         self.ts = np.linspace(w0, w1, count)
         self.weights = np.exp(-np.abs(self.ts))
         self.i0 = int(np.argmin(np.abs(self.ts)))
         self.k1, self.xy1 = path1.positions(self.ts + anchor1)
+        self.rings = []
+        h = _FIRST_RING
+        while True:
+            ring = (min(int(np.searchsorted(self.ts, -h, side="left")), self.i0),
+                    max(int(np.searchsorted(self.ts, h, side="right")), self.i0 + 1))
+            if ring == (0, count):
+                break
+            if ring not in self.rings[-1:]:
+                self.rings.append(ring)
+            h *= 2.0
 
-    def _check_covers(self, path, anchor: float, name: str) -> None:
+    def _uncovered(self, path, anchor: float, name: str = "path2") -> InsufficientPath | None:
         (w0, w1), (lo, hi) = self.window, path.param_range()
         if anchor + w0 < lo - 1e-9 or anchor + w1 > hi + 1e-9:
-            raise InsufficientPath(
+            return InsufficientPath(
                 f"{name} covers [{lo:.6g}, {hi:.6g}] but the window needs "
                 f"[{anchor + w0:.6g}, {anchor + w1:.6g}]")
+        return None
 
-    def partial(self, path2, anchor2: float = 0.0, half_width: float = math.inf) -> float:
-        """The trapezoid sum over the contiguous nodes with |t| <= half_width
-        and the node nearest t = 0, whose charts must have an alignment.
-
-        With the default it is the distance itself. Every term of the sum is
-        non-negative and bitwise the term of the whole grid, so a narrower
-        sum is a lower bound on the distance up to the rounding of the order
-        of summation (relative 1e-15 for 10^4 terms).
-        """
-        self._check_covers(path2, anchor2, "path2")
-        lo = min(int(np.searchsorted(self.ts, -half_width, side="left")), self.i0)
-        hi = max(int(np.searchsorted(self.ts, half_width, side="right")), self.i0 + 1)
-        ts = self.ts[lo:hi]
-        k2, xy2 = path2.positions(ts + anchor2)
+    def _check_aligned(self, code2) -> None:
         names = self.surface.chart_names
-        c1, c2 = names[self.k1[self.i0]], names[k2[self.i0 - lo]]
+        c1, c2 = names[self.k1[self.i0]], names[code2]
         if not self.surface.alignment_isos(c1, c2):
             raise IncomparableTraces(
                 f"no chart alignment between {c1!r} and {c2!r} at time 0")
-        dists = _sample_distances(self.surface, self.k1[lo:hi], self.xy1[lo:hi], k2, xy2,
+
+    def _terms(self, path2, anchor2: float, nodes):
+        """The second path's chart codes and the weighted terms at ``nodes``."""
+        k2, xy2 = path2.positions(self.ts[nodes] + anchor2)
+        dists = _sample_distances(self.surface, self.k1[nodes], self.xy1[nodes], k2, xy2,
                                   self.diameter_bound)
-        return float(_trapezoid(dists * self.weights[lo:hi], ts))
+        return k2, dists * self.weights[nodes]
+
+    def distance(self, path2, anchor2: float = 0.0) -> float:
+        """The trapezoid sum over the whole grid."""
+        if err := self._uncovered(path2, anchor2):
+            raise err
+        k2, terms = self._terms(path2, anchor2, slice(None))
+        self._check_aligned(k2[self.i0])
+        return float(_trapezoid(terms, self.ts))
+
+    def first_rings(self, paths: list) -> list:
+        """Per (path, anchor) pair, the chart code at t = 0 and the weighted
+        terms of the first ring, all from one kernel call; None for a pair
+        that does not cover the window, and for all when there are no rings."""
+        out = [None] * len(paths)
+        covered = [j for j, (path, anchor) in enumerate(paths)
+                   if self.rings and not self._uncovered(path, anchor)]
+        if covered:
+            lo, hi = self.rings[0]
+            got = [paths[j][0].positions(self.ts[lo:hi] + paths[j][1]) for j in covered]
+            dists = _sample_distances(
+                self.surface, np.tile(self.k1[lo:hi], len(got)),
+                np.tile(self.xy1[lo:hi], (len(got), 1)), np.concatenate([k for k, _ in got]),
+                np.concatenate([xy for _, xy in got]), self.diameter_bound)
+            terms = dists.reshape(len(got), hi - lo) * self.weights[lo:hi]
+            for j, (k2, _), row in zip(covered, got, terms):
+                out[j] = (k2[self.i0 - lo], row)
+        return out
+
+    def ring_bounds(self, path2, anchor2: float, first):
+        """Yields each ring's lower bound in turn, computing only the ring's
+        new nodes. ``first`` is the pair's entry of ``first_rings``; the
+        checks of ``distance`` run at the first ``next``."""
+        if err := self._uncovered(path2, anchor2):
+            raise err
+        if first is None:
+            return
+        k0, terms = first
+        self._check_aligned(k0)
+        lo, hi = self.rings[0]
+        for new_lo, new_hi in self.rings:
+            if new_hi - new_lo > hi - lo:
+                _, new = self._terms(path2, anchor2, np.r_[new_lo:lo, hi:new_hi])
+                terms = np.concatenate((new[:lo - new_lo], terms, new[lo - new_lo:]))
+                lo, hi = new_lo, new_hi
+            yield float(_trapezoid(terms, self.ts[lo:hi]))
 
 
 def geodesic_distance(surface: ConeSurface, path1, path2,
@@ -849,7 +908,7 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     contribution 2*D*exp(-W) is reported.
     """
     grid = _DistanceGrid(surface, path1, window, anchor1)
-    value = grid.partial(path2, anchor2)
+    value = grid.distance(path2, anchor2)
     w0, w1 = grid.window
     bound = 2.0 * grid.diameter_bound * math.exp(-min(-w0, w1))
     return DistanceResult(value, bound, grid.window, grid.step, grid.diameter_bound)

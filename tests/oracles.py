@@ -639,8 +639,7 @@ def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: floa
             hit_rec = crossings.match(cid, p, d, s)
             if hit_rec is not None:
                 recurrence = hit_rec
-                events.append(TraceEvent(EVENT_SELF_RECURRENCE,
-                                         recurrence["period"], dict(recurrence)))
+                events.append(TraceEvent(EVENT_SELF_RECURRENCE, s, dict(recurrence)))
                 if options.stop_on_recurrence:
                     termination = EVENT_SELF_RECURRENCE
                     end_state = GeodesicState(cid, p, d, s)
@@ -650,7 +649,6 @@ def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: floa
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
-    events.sort(key=lambda e: e.arclength)
     series = []
     if records is not None:
         series = _min_distance_series(surface, records or [

@@ -374,3 +374,7 @@ def test_selftest_quick(tmp_path):
     (same_path,) = [c for c in data["metrics"]["checks"]
                     if c["name"].startswith("default and plain options trace the same path")]
     assert same_path["passed"] and same_path["note"] == "0 paths differ"
+    (density,) = [c for c in data["metrics"]["checks"]
+                  if c["name"].startswith("density rows with pruning equal rows with every "
+                                          "candidate evaluated in full")]
+    assert density["passed"] and density["note"] == "5 of 5 rows equal"

@@ -38,7 +38,7 @@ from conesurf import (
 from conesurf import cylinders, tracer
 from conesurf.config import DEFAULT_TOLERANCES
 from conesurf.corpus import marked_torus, pillowcase, regular_octagon
-from conesurf.errors import DomainError, UnfoldingBudgetExceeded
+from conesurf.errors import DomainError, IncomparableTraces, UnfoldingBudgetExceeded
 from conesurf.geometry import Isometry
 from conesurf.surface import FanPencil, WindowSweep
 
@@ -421,18 +421,44 @@ def test_distance_matches_per_sample_oracle(name):
 
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover", "coarse"])
 def test_pruning_partials_bound_the_distance(request, name):
-    # "coarse": a grid with no node within the narrowest half-width of t = 0
+    # "coarse": a grid with no node within the first ring's half-width of t = 0
     surface = (marked_torus(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, distance_step=0.4))
                if name == "coarse" else request.getfixturevalue(name))
     target, others = _path_kinds(surface)
     grid = tracer._DistanceGrid(surface, target, 3.0)
+    assert grid.rings
     for kind, path in others.items():
         for anchor2 in (0.0, 0.37):
             full = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2).value
-            partials = [grid.partial(path, anchor2, h) for h in cylinders._PRUNE_HALF_WIDTHS]
-            assert 0.0 <= partials[0] <= partials[-1] <= full, (kind, anchor2, partials, full)
-            # the whole grid taken as one slice is the distance itself
-            assert grid.partial(path, anchor2) == full, (kind, anchor2)
+            (first,) = grid.first_rings([(path, anchor2)])
+            bounds = list(grid.ring_bounds(path, anchor2, first))
+            assert len(bounds) == len(grid.rings), (kind, anchor2)
+            assert 0.0 <= bounds[0], (kind, anchor2, bounds)
+            assert all(a <= b for a, b in zip(bounds, bounds[1:])), (kind, anchor2, bounds)
+            assert bounds[-1] <= full, (kind, anchor2, bounds, full)
+            # the whole grid is the distance itself
+            assert grid.distance(path, anchor2) == full, (kind, anchor2)
+
+
+@pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
+def test_batched_first_rings_equal_single_path_terms(request, name):
+    surface = request.getfixturevalue(name)
+    target, others = _path_kinds(surface)
+    grid = tracer._DistanceGrid(surface, target, 3.0)
+    block = [(others[kind], anchor2) for anchor2 in (0.0, 0.37, 1.1, 2.9, 4.6)
+             for kind in ("periodic", "chain")]
+    lo, hi = grid.rings[0]
+    pairs = set()
+    for (path, anchor2), got in zip(block, grid.first_rings(block)):
+        (want,) = grid.first_rings([(path, anchor2)])
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes(), anchor2
+        # and both are the whole grid's terms at the first ring's nodes
+        codes, terms = grid._terms(path, anchor2, slice(None))
+        assert got[0] == codes[grid.i0]
+        assert got[1].tobytes() == terms[lo:hi].tobytes(), anchor2
+        pairs.update(zip(grid.k1[lo:hi].tolist(), codes[lo:hi].tolist()))
+    if name != "mtorus":
+        assert len(pairs) > 1, pairs
 
 
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
@@ -566,9 +592,9 @@ def _density_json(surface, target, lengths, window, chain_budget):
 @pytest.mark.parametrize("name, chart, point, lengths, window, chain_budget, prunes", [
     ("mtorus", "sq", (0.31, 0.17), [1.0, 2.0, 3.0], 5.0, 200, True),
     ("mtorus", "sq", (0.31, 0.17), [float(L) for L in range(1, 14)], 5.0, 200, True),
-    ("octagon", None, (0.05, 0.02), [1.0, 1.5, 2.0], 3.0, 200, False),
+    ("octagon", None, (0.05, 0.02), [1.0, 1.5, 2.0], 3.0, 200, True),
     ("pcase", "front", (0.3, 0.45), [1.0, 2.0, 3.0, 4.0], 3.0, 200, True),
-    ("pcover", "front@1", (0.3, 0.45), [1.0, 2.0, 3.0], 3.0, 0, False),
+    ("pcover", "front@1", (0.3, 0.45), [1.0, 2.0, 3.0], 3.0, 0, True),
 ])
 def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, chart, point,
                                                  lengths, window, chain_budget, prunes):
@@ -581,9 +607,39 @@ def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, cha
     pruned = _density_json(surface, target, lengths, window, chain_budget)
     pruned_calls = len(calls)
     calls.clear()
-    monkeypatch.setattr(cylinders, "_pruning_bound", lambda *args: None)
+    # no ring narrower than the grid: every candidate is evaluated in full
+    monkeypatch.setattr(tracer, "_FIRST_RING", math.inf)
     assert _density_json(surface, target, lengths, window, chain_budget) == pruned
     assert (pruned_calls < len(calls)) if prunes else (pruned_calls == len(calls))
+
+
+def _three_tori():
+    """Marked square tori of sides 1, 1.3 and 1.7 as one disconnected surface."""
+    polys = [(c, [(x0, 0.0), (x0 + a, 0.0), (x0 + a, a), (x0, a)])
+             for c, x0, a in (("a", 0.0, 1.0), ("b", 3.0, 1.3), ("c", 6.0, 1.7))]
+    gluings = [((c, k), (c, k + 2)) for c in "abc" for k in (0, 1)]
+    return build_surface(polys, gluings, marked=[(c, 0) for c in "abc"],
+                         allow_disconnected=True)
+
+
+def test_density_block_raises_for_its_first_failing_candidate(monkeypatch):
+    # chains on the other tori have no chart alignment with the target's at
+    # t = 0; one block holds a chain on "b" and, later, one on "c"
+    surface = _three_tori()
+    target = _golden_target(surface, "a", (0.31, 0.17))
+    blocks = []
+    first_rings = tracer._DistanceGrid.first_rings
+    monkeypatch.setattr(tracer._DistanceGrid, "first_rings",
+                        lambda self, pairs: blocks.append(pairs) or first_rings(self, pairs))
+    with pytest.raises(IncomparableTraces) as batched:
+        density_experiment(surface, target, [1.0, 2.0, 3.0])
+    charts = [surface.chart_names[path.positions([anchor])[0][0]] for path, anchor in blocks[0]]
+    assert 0 < charts.index("b") < charts.index("c"), charts
+    monkeypatch.setattr(tracer, "_FIRST_RING", math.inf)
+    with pytest.raises(IncomparableTraces) as full:
+        density_experiment(surface, target, [1.0, 2.0, 3.0])
+    assert str(batched.value) == str(full.value) == (
+        "no chart alignment between 'a' and 'b' at time 0")
 
 
 def test_density_traces_each_closed_direction_twice(mtorus, monkeypatch):

@@ -60,8 +60,8 @@ def test_horizontal_torus_transcript(torus):
     assert res.termination == "MaxLengthReached"
     assert [(e.kind, e.arclength) for e in res.events] == [
         ("EdgeCross", 0.5),
-        ("SelfRecurrence", 1.0),
         ("EdgeCross", 1.5),
+        ("SelfRecurrence", 1.5),     # detected at the crossing; the period is 1
         ("EdgeCross", 2.5),
         ("MaxLengthReached", 3.0),
     ]
@@ -505,12 +505,8 @@ REFERENCE_OPTIONS = (tracer.PLAIN_TRACE_OPTIONS, TraceOptions(),
                      TraceOptions(stop_on_cone=False), TraceOptions(stop_on_recurrence=True))
 
 
-@pytest.mark.parametrize("name, length", [("octagon", 40.0), ("torus", 30.0), ("mtorus", 30.0),
-                                          ("pcase", 30.0), ("triple_cover", 25.0)])
-def test_stepper_matches_reference_stepper(name, length, request):
-    # 52 starts x 4 option sets per surface, 1,040 traces in all: every output
-    # of trace and of develop equals the reference stepper's with ==
-    surface = request.getfixturevalue(name)
+def _reference_starts(surface, name):
+    """The 52 starts of the reference-stepper corpus on one surface."""
     rng = random.Random(20261019)
     starts = [_corner_start(surface, rng) for _ in range(16)]
     starts += [_hop_start(surface, rng) for _ in range(8)]
@@ -518,7 +514,19 @@ def test_stepper_matches_reference_stepper(name, length, request):
         starts += [_rational_start(surface, rng) for _ in range(12)]
     elif surface.singular_classes:
         starts += [_grazing_start(surface, rng) for _ in range(12)]
-    starts += [_random_start(surface, rng) for _ in range(52 - len(starts))]
+    return starts + [_random_start(surface, rng) for _ in range(52 - len(starts))]
+
+
+REFERENCE_CORPUS = [("octagon", 40.0), ("torus", 30.0), ("mtorus", 30.0),
+                    ("pcase", 30.0), ("triple_cover", 25.0)]
+
+
+@pytest.mark.parametrize("name, length", REFERENCE_CORPUS)
+def test_stepper_matches_reference_stepper(name, length, request):
+    # 52 starts x 4 option sets per surface, 1,040 traces in all: every output
+    # of trace and of develop equals the reference stepper's with ==
+    surface = request.getfixturevalue(name)
+    starts = _reference_starts(surface, name)
     seen = set()
     for start in starts:
         for options in REFERENCE_OPTIONS:
@@ -543,6 +551,35 @@ def test_stepper_matches_reference_stepper(name, length, request):
     assert len(starts) == 52
     assert {"MaxLengthReached", "SelfRecurrence"} <= seen
     assert ("ConeHit" in seen) == bool(surface.singular_classes)
+
+
+@pytest.mark.parametrize("name, length", REFERENCE_CORPUS)
+def test_events_follow_arclength(name, length, request):
+    # the recurrence event sits where the recurrence was detected, so every
+    # trace lists its events in order of arclength
+    surface = request.getfixturevalue(name)
+    recurring = 0
+    for start in _reference_starts(surface, name):
+        for options in (TraceOptions(), TraceOptions(stop_on_recurrence=True)):
+            res = trace(surface, start, length, options=options)
+            arclengths = [e.arclength for e in res.events]
+            assert arclengths == sorted(arclengths), (start, options)
+            found = [e for e in res.events if e.kind == "SelfRecurrence"]
+            assert len(found) == (res.recurrence is not None)
+            if found:
+                recurring += 1
+                assert found[0].arclength == res.recurrence["detected_at"], start
+    assert recurring > 0
+
+
+def test_recurrence_event_follows_its_crossing(mtorus):
+    # detected at the crossing at 2.795 with period sqrt(5), not filed at 2.236
+    res = trace(mtorus, state("sq", 0.5, 0.3, 2, 1), 6.0)
+    kinds = [e.kind for e in res.events]
+    k = kinds.index("SelfRecurrence")
+    assert kinds[k - 1] == "EdgeCross"
+    assert res.events[k].arclength == res.events[k - 1].arclength == res.recurrence["detected_at"]
+    assert res.recurrence["period"] == pytest.approx(math.sqrt(5.0))
 
 
 @pytest.mark.parametrize("name, length", [("octagon", 150.0), ("mtorus", 80.0),
@@ -685,8 +722,10 @@ def test_geodesic_distance_incomparable_components():
     p2 = two_sided_trace(s, state("b", 3.5, 0.5, 1, 0), 3.0)
     with pytest.raises(IncomparableTraces):
         geodesic_distance(s, p1, p2, window=2.0)
+    grid = tracer._DistanceGrid(s, p1, 2.0)
+    (first,) = grid.first_rings([(p2, 0.0)])
     with pytest.raises(IncomparableTraces):
-        tracer._DistanceGrid(s, p1, 2.0).partial(p2, 0.0, 0.1)
+        next(grid.ring_bounds(p2, 0.0, first))
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0])
