@@ -210,7 +210,7 @@ def cmd_trace(args) -> int:
         _write_csv(args.csv, ["arclength", "chart", "x", "y", "m_of_T"], rows)
         _say(args, f"wrote {args.csv}")
     if args.svg:
-        write_trace_svg(surface, result, args.svg)
+        write_trace_svg(surface, result, dev, args.svg)
         _say(args, f"wrote {args.svg}")
     if args.json:
         _print_json({

@@ -8,7 +8,7 @@ segment, up to numerical residue, whenever the trace is a geodesic).
 from __future__ import annotations
 
 from .surface import ConeSurface
-from .tracer import TraceResult, develop
+from .tracer import DevelopedPath, TraceResult
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n<!-- conesurf developed-trace rendering -->\n'
 
@@ -17,16 +17,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
-def trace_svg(surface: ConeSurface, trace_result: TraceResult, *,
+def trace_svg(surface: ConeSurface, trace_result: TraceResult, dev: DevelopedPath, *,
               width: float = 800.0, margin: float = 20.0) -> str:
-    """Render a trace as an SVG document string.
+    """Render a trace and its development ``dev`` as an SVG document string.
 
     Chart copies visited by the trajectory are drawn in outline in the
     developed (starting-chart) frame; the developed trajectory is drawn on
     top.  The viewport auto-fits all geometry with a fixed margin.
     """
-    dev = develop(trace_result)
-
     outlines: list[list[tuple[float, float]]] = []
     seen: set = set()
     for (chart, _, _), iso in zip(trace_result.segments, dev.isometries):
@@ -67,6 +65,7 @@ def trace_svg(surface: ConeSurface, trace_result: TraceResult, *,
     return "".join(parts)
 
 
-def write_trace_svg(surface: ConeSurface, trace_result: TraceResult, path, **kwargs) -> None:
+def write_trace_svg(surface: ConeSurface, trace_result: TraceResult, dev: DevelopedPath,
+                    path, **kwargs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_svg(surface, trace_result, **kwargs))
+        fh.write(trace_svg(surface, trace_result, dev, **kwargs))

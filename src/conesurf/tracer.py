@@ -9,7 +9,8 @@ passed straight through using the class's angular coordinate system.
 The module also provides the developing map for a traced path (the unfolded
 straight segment), closed-form self-intersection parameters for passage near a
 small cone point, distance-to-singularities telemetry, and the exponentially
-weighted compact-open distance between two traced paths.
+weighted compact-open distance between two traced paths, whose per-sample
+kernel rotates the samples once per rotation class of chart copies.
 
 Path protocol. Every path that ``geodesic_distance`` compares -- a
 ``TraceResult``, a ``TwoSidedPath`` here, a ``PeriodicPath`` or ``ChainPath``
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+_rotation_bits = struct.Struct("2d").pack   # a bitwise key: 0.0 and -0.0 differ
 
 from .errors import (
     AngleOutOfRange,
@@ -751,19 +754,35 @@ def _sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.ndarray,
     """Per sample, the min over the aligned copies of the second chart of
     |xy1 - iso(xy2)|, capped; the cap (inf for no cap) where the two charts
     have no alignment. Samples are grouped by chart pair, and each sample's
-    value depends on that sample alone."""
-    names = surface.chart_names
-    keys, group = np.unique(k1 * len(names) + k2, return_inverse=True)
+    value depends on that sample alone. A pair's copies are grouped by the
+    bits of their rotation (c, s), and each class rotates the samples once.
+    Exact: rx = c*x2 - s*y2, then ``rx + tx``, are ``iso.apply``'s own
+    operations in their order, and ``np.minimum`` returns one of its
+    operands, so the order of copies does not matter. Torus gluings are
+    translations, one class; the octagon's 41 copies are 41 classes, which
+    save only the reused buffers (they also keep fewer temporaries alive)."""
+    names, n = surface.chart_names, len(surface.chart_names)
+    keys, group = ([0], None) if n == 1 else np.unique(k1 * n + k2, return_inverse=True)
     dists = np.empty(len(k1))
     for j, key in enumerate(keys):
         sel = slice(None) if len(keys) == 1 else group == j
-        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)])
+        isos = surface.alignment_isos(names[key // n], names[key % n])
         x1, y1, x2, y2 = xy1[sel, 0], xy1[sel, 1], xy2[sel, 0], xy2[sel, 1]
         best = np.full(len(x1), np.inf if isos else cap)
+        qx, qy = np.empty(len(x1)), np.empty(len(x1))
+        classes = {}
         for iso in isos:
-            qx = iso.c * x2 - iso.s * y2 + iso.tx
-            qy = iso.s * x2 + iso.c * y2 + iso.ty
-            np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
+            classes.setdefault(_rotation_bits(iso.c, iso.s), []).append(iso)
+        for copies in classes.values():
+            c, s = copies[0].c, copies[0].s
+            rx = np.multiply(x2, c)
+            rx -= np.multiply(y2, s, out=qx)
+            ry = np.multiply(x2, s)
+            ry += np.multiply(y2, c, out=qx)
+            for iso in copies:
+                np.subtract(x1, np.add(rx, iso.tx, out=qx), out=qx)
+                np.subtract(y1, np.add(ry, iso.ty, out=qy), out=qy)
+                np.minimum(best, np.hypot(qx, qy, out=qx), out=best)
         dists[sel] = np.minimum(best, cap, out=best)
     return dists
 

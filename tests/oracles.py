@@ -25,7 +25,10 @@ with the package. ``reference_trace``, with its ``_ray_exit`` and
 per-crossing rewrite (the corner, event and m(T) helpers it calls are the
 package's), and ``reference_develop`` composes the developing map on plain
 floats: the references that the stepper and ``develop`` must equal bit for
-bit.
+bit. ``reference_sample_distances`` is the compact-open distance's
+per-sample kernel as it was before its copies were grouped by rotation: it
+maps the samples through every copy in full, the reference that the kernel
+must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -961,3 +964,25 @@ class WindowSweep:
         # corner order keeps ties between images of one point stable
         hits.sort(key=lambda h: h[1])
         return hits, [(e, part) for e, part in parts if e is not None]
+
+
+def reference_sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.ndarray,
+                               k2: np.ndarray, xy2: np.ndarray, cap: float) -> np.ndarray:
+    """Per sample, the min over the aligned copies of the second chart of
+    |xy1 - iso(xy2)|, capped; the cap (inf for no cap) where the two charts
+    have no alignment. Samples are grouped by chart pair, and each sample's
+    value depends on that sample alone."""
+    names = surface.chart_names
+    keys, group = np.unique(k1 * len(names) + k2, return_inverse=True)
+    dists = np.empty(len(k1))
+    for j, key in enumerate(keys):
+        sel = slice(None) if len(keys) == 1 else group == j
+        isos = surface.alignment_isos(names[key // len(names)], names[key % len(names)])
+        x1, y1, x2, y2 = xy1[sel, 0], xy1[sel, 1], xy2[sel, 0], xy2[sel, 1]
+        best = np.full(len(x1), np.inf if isos else cap)
+        for iso in isos:
+            qx = iso.c * x2 - iso.s * y2 + iso.tx
+            qy = iso.s * x2 + iso.c * y2 + iso.ty
+            np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
+        dists[sel] = np.minimum(best, cap, out=best)
+    return dists

@@ -1,0 +1,47 @@
+"""The summary of scripts/bench_pairs.py, on canned benchmark result lines."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "norm_wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "rate", "unit": "1/s", "better": "higher"}]
+
+
+def result_line(wall: float, rate: float) -> str:
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                       "metrics": {"norm_wall_s": {"value": wall, "unit": "s"},
+                                   "rate": {"value": rate, "unit": "1/s"}}})
+
+
+def test_summary_lists_pairs_medians_quartiles_and_wins():
+    pairs = [(171, result_line(0.80, 10.0), result_line(0.75, 11.0)),
+             (172, result_line(0.82, 10.0), result_line(0.76, 9.0)),
+             (173, result_line(0.84, 12.0), result_line(0.84, 12.5)),
+             (174, result_line(0.86, 11.0), result_line(0.70, 11.0)),
+             (175, result_line(0.90, 10.0), result_line(0.78, 10.5))]
+    lines = bench_pairs.summarize(METRICS, pairs)
+    wall = lines[:lines.index("rate (1/s, higher is better)")]
+    assert wall[0] == "norm_wall_s (s, lower is better)"
+    assert wall[2].split() == ["1", "171", "0.8", "0.75"]
+    assert wall[6].split() == ["5", "175", "0.9", "0.78"]
+    assert wall[7] == "  parent: median 0.84, quartiles 0.82 .. 0.86"
+    assert wall[8] == "  change: median 0.76, quartiles 0.75 .. 0.78"
+    # the tie at seed 173 is not a win
+    assert wall[9] == "  change won 4 of 5 pairs"
+    assert lines[-1] == "  change won 3 of 5 pairs"
+
+
+def test_summary_of_one_pair():
+    lines = bench_pairs.summarize(METRICS[:1], [(1, result_line(1.0, 0.0),
+                                                 result_line(1.5, 0.0))])
+    assert lines[-3:] == ["  parent: median 1, quartiles 1 .. 1",
+                          "  change: median 1.5, quartiles 1.5 .. 1.5",
+                          "  change won 0 of 1 pairs"]

@@ -8,6 +8,9 @@ import pathlib
 
 import pytest
 
+import conesurf.cli
+import conesurf.svgout
+from conesurf import tracer
 from conesurf.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -130,6 +133,23 @@ def test_trace_csv_and_svg(tmp_path, capsys):
     assert "polyline" in svg
     out = capsys.readouterr().out
     assert "MaxLengthReached" in out
+
+
+def test_trace_svg_develops_once(tmp_path, monkeypatch):
+    # the report and the SVG share one development of the trace
+    calls = []
+
+    def counting_develop(result):
+        calls.append(result)
+        return tracer.develop(result)
+
+    for module in (conesurf.cli, conesurf.svgout):
+        monkeypatch.setattr(module, "develop", counting_develop, raising=False)
+    assert run(["--quiet", "trace", "--surface", OCTAGON, "--chart", "oct", "--x", "0",
+                "--y", "0", "--dx", "1", "--dy", "0.3", "--max-length", "20",
+                "--svg", str(tmp_path / "t.svg")]) == 0
+    assert len(calls) == 1
+    assert "polyline" in (tmp_path / "t.svg").read_text()
 
 
 # --------------------------------------------------------------------------

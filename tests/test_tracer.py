@@ -8,6 +8,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -726,6 +727,39 @@ def test_geodesic_distance_incomparable_components():
     (first,) = grid.first_rings([(p2, 0.0)])
     with pytest.raises(IncomparableTraces):
         next(grid.ring_bounds(p2, 0.0, first))
+
+
+@pytest.mark.parametrize("name, copies, classes", [
+    ("mtorus", 13, 1), ("octagon", 41, 41), ("pcase", 26, 13), ("triple_cover", 102, 51)])
+def test_sample_distances_equal_the_reference_kernel(name, copies, classes, request):
+    # Bit patterns, not values: random samples over every chart pair (six of
+    # the cover's 36 pairs have no alignment), the samples of one pair and of
+    # the unaligned pairs, and a sample equal to its partner (distance 0),
+    # with no cap, the diameter bound and a cap below most distances.
+    surface = request.getfixturevalue(name)
+    names = surface.chart_names
+    isos = [(a, b, iso) for a in names for b in names for iso in surface.alignment_isos(a, b)]
+    assert len(isos) == copies
+    assert len({(a, b, tracer._rotation_bits(iso.c, iso.s)) for a, b, iso in isos}) == classes
+    rng = random.Random(20261019)
+    starts = [_random_start(surface, rng) for _ in range(1200)]
+    codes = np.array([surface.chart_index[s.chart] for s in starts], dtype=np.int64)
+    xy = np.array([s.point for s in starts])
+    k1, xy1, k2, xy2 = codes[:600], xy[:600], codes[600:], xy[600:]
+    k2[0], xy2[0] = k1[0], xy1[0]
+    pair = k1 * len(names) + k2
+    unaligned = np.array([not surface.alignment_isos(names[k // len(names)],
+                                                     names[k % len(names)]) for k in pair])
+    assert unaligned.any() == (name == "triple_cover")
+    diameter = sum(g.diameter for g in surface.geometry.values())
+    for cap in (math.inf, diameter, 0.3):
+        for sel in (slice(None), pair == pair[0], unaligned):
+            args = (surface, k1[sel], xy1[sel], k2[sel], xy2[sel], cap)
+            want = oracles.reference_sample_distances(*args)
+            got = tracer._sample_distances(*args)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (got == cap).all()   # the unaligned samples, the last block
+    assert tracer._sample_distances(surface, k1, xy1, k2, xy2, math.inf)[0] == 0.0
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0])
