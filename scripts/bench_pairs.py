@@ -3,12 +3,16 @@
 
     python3 scripts/bench_pairs.py --rev HEAD~1 --workload density_golden \\
         --pairs 10 --seconds 35 --seed 1
+    python3 scripts/bench_pairs.py --rev HEAD~1 --workload all
 
 Exports ``--rev`` with ``git archive`` into a temporary directory, copies
 this checkout's files (tracked and untracked, not ignored) next to it, and
 runs ``python3 perfbench/run.py --trace 0`` in both trees, one pair per seed
 (``--seed``, ``--seed`` + 1, ...), both sides with the pair's seed, for
-``--seconds`` (by default BENCHMARK.json's ``run_seconds``).
+``--seconds`` (by default BENCHMARK.json's ``run_seconds``). ``--workload``
+may be repeated, or be ``all`` for every workload of BENCHMARK.json; the
+workloads run one after another, each with the same seeds, and each gets
+its own summary.
 Even pairs run the parent first and odd pairs the change first, so a drift
 of the machine's speed favours neither side. For each end-to-end metric of
 this checkout's BENCHMARK.json it prints every pair's values, each side's
@@ -99,32 +103,47 @@ def copy_checkout(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def main(argv=None) -> int:
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """The command line, with ``workload`` a list of names from ``workloads``
+    in the order given, each once; ``all`` stands for every one."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", required=True, help="the parent revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload of BENCHMARK.json, or 'all'; may be repeated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.workload) - set(workloads) - {"all"})
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; choose from "
+                     f"{', '.join(workloads)} or all")
+    args.workload = workloads if "all" in args.workload else list(dict.fromkeys(args.workload))
+    return args
+
+
+def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
     seconds = args.seconds or float(spec["run_seconds"])
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent, change, cache = (Path(tmp) / d for d in ("parent", "change", "pycache"))
         export(args.rev, parent)
         copy_checkout(change)
         env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = [("parent", parent), ("change", change)]
-            got = {side: run_once(tree, args.workload, seed, seconds, env)
-                   for side, tree in (order if i % 2 == 0 else order[::-1])}
-            pairs.append((seed, got["parent"], got["change"]))
-            print(f"# pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-    print(f"{args.workload}: {args.rev} (parent) against the checkout (change), "
-          f"{args.pairs} pairs of {seconds:g} s runs")
-    print("\n".join(summarize(spec["end_to_end"], pairs)))
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = [("parent", parent), ("change", change)]
+                got = {side: run_once(tree, workload, seed, seconds, env)
+                       for side, tree in (order if i % 2 == 0 else order[::-1])}
+                pairs.append((seed, got["parent"], got["change"]))
+                print(f"# {workload}: pair {i + 1}/{args.pairs} (seed {seed}) done",
+                      file=sys.stderr)
+            print(f"{workload}: {args.rev} (parent) against the checkout (change), "
+                  f"{args.pairs} pairs of {seconds:g} s runs")
+            print("\n".join(summarize(spec["end_to_end"], pairs)), flush=True)
     return 0
 
 

@@ -198,7 +198,7 @@ def cmd_trace(args) -> int:
     _say(args, f"termination {result.termination} at arclength {result.total_length:.12g}")
     _say(args, f"end state: chart {result.end_state.chart} point "
                f"({result.end_state.point[0]:.12g}, {result.end_state.point[1]:.12g})")
-    _say(args, f"events: {len(result.events)}; collinearity residual "
+    _say(args, f"events: {len(result.event_records)}; collinearity residual "
                f"{dev.collinearity_residual:.3e}/unit; m(T) = {m_final:.12g}")
     if args.csv:
         rows = [(0.0, result.start.chart, result.start.point[0], result.start.point[1],

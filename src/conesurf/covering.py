@@ -257,9 +257,8 @@ def lift_trace(cover: ConeSurface, base_trace: TraceResult, start_sheet: int = 1
     lifted = trace(cover, lifted_start, length, options=PLAIN_TRACE_OPTIONS)
 
     if lifted.termination == EVENT_CONE_HIT and base_trace.termination != EVENT_CONE_HIT:
-        detail = lifted.events[-1].detail
         raise BranchPointOnPath(
-            f"the trajectory meets branched class {detail.get('vertex_class')} at "
+            f"the trajectory meets branched class {lifted.last_event.detail['vertex_class']} at "
             f"arclength {lifted.total_length:.9g}; its lift is ambiguous there")
     if abs(lifted.total_length - length) > cover.tolerances.tau_len * (len(lifted.segments) + 1):
         raise TraceNumericalError(
@@ -292,18 +291,14 @@ def project_trace(cover_trace: TraceResult) -> TraceResult:
     remain the cover's own class names.
     """
     segments = [(split_sheet(c)[0], a, b) for c, a, b in cover_trace.segments]
-    events = []
-    for ev in cover_trace.events:
-        detail = dict(ev.detail)
-        for key in ("chart", "from_chart", "to_chart"):
-            if key in detail:
-                detail[key] = split_sheet(detail[key])[0]
-        events.append(type(ev)(ev.kind, ev.arclength, detail))
+    events = [type(ev)(ev.kind, ev.arclength, {
+        k: split_sheet(v)[0] if k in ("chart", "from_chart", "to_chart") else v
+        for k, v in ev.detail.items()}) for ev in cover_trace.events]
     return TraceResult(
         start=_strip_state(cover_trace.start),
         segments=segments,
         transitions=list(cover_trace.transitions),
-        events=events,
+        event_records=events,
         total_length=cover_trace.total_length,
         end_state=_strip_state(cover_trace.end_state),
         termination=cover_trace.termination,

@@ -82,7 +82,7 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
         return None
     if abs(tr.total_length - length) > slack:
         return None
-    end_cls = tr.events[-1].detail["vertex_class"]
+    end_cls = tr.last_event.detail["vertex_class"]
     if expected_end is not None and end_cls != expected_end:
         return None
     return SaddleConnection(
@@ -167,7 +167,7 @@ def direction_spectrum(surface: ConeSurface, L: float) -> DirectionSpectrum:
 
 def _junction(surface: ConeSurface, prev: SaddleConnection, nxt: SaddleConnection) -> dict:
     vc = surface.vertex_class(prev.end)
-    hit = prev.pieces[-1].events[-1]
+    hit = prev.pieces[-1].last_event
     if hit.kind != EVENT_CONE_HIT:
         raise EndpointMismatch("link does not terminate at a cone point")
     corner = (hit.detail["chart"], hit.detail["vertex"])

@@ -9,8 +9,7 @@ passed straight through using the class's angular coordinate system.
 The module also provides the developing map for a traced path (the unfolded
 straight segment), closed-form self-intersection parameters for passage near a
 small cone point, distance-to-singularities telemetry, and the exponentially
-weighted compact-open distance between two traced paths, whose per-sample
-kernel rotates the samples once per rotation class of chart copies.
+weighted compact-open distance between two traced paths.
 
 Path protocol. Every path that ``geodesic_distance`` compares -- a
 ``TraceResult``, a ``TwoSidedPath`` here, a ``PeriodicPath`` or ``ChainPath``
@@ -28,6 +27,7 @@ import bisect
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class TraceResult:
     start: GeodesicState
     segments: list            # (chart_id, (x0, y0), (x1, y1))
     transitions: list         # per boundary: Isometry mapping next chart -> previous chart frame
-    events: list
+    event_records: list       # events in order; a crossing is (s, chart, edge, nb) until read
     total_length: float
     end_state: GeodesicState
     termination: str
@@ -134,6 +134,18 @@ class TraceResult:
     _p0: np.ndarray | None = field(default=None, repr=False)
     _dirs: np.ndarray | None = field(default=None, repr=False)
     _chart_codes: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        """The events in order of arclength, crossings built on first read."""
+        self.event_records[:] = [_edge_cross_event(*r) if type(r) is tuple else r
+                                 for r in self.event_records]
+        return self.event_records
+
+    @property
+    def last_event(self) -> TraceEvent:
+        """``events[-1]`` without the crossings: a trace ends with its terminal event."""
+        return self.event_records[-1]
 
     def param_range(self) -> tuple[float, float]:
         return (0.0, self.total_length)
@@ -459,18 +471,10 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
 
     Stops at singular cone hits (unless the class is marked and
     ``options.stop_on_cone`` is false), at ``max_length``, or -- when
-    ``options.stop_on_recurrence`` -- at the first detected state recurrence.
-
-    A recurrence is a chart crossing whose point and direction each lie
-    within ``tau_rec`` per component of an earlier crossing's in the same
-    chart, more than 1e-9 of arclength later; the earliest such crossing is
-    matched, and ``recurrence`` reports {period, detected_at, matched_at}.
-    Events are appended in order of arclength, the recurrence's at
-    ``detected_at``. Each check probes one cell of a hash of crossing points
-    (``_CrossingIndex``), so detection keeps the trace linear in its
-    crossings. The loop reads chart corners and edges as plain floats from
-    ``scalar_edges``. The m(T) series is built from the recorded segments
-    after the loop (``_min_distance_series``).
+    ``options.stop_on_recurrence`` -- at the first state recurrence
+    (``TraceOptions``; ``recurrence`` holds {period, detected_at, matched_at}).
+    Events are in order of arclength, the recurrence's at ``detected_at``; an
+    edge crossing is kept as a record until ``events`` is read.
     """
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
@@ -493,7 +497,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     geometry, edge_lookup = surface.geometry, surface.edge_lookup
     segments: list = []
     transitions: list = []
-    events: list[TraceEvent] = []
+    events: list = []               # TraceEvents and crossing records
     records = [] if options.record_min_distance else None  # m(T) input, per segment
     crossings = _CrossingIndex(tol.tau_rec)
     recurrence = None
@@ -524,7 +528,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 hops += 1
                 nb = edge_lookup[(cid, oe)]
                 segments.append((cid, p, p))
-                events.append(_edge_cross_event(s, cid, oe, nb))
+                events.append((s, cid, oe, nb))
                 transitions.append(nb.inv)
                 cid, p, d = nb.chart, nb.iso.apply(p), nb.iso.rotate(d)
                 continue
@@ -589,7 +593,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             # the neighbour's iso applied to x and rotating d, written out
             # with the operations of Isometry.apply and Isometry.rotate
             nb = edge_lookup[(cid, edge)]
-            events.append(_edge_cross_event(s, cid, edge, nb))
+            events.append((s, cid, edge, nb))
             transitions.append(nb.inv)
             iso = nb.iso
             c, sn = iso.c, iso.s
@@ -617,7 +621,7 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
             (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
-        events=events, total_length=s, end_state=end_state,
+        event_records=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence,
         min_distance_series=series,
         chart_index=surface.chart_index)

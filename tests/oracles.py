@@ -658,7 +658,7 @@ def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: floa
             (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
-        events=events, total_length=s, end_state=end_state,
+        event_records=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence,
         min_distance_series=series,
         chart_index=surface.chart_index)

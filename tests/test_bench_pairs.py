@@ -1,10 +1,13 @@
-"""The summary of scripts/bench_pairs.py, on canned benchmark result lines."""
+"""The command line of scripts/bench_pairs.py, and its summary on canned
+benchmark result lines."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -45,3 +48,27 @@ def test_summary_of_one_pair():
     assert lines[-3:] == ["  parent: median 1, quartiles 1 .. 1",
                           "  change: median 1.5, quartiles 1.5 .. 1.5",
                           "  change won 0 of 1 pairs"]
+
+
+WORKLOADS = ["trace_long", "density_golden", "covers_cylinders"]
+
+
+def test_workload_flag_repeats_in_order_each_once():
+    args = bench_pairs.parse_args(["--rev", "HEAD~1", "--workload", "covers_cylinders",
+                                   "--workload", "trace_long", "--workload",
+                                   "covers_cylinders"], WORKLOADS)
+    assert args.workload == ["covers_cylinders", "trace_long"]
+    assert (args.rev, args.pairs, args.seconds, args.seed) == ("HEAD~1", 10, None, 1)
+
+
+def test_workload_all_is_every_workload():
+    for argv in (["--workload", "all"], ["--workload", "trace_long", "--workload", "all"]):
+        assert bench_pairs.parse_args(["--rev", "x", *argv], WORKLOADS).workload == WORKLOADS
+
+
+@pytest.mark.parametrize("argv", [["--rev", "x"], ["--rev", "x", "--workload", "trace"]])
+def test_missing_or_unknown_workload_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(argv, WORKLOADS)
+    assert exc.value.code == 2
+    assert "workload" in capsys.readouterr().err

@@ -27,7 +27,7 @@ from conesurf import (
     trace,
     two_sided_trace,
 )
-from conesurf import tracer
+from conesurf import covering, cylinders, saddles, tracer
 from conesurf.config import DEFAULT_TOLERANCES, load_tolerance_overrides
 from conesurf.corpus import UNIT_SQUARE, marked_torus, regular_octagon
 from conesurf.errors import (
@@ -552,6 +552,83 @@ def test_stepper_matches_reference_stepper(name, length, request):
     assert len(starts) == 52
     assert {"MaxLengthReached", "SelfRecurrence"} <= seen
     assert ("ConeHit" in seen) == bool(surface.singular_classes)
+
+
+def test_certification_traces_build_no_crossing_events(mtorus, pcase, triple_cover,
+                                                      monkeypatch):
+    # trace_connection, _recurrence, _one_period and lift_trace read at most the
+    # terminal event, so none of their traces builds an EdgeCross event; a later
+    # read of events builds them, equal to the reference stepper's
+    built = []
+    build_event = tracer._edge_cross_event
+    monkeypatch.setattr(tracer, "_edge_cross_event",
+                        lambda *record: built.append(record) or build_event(*record))
+    calls = []
+
+    def recorded_trace(*args, **kwargs):
+        calls.append((args, kwargs, trace(*args, **kwargs)))
+        return calls[-1][2]
+
+    for module in (saddles, cylinders, covering):
+        monkeypatch.setattr(module, "trace", recorded_trace)
+    assert saddles.trace_connection(mtorus, ("sq", 0), (2.0, 1.0), math.sqrt(5.0))
+    assert cylinders._recurrence(mtorus, state("sq", 0.3, 0.2, 2, 1), 10.0)
+    assert cylinders._one_period(mtorus, state("sq", 0.3, 0.2, 2, 1), math.sqrt(5.0))
+    covering.lift_trace(triple_cover, trace(pcase, state("front", 0.4, 0.3, 1, 0.377), 3.0))
+    assert len(calls) == 4 and built == []
+    crossings = 0
+    for args, kwargs, got in calls:
+        want = oracles.reference_trace(*args, **kwargs)
+        assert ([(e.kind, e.arclength, e.detail) for e in got.events]
+                == [(e.kind, e.arclength, e.detail) for e in want.events])
+        crossings += sum(e.kind == "EdgeCross" for e in got.events)
+    assert crossings > 0 and len(built) == crossings
+
+
+@pytest.mark.parametrize("name, length", REFERENCE_CORPUS)
+def test_last_event_is_the_last_of_the_events(name, length, request):
+    # last_event, read before events, equals events[-1] for every termination,
+    # and a second read of events gives the same list
+    surface = request.getfixturevalue(name)
+    seen = set()
+    for start in _reference_starts(surface, name):
+        for options in REFERENCE_OPTIONS:
+            res = trace(surface, start, length, options=options)
+            last = res.last_event
+            events = list(res.events)
+            assert last == events[-1] and last.kind == res.termination
+            assert res.events == events
+            seen.add(last.kind)
+    assert {"MaxLengthReached", "SelfRecurrence"} <= seen
+    assert ("ConeHit" in seen) == bool(surface.singular_classes)
+
+
+@pytest.mark.parametrize("name, direction, length, kind", [
+    ("torus", (1.0, 0.3), 0.1, "MaxLengthReached"),
+    ("mtorus", (1.0, 0.5), 2.0, "ConeHit")])
+def test_last_event_right_after_a_zero_length_hop(name, direction, length, kind, request):
+    # from the right edge pointing out, the trace hops to the left edge and ends
+    # in its next segment: at max_length, or at the corner (1, 1)
+    res = trace(request.getfixturevalue(name), state("sq", 1.0, 0.5, *direction), length)
+    last = res.last_event
+    assert res.segments[0] == ("sq", (1.0, 0.5), (1.0, 0.5))
+    assert [e.kind for e in res.events] == ["EdgeCross", kind]
+    assert last == res.events[-1] and res.events[0].arclength == 0.0
+
+
+def test_projected_events_are_the_reference_events_without_sheets(triple_cover):
+    # project_trace strips '@sheet' from the chart keys of the cover trace's
+    # events; every other key, kind and arclength is the reference stepper's
+    for start in _reference_starts(triple_cover, "triple_cover"):
+        got = covering.project_trace(trace(triple_cover, start, 25.0)).events
+        want = []
+        for e in oracles.reference_trace(triple_cover, start, 25.0).events:
+            detail = dict(e.detail)
+            for key in ("chart", "from_chart", "to_chart"):
+                if key in detail:
+                    detail[key] = covering.split_sheet(detail[key])[0]
+            want.append((e.kind, e.arclength, detail))
+        assert [(e.kind, e.arclength, e.detail) for e in got] == want
 
 
 @pytest.mark.parametrize("name, length", REFERENCE_CORPUS)
