@@ -4,6 +4,7 @@
     python3 scripts/bench_pairs.py --rev HEAD~1 --workload density_golden \\
         --pairs 10 --seconds 35 --seed 1
     python3 scripts/bench_pairs.py --rev HEAD~1 --workload all
+    python3 scripts/bench_pairs.py --rev HEAD~1 --workload all --counts --seconds 5
 
 Exports ``--rev`` with ``git archive`` into a temporary directory, copies
 this checkout's files (tracked and untracked, not ignored) next to it, and
@@ -24,6 +25,12 @@ left in a checkout's ``__pycache__`` cannot make its imports, set-up time
 and memory look smaller than those of a fresh checkout. The copy is there
 because a working checkout itself read ``peak_rss_mb`` 0.2 to 0.4 MB higher
 than a fresh copy of the same files, for reasons not found.
+
+With ``--counts`` it makes no pairs: it runs ``perfbench/run.py --trace 1``
+once in each tree at ``--seed``, and prints every per-layer metric of
+BENCHMARK.json in unit ``count`` for both sides, marking with ``*`` those
+that differ. The counts are work counters, the same in every pass, so one
+short run per side gives them.
 """
 
 from __future__ import annotations
@@ -74,10 +81,29 @@ def summarize(metrics: list[dict], pairs: list[tuple[int, str, str]]) -> list[st
     return lines
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> str:
+def count_lines(metrics: list[dict], parent: str, change: str) -> list[str]:
+    """The report lines of ``--counts`` for the parent's and the change's
+    result lines of ``perfbench/run.py --trace 1``, where ``metrics`` are
+    BENCHMARK.json's ``per_layer`` entries; only those in unit ``count`` are
+    listed."""
+    a, b = json.loads(parent)["metrics"], json.loads(change)["metrics"]
+    names = [m["name"] for m in metrics if m["unit"] == "count"]
+    width = max(map(len, names), default=0)
+    lines = [f"  {'count':{width}}  {'parent':>10}  {'change':>10}"]
+    differ = 0
+    for name in names:
+        x, y = a[name]["value"], b[name]["value"]
+        differ += x != y
+        lines.append(f"  {name:{width}}  {x:>10}  {y:>10}" + ("  *" if x != y else ""))
+    lines.append(f"  {differ} of {len(names)} counts differ (marked *)")
+    return lines
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict,
+             trace: int = 0) -> str:
     """One benchmark run in ``tree``: its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines or not json.loads(lines[-1])["correct"]:
@@ -113,6 +139,8 @@ def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    parser.add_argument("--counts", action="store_true",
+                        help="compare the per-layer counts of one traced run per side")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.workload) - set(workloads) - {"all"})
     if unknown:
@@ -132,6 +160,13 @@ def main(argv=None) -> int:
         copy_checkout(change)
         env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"}
         for workload in args.workload:
+            if args.counts:
+                got = [run_once(tree, workload, args.seed, seconds, env, trace=1)
+                       for tree in (parent, change)]
+                print(f"{workload}: per-layer counts at seed {args.seed}, {args.rev} "
+                      "(parent) against the checkout (change)")
+                print("\n".join(count_lines(spec["per_layer"], *got)), flush=True)
+                continue
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i

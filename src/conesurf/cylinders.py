@@ -10,9 +10,9 @@ window sweep, on convex and non-convex charts, to the nearest singular
 images. Each boundary is a chain of
 saddle connections joining consecutive boundary witnesses: the sweep records
 the corner and chart copy of every witness, so each connection is one trace
-from its starting witness. The density experiment approximates a target
-geodesic by closed geodesics and closed saddle-connection chains of bounded
-length.
+from its starting witness, made when ``Cylinder.bounding`` is first read. The
+density experiment approximates a target geodesic by closed geodesics and
+closed saddle-connection chains of bounded length.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +112,19 @@ class Cylinder:
     width_left: float | None = None   # math.inf when unbounded on that side
     width_right: float | None = None
     witnesses: dict = field(default_factory=dict)          # side -> [StripWitness]
-    bounding: dict = field(default_factory=dict)           # side -> [SaddleConnection]
+    surface: ConeSurface | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def bounding(self) -> dict:
+        """side -> [SaddleConnection]: the saddle connections joining each
+        side's consecutive witnesses, traced on first read. A pair that does
+        not certify raises TraceNumericalError on that read, and the next
+        read traces again."""
+        if self.surface is None and any(self.witnesses.values()):
+            raise DomainError("a Cylinder with witnesses needs surface= to trace its bounding")
+        return {side: _boundary_saddles(self.surface, self.witnesses[side],
+                                        self.circumference, sign)
+                for side, sign in (("left", 1.0), ("right", -1.0)) if side in self.witnesses}
 
     @property
     def unbounded(self) -> bool:
@@ -289,20 +302,25 @@ def _one_period(surface: ConeSurface, state: GeodesicState,
 def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
                          max_circumference: float | None = None) -> Cylinder | None:
     """Search for a closed regular geodesic in a given direction, with its
-    strip widths, boundary witnesses and bounding saddle connections.
+    strip widths and boundary witnesses; its bounding saddle connections are
+    traced from the witnesses when ``Cylinder.bounding`` is first read.
 
-    Traces from the start point (default: a point inside the first chart)
-    until self-recurrence, then certifies one period by re-tracing it from
-    the matched state, which becomes the core's start; ``closure_error`` is
-    the gap between that state and the re-trace's end. When the
-    launch runs into a cone point, retries from points moved perpendicular to
-    the direction, each built only when the launch before it failed, so an
-    offset trace that raises an error other than DomainError raises only when
-    its launch is needed. Returns None when nothing closes within the
-    circumference bound.
+    The circumference bound must be positive and finite, or DomainError is
+    raised before any trace. Traces from the start point (default: a point
+    inside the first chart) until self-recurrence, then certifies one period
+    by re-tracing it from the matched state, which becomes the core's start;
+    ``closure_error`` is the gap between that state and the re-trace's end.
+    When the launch runs into a cone point, retries from points moved
+    perpendicular to the direction, each built only when the launch before it
+    failed, so an offset trace that raises an error other than DomainError
+    raises only when its launch is needed. Returns None when nothing closes
+    within the circumference bound.
     """
     if max_circumference is None:
         max_circumference = 128.0 * surface.max_diameter
+    if not (math.isfinite(max_circumference) and max_circumference > 0.0):
+        raise DomainError(
+            f"max_circumference must be positive and finite, got {max_circumference}")
     if start is None:
         cid = min(surface.charts)
         start = (cid, interior_point(surface.charts[cid]))
@@ -323,11 +341,8 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
             continue
         core, gap = closed
         cyl = Cylinder(core=core, circumference=core.total_length, start=matched,
-                       direction=matched.direction, closure_error=gap)
+                       direction=matched.direction, closure_error=gap, surface=surface)
         cyl.width_left, cyl.width_right, cyl.witnesses = strip_width(surface, cyl.core)
-        cyl.bounding = {
-            side: _boundary_saddles(surface, cyl.witnesses[side], cyl.circumference, sign)
-            for side, sign in (("left", 1.0), ("right", -1.0))}
         return cyl
     return None
 

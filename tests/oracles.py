@@ -12,9 +12,10 @@ the reference for the density experiment's vectorized chain anchors.
 ``min_distance_series`` and ``min_singular_distance_up_to`` call the package's
 distance kernel on every segment, one call each, as the reference for the
 tracer's vectorized pass over the segments. ``find_closed_geodesic_eager``
-builds every offset launch state before the first launch, with the package's
-closing, width and boundary steps, as the reference for the search that builds
-them on demand. ``density_cores_three_traces`` closes each density direction
+builds every offset launch state before the first launch and traces the
+bounding saddles within the search, with the package's closing, width and
+boundary steps, as the reference for the search that builds launch states on
+demand and bounding saddles on first read. ``density_cores_three_traces`` closes each density direction
 with the package's tracer in three traces (recurrence, a re-trace from the
 matched state, a re-trace from the target's point), as the reference for the
 two that the density experiment makes. ``WindowSweep`` is the window sweep
@@ -733,8 +734,8 @@ def min_singular_distance_up_to(surface, trace_result, T: float) -> float:
 
 def find_closed_geodesic_eager(surface, direction, start=None, max_circumference=None):
     """``find_closed_geodesic`` with all offset launch states built before the
-    first launch is tried, through the package's closing, width and boundary
-    steps."""
+    first launch is tried and the bounding saddles traced before it returns,
+    through the package's closing, width and boundary steps."""
     from conesurf.cylinders import (_JIGGLE_FRACTIONS, Cylinder, _boundary_saddles,
                                     _one_period, _recurrence, offset_state, strip_width)
     from conesurf.geometry import interior_point, normalize

@@ -50,6 +50,42 @@ def test_summary_of_one_pair():
                           "  change won 0 of 1 pairs"]
 
 
+def traced_line(counts: dict, self_s: float) -> str:
+    metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+    metrics["tracer.trace.plain.self_s"] = {"value": self_s, "unit": "s"}
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+
+
+def test_counts_list_both_sides_and_mark_the_ones_that_differ():
+    layer = [{"name": "tracer.trace.plain.calls", "unit": "count", "better": "lower"},
+             {"name": "tracer.trace.plain.self_s", "unit": "s", "better": "lower"},
+             {"name": "saddles.trace_connection.calls", "unit": "count", "better": "lower"},
+             {"name": "saddles.trace_connection.accept_ratio", "unit": "ratio",
+              "better": "higher"},
+             {"name": "tracer.develop.calls", "unit": "count", "better": "lower"}]
+    parent = traced_line({"tracer.trace.plain.calls": 1164,
+                          "saddles.trace_connection.calls": 856,
+                          "tracer.develop.calls": 188}, 0.07)
+    change = traced_line({"tracer.trace.plain.calls": 356,
+                          "saddles.trace_connection.calls": 48,
+                          "tracer.develop.calls": 188}, 0.02)
+    assert bench_pairs.count_lines(layer, parent, change) == [
+        "  count                               parent      change",
+        "  tracer.trace.plain.calls              1164         356  *",
+        "  saddles.trace_connection.calls         856          48  *",
+        "  tracer.develop.calls                   188         188",
+        "  2 of 3 counts differ (marked *)"]
+
+
+def test_counts_of_equal_runs_mark_nothing():
+    layer = [{"name": "tracer.develop.calls", "unit": "count", "better": "lower"}]
+    line = traced_line({"tracer.develop.calls": 0}, 0.0)
+    assert bench_pairs.count_lines(layer, line, line) == [
+        "  count                     parent      change",
+        "  tracer.develop.calls           0           0",
+        "  0 of 1 counts differ (marked *)"]
+
+
 WORKLOADS = ["trace_long", "density_golden", "covers_cylinders"]
 
 
@@ -59,6 +95,9 @@ def test_workload_flag_repeats_in_order_each_once():
                                    "covers_cylinders"], WORKLOADS)
     assert args.workload == ["covers_cylinders", "trace_long"]
     assert (args.rev, args.pairs, args.seconds, args.seed) == ("HEAD~1", 10, None, 1)
+    assert not args.counts
+    assert bench_pairs.parse_args(["--rev", "x", "--workload", "all", "--counts"],
+                                  WORKLOADS).counts
 
 
 def test_workload_all_is_every_workload():

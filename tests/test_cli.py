@@ -13,6 +13,8 @@ import conesurf.svgout
 from conesurf import tracer
 from conesurf.cli import run
 
+import oracles
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SURFACES = ROOT / "surfaces"
 TORUS = str(SURFACES / "flat_torus.json")
@@ -191,6 +193,18 @@ def test_cylinders_report_widths(tmp_path):
     assert data["found"] is True
     assert math.isclose(data["circumference"], math.sqrt(5.0), rel_tol=1e-12)
     assert math.isclose(data["d_L"] + data["d_R"], 1 / math.sqrt(5.0), abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("surface", [MARKED, OCTAGON])
+def test_cylinders_json_equals_the_eager_search(surface, monkeypatch, capsys):
+    # bounding saddles traced on first read print the bytes of those traced in the search
+    argv = ["--quiet", "--json", "cylinders", "--surface", surface, "--from-saddle", "3"]
+    assert run(argv) == 0
+    lazy = capsys.readouterr().out
+    monkeypatch.setattr(conesurf.cli, "find_closed_geodesic",
+                        lambda s, d, start: oracles.find_closed_geodesic_eager(s, d, start))
+    assert run(argv) == 0
+    assert '"bounding_saddles"' in lazy and capsys.readouterr().out == lazy
 
 
 def test_cylinders_requires_exactly_one_direction_source():

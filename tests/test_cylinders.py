@@ -38,7 +38,12 @@ from conesurf import (
 from conesurf import cylinders, tracer
 from conesurf.config import DEFAULT_TOLERANCES
 from conesurf.corpus import marked_torus, pillowcase, regular_octagon
-from conesurf.errors import DomainError, IncomparableTraces, UnfoldingBudgetExceeded
+from conesurf.errors import (
+    DomainError,
+    IncomparableTraces,
+    TraceNumericalError,
+    UnfoldingBudgetExceeded,
+)
 from conesurf.geometry import Isometry
 from conesurf.surface import FanPencil, WindowSweep
 
@@ -276,6 +281,63 @@ def test_launch_states_are_built_on_demand(mtorus, monkeypatch):
     assert len(calls) == 0
     assert find_closed_geodesic(mtorus, (1.0, 1.0)) is not None
     assert len(calls) == 1
+
+
+def _counting_trace_connection(monkeypatch, result=None):
+    """Patch a counter onto the boundary traces: the list of their calls. With
+    ``result`` given, each call returns it instead of tracing."""
+    calls = []
+    real = cylinders.trace_connection
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs) if result is None else result()
+
+    monkeypatch.setattr(cylinders, "trace_connection", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,direction", [("mtorus", (2.0, 1.0)), ("octagon", (1.0, 0.0)),
+                                            ("pcover", (1.0, 2.0))])
+def test_bounding_saddles_are_traced_on_first_read(request, monkeypatch, name, direction):
+    surface = request.getfixturevalue(name)
+    calls = _counting_trace_connection(monkeypatch)
+    cyl = find_closed_geodesic(surface, direction)
+    assert calls == []
+    bounding = cyl.bounding
+    witnesses = sum(len(ws) for ws in cyl.witnesses.values())
+    assert len(calls) == witnesses > 0
+    assert cyl.bounding is bounding and len(calls) == witnesses
+
+
+def test_uncertified_boundary_raises_on_first_read(mtorus, monkeypatch):
+    calls = _counting_trace_connection(monkeypatch, result=lambda: None)
+    cyl = find_closed_geodesic(mtorus, (2.0, 1.0), ("sq", (0.31, 0.17)))
+    assert cyl is not None and calls == []
+    (w,) = cyl.witnesses["left"]
+    message = (f"the boundary segment from v0 at x={w.x:.12g} to v0 at x={w.x:.12g} "
+               "does not trace as a saddle connection")
+    with pytest.raises(TraceNumericalError) as exc:
+        cyl.bounding
+    assert str(exc.value) == message and len(calls) == 1
+
+
+def test_bounding_without_a_surface_is_a_domain_error(mtorus):
+    cyl = find_closed_geodesic(mtorus, (2.0, 1.0))
+    bare = dataclasses.replace(cyl, surface=None)
+    with pytest.raises(DomainError, match="needs surface="):
+        bare.bounding
+    assert dataclasses.replace(cyl, surface=None, witnesses={}).bounding == {}
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, 0.0])
+def test_circumference_bound_is_checked_before_any_trace(mtorus, monkeypatch, bound):
+    traced = []
+    monkeypatch.setattr(cylinders, "trace", lambda *a, **k: traced.append(a))
+    with pytest.raises(DomainError) as exc:
+        find_closed_geodesic(mtorus, (1.0, 2.0), max_circumference=bound)
+    assert str(exc.value) == f"max_circumference must be positive and finite, got {bound}"
+    assert traced == []
 
 
 def _cylinder_record(cyl):
