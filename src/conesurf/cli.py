@@ -567,8 +567,8 @@ def cmd_selftest(args) -> int:
     checks.append(("octagon at slope pi/10: no recurrence up to L=2000",
                    far.recurrence is None, f"{len(far.segments)} segments"))
 
-    # density pruning never changes a row: with an infinite first ring no
-    # ring is narrower than the grid, so every candidate is evaluated in full
+    # density pruning never changes a row: with an infinite first ring the
+    # only ring is the whole grid, so every candidate is evaluated in full
     golden = GeodesicState("sq", (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0),
                            (1.0, 0.5 + 0.5 * math.sqrt(5.0)))
     bounds = [1.0, 2.0, 3.0, 4.0, 5.0]

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NotClosed, TraceNumericalError
+from .errors import DomainError, NotClosed, TraceNumericalError, ZeroDirection
 from .geometry import Isometry, angle_of, interior_point, normalize
 from .saddles import (
     PiecewiseGeodesic,
@@ -41,10 +41,9 @@ from .tracer import (
     GeodesicState,
     TraceOptions,
     TraceResult,
-    _DistanceGrid,
+    _least_distances,
     _sample_distances,
     develop,
-    geodesic_distance,
     trace,
     two_sided_trace,
 )
@@ -150,10 +149,18 @@ def _state_gap(surface: ConeSurface, a: GeodesicState, b: GeodesicState) -> floa
     return best
 
 
+def _unit(direction) -> tuple[float, float]:
+    """``normalize``, raising ``trace``'s ZeroDirection for a zero or non-finite vector."""
+    try:
+        return normalize(direction)
+    except ValueError:
+        raise ZeroDirection(f"direction {direction} has no usable length") from None
+
+
 def offset_state(surface: ConeSurface, state: GeodesicState, u: float) -> GeodesicState:
     """Translate a state perpendicular to its direction (u > 0 moves left),
     parallel-transporting the direction along the perpendicular geodesic."""
-    d = normalize(state.direction)
+    d = _unit(state.direction)
     if u == 0.0:
         return GeodesicState(state.chart, state.point, d)
     n = (-d[1], d[0]) if u > 0.0 else (d[1], -d[0])
@@ -306,7 +313,8 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     traced from the witnesses when ``Cylinder.bounding`` is first read.
 
     The circumference bound must be positive and finite, or DomainError is
-    raised before any trace. Traces from the start point (default: a point
+    raised before any trace, and a zero or non-finite direction raises
+    ZeroDirection there. Traces from the start point (default: a point
     inside the first chart) until self-recurrence, then certifies one period
     by re-tracing it from the matched state, which becomes the core's start;
     ``closure_error`` is the gap between that state and the re-trace's end.
@@ -325,7 +333,7 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
         cid = min(surface.charts)
         start = (cid, interior_point(surface.charts[cid]))
     chart, point = start
-    base = GeodesicState(chart, point, normalize(direction))
+    base = GeodesicState(chart, point, _unit(direction))
     for f in (0.0,) + _JIGGLE_FRACTIONS:
         try:
             state = offset_state(surface, base, f * surface.max_diameter) if f else base
@@ -434,12 +442,6 @@ def _anchor_on_chain(surface: ConeSurface, path: ChainPath, point, samples: int 
     return float(ts[int(np.argmin(dists))])
 
 
-# covers the rounding of a ring bound against the full sum (about 1e-15)
-_PRUNE_MARGIN = 1e-12
-# candidates whose first distance rings share one kernel call
-_RING_BLOCK = 32
-
-
 def _inventory_directions(surface: ConeSurface, anchor_chart: str,
                           connections: list[SaddleConnection]) -> list[tuple[float, float]]:
     """Saddle directions expressed in the anchor chart, deduplicated mod sign."""
@@ -478,16 +480,11 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     tracing.
 
     Candidates are taken in order of length, and each row reports the first
-    least distance among those within its bound. A candidate after the first
-    is ruled out before its full evaluation at the first distance ring, the
-    trapezoid sum over the grid nodes with |t| <= 0.1, 0.2, 0.4, ..., that
-    exceeds the best distance before it by a relative 1e-12. Ring terms are
-    non-negative and bitwise terms of the full sum, so the candidate cannot
-    win, and the rows, labels and tie order equal those of evaluating every
-    candidate in full; a candidate no ring rules out is evaluated in full.
-    The first ring is computed for a block of upcoming candidates in one
-    kernel call. Each candidate's checks, those of ``geodesic_distance``,
-    still run in candidate order and raise the same errors.
+    least distance among those within its bound. ``tracer._least_distances``
+    measures each label's first candidate, or rules it out at a partial sum
+    above the best distance before it, so the rows, labels and tie order
+    equal those of evaluating every candidate in full; each candidate's
+    checks, those of ``geodesic_distance``, run in candidate order.
     """
     tol = surface.tolerances
     lengths = [float(L) for L in lengths]
@@ -560,30 +557,14 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     sorted_lengths = [c[0] for c in candidates]
     cuts = [bisect.bisect_right(sorted_lengths, L + tol.tau_len) for L in lengths]
     todo = candidates[:cuts[-1]]
-    known: dict = {}    # label -> its distance, or a lower bound above the best before it
-    first: dict = {}    # label -> its first ring, computed for a block of upcoming labels
-    grid = None         # built at the first pruning test, once a full evaluation passed its checks
+    pairs: dict = {}    # label -> the (path, anchor) of its first candidate
+    for _, _, label, path, anchor in todo:
+        pairs.setdefault(label, (path, anchor))
+    # label -> its distance, or a ring sum above the best before it
+    known = dict(zip(pairs, _least_distances(surface, tgt, window, list(pairs.values()))))
     best = None
     prefix_best = [None]
-    for i, (length, kind, label, path, anchor) in enumerate(todo):
-        if label not in known:
-            bound = None
-            if best is not None:
-                if grid is None:
-                    grid = _DistanceGrid(surface, tgt, window)
-                if label not in first:
-                    block = {}
-                    for c in todo[i:]:
-                        if len(block) == _RING_BLOCK:
-                            break
-                        if c[2] not in known:
-                            block.setdefault(c[2], (c[3], c[4]))
-                    first = dict(zip(block, grid.first_rings(list(block.values()))))
-                limit = best[0] * (1.0 + _PRUNE_MARGIN)
-                bound = next((b for b in grid.ring_bounds(path, anchor, first.pop(label))
-                              if b > limit), None)
-            known[label] = bound if bound is not None else geodesic_distance(
-                surface, tgt, path, window, anchor2=anchor).value
+    for length, kind, label, _, _ in todo:
         if best is None or known[label] < best[0]:
             best = (known[label], kind, label, length)
         prefix_best.append(best)

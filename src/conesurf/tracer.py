@@ -130,11 +130,6 @@ class TraceResult:
                                # at arclength 0 and at each segment end
     chart_index: dict = field(repr=False)  # chart id -> code: the traced surface's
 
-    _bounds: np.ndarray | None = field(default=None, repr=False)
-    _p0: np.ndarray | None = field(default=None, repr=False)
-    _dirs: np.ndarray | None = field(default=None, repr=False)
-    _chart_codes: np.ndarray | None = field(default=None, repr=False)
-
     @cached_property
     def events(self) -> list[TraceEvent]:
         """The events in order of arclength, crossings built on first read."""
@@ -150,20 +145,17 @@ class TraceResult:
     def param_range(self) -> tuple[float, float]:
         return (0.0, self.total_length)
 
-    def _ensure_arrays(self):
-        if self._bounds is not None:
-            return
+    @cached_property
+    def _arrays(self) -> tuple:
+        """Segment start arclengths (and the total), start points, unit directions, codes."""
         lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in self.segments]
         bounds = np.concatenate([[0.0], np.cumsum(lengths)])
         p0 = np.array([a for _, a, _ in self.segments], dtype=float)
         p1 = np.array([b for _, _, b in self.segments], dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             dirs = (p1 - p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
-        self._bounds = bounds
-        self._p0 = p0
-        self._dirs = dirs
-        self._chart_codes = np.array([self.chart_index[c] for c, _, _ in self.segments],
-                                     dtype=np.int64)
+        codes = np.array([self.chart_index[c] for c, _, _ in self.segments], dtype=np.int64)
+        return bounds, p0, dirs, codes
 
     def positions(self, ts: np.ndarray):
         """Chart codes and coordinates at the given arclengths (path protocol).
@@ -172,25 +164,25 @@ class TraceResult:
         ``chart_names``, one per sample, and an (n, 2) array. Arclengths must
         lie in [0, total_length] up to a small slack.
         """
-        self._ensure_arrays()
+        bounds, p0, dirs, codes = self._arrays
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1e-9 or ts.max() > self.total_length + 1e-9):
             raise InsufficientPath(
                 f"arclength range [{ts.min():.6g}, {ts.max():.6g}] outside "
                 f"[0, {self.total_length:.6g}]")
-        idx = np.clip(np.searchsorted(self._bounds, ts, side="right") - 1,
+        idx = np.clip(np.searchsorted(bounds, ts, side="right") - 1,
                       0, len(self.segments) - 1)
-        rel = np.clip(ts - self._bounds[idx], 0.0, None)
-        xy = self._p0[idx] + rel[:, None] * self._dirs[idx]
-        return self._chart_codes[idx], xy
+        rel = np.clip(ts - bounds[idx], 0.0, None)
+        xy = p0[idx] + rel[:, None] * dirs[idx]
+        return codes[idx], xy
 
     def state_at(self, t: float) -> GeodesicState:
-        self._ensure_arrays()
-        idx = int(np.clip(np.searchsorted(self._bounds, t, side="right") - 1,
+        bounds, _, dirs, _ = self._arrays
+        idx = int(np.clip(np.searchsorted(bounds, t, side="right") - 1,
                           0, len(self.segments) - 1))
-        rel = t - self._bounds[idx]
+        rel = t - bounds[idx]
         cid, a, b = self.segments[idx]
-        u = self._dirs[idx]
+        u = dirs[idx]
         return GeodesicState(cid, (a[0] + rel * u[0], a[1] + rel * u[1]),
                              (float(u[0]), float(u[1])), t)
 
@@ -582,10 +574,8 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
                 termination = EVENT_CONE_HIT
                 end_state = GeodesicState(cid, x, d, s)
                 break
-            # flat passage: unique straight continuation through a 2*pi corner
-            t_in = vc.cone_coordinate(cid, vtx, (-dx, -dy))
-            t_out = (t_in + math.pi) % vc.angle
-            ncid, nvtx, nd = vc.direction_at(t_out)
+            # flat passage through a 2*pi corner: straight on, at the sector's start
+            ncid, nvtx, nd = vc.direction_at(sector.start)
             nv = geometry[ncid].scalar_edges[nvtx][:2]
             transitions.append(_vertex_alignment(x, nv, d, nd))
             cid, p, d = ncid, nv, nd
@@ -710,26 +700,18 @@ def surface_point_distance(surface: ConeSurface, a, b) -> float:
 
 @dataclass
 class TwoSidedPath:
-    """A trajectory extended both ways from an anchor state (parameter 0).
-
-    ``positions`` keeps its last grid and result: the density experiment
-    compares one target against every candidate on the same grid.
-    """
+    """A trajectory extended both ways from an anchor state (parameter 0)."""
 
     forward: TraceResult
     backward: TraceResult
-    _last: tuple | None = field(default=None, repr=False, compare=False)
 
     def param_range(self) -> tuple[float, float]:
         return (-self.backward.total_length, self.forward.total_length)
 
     def positions(self, ts: np.ndarray):
         """Chart codes and coordinates at signed parameters (path protocol):
-        t >= 0 on the forward trace, t < 0 at arclength -t on the backward one.
-        The returned arrays are read-only; a repeated grid returns them again."""
-        ts = np.array(ts, dtype=float)
-        if self._last is not None and np.array_equal(self._last[0], ts):
-            return self._last[1], self._last[2]
+        t >= 0 on the forward trace, t < 0 at arclength -t on the backward one."""
+        ts = np.asarray(ts, dtype=float)
         codes = np.empty(len(ts), dtype=np.int64)
         xy = np.empty((len(ts), 2))
         pos = ts >= 0.0
@@ -738,9 +720,6 @@ class TwoSidedPath:
         neg = ~pos
         if neg.any():
             codes[neg], xy[neg] = self.backward.positions(-ts[neg])
-        codes.flags.writeable = False
-        xy.flags.writeable = False
-        self._last = (ts, codes, xy)
         return codes, xy
 
 
@@ -802,6 +781,10 @@ class DistanceResult:
 
 # the first ring's half-width; each further ring doubles it (``_DistanceGrid``)
 _FIRST_RING = 0.1
+# covers the rounding of a ring sum against the whole grid's (about 1e-15)
+_PRUNE_MARGIN = 1e-12
+# pairs whose first rings share one kernel call (``_least_distances``)
+_RING_BLOCK = 32
 
 
 class _DistanceGrid:
@@ -810,15 +793,16 @@ class _DistanceGrid:
     Holds the trapezoid nodes over the window, their weights exp(-|t|) and
     the first path's samples, so any number of second paths are compared on
     the same grid without rebuilding it. The constructor checks the window
-    and the first path's coverage; ``distance`` and ``ring_bounds`` check the
-    second path's coverage and its chart alignment at t = 0.
+    and the first path's coverage; ``sums`` checks the second path's
+    coverage and its chart alignment at t = 0.
 
     ``rings`` are the node slices |t| <= h, with the node nearest t = 0,
-    for h = 0.1, 0.2, 0.4, ... while narrower than the grid. Every weighted
+    for h = 0.1, 0.2, 0.4, ..., the last one the whole grid. Every weighted
     term is non-negative and depends on its node alone, so the trapezoid
     over a ring is a lower bound on the distance up to the rounding of the
-    order of summation (relative 1e-15 for 10^4 terms), and its terms are
-    bitwise those of the whole grid, whichever nodes share a kernel call.
+    order of summation (relative 1e-15 for 10^4 terms), its terms are
+    bitwise those of the whole grid, whichever nodes share a kernel call,
+    and the last ring's sum is the distance.
     """
 
     def __init__(self, surface: ConeSurface, path1, window, anchor1: float = 0.0):
@@ -827,6 +811,8 @@ class _DistanceGrid:
             raise DomainError(f"distance_step must be positive, got {step}")
         w0, w1 = ((-float(window), float(window)) if np.isscalar(window)
                   else (float(window[0]), float(window[1])))
+        if not (math.isfinite(w0) and math.isfinite(w1)):
+            raise DomainError(f"window ({w0}, {w1}) must be finite")
         if not w0 < w1:
             raise DomainError(f"empty window ({w0}, {w1})")
         self.surface, self.window, self.step = surface, (w0, w1), step
@@ -840,11 +826,9 @@ class _DistanceGrid:
         self.k1, self.xy1 = path1.positions(self.ts + anchor1)
         self.rings = []
         h = _FIRST_RING
-        while True:
+        while self.rings[-1:] != [(0, count)]:
             ring = (min(int(np.searchsorted(self.ts, -h, side="left")), self.i0),
                     max(int(np.searchsorted(self.ts, h, side="right")), self.i0 + 1))
-            if ring == (0, count):
-                break
             if ring not in self.rings[-1:]:
                 self.rings.append(ring)
             h *= 2.0
@@ -871,21 +855,13 @@ class _DistanceGrid:
                                   self.diameter_bound)
         return k2, dists * self.weights[nodes]
 
-    def distance(self, path2, anchor2: float = 0.0) -> float:
-        """The trapezoid sum over the whole grid."""
-        if err := self._uncovered(path2, anchor2):
-            raise err
-        k2, terms = self._terms(path2, anchor2, slice(None))
-        self._check_aligned(k2[self.i0])
-        return float(_trapezoid(terms, self.ts))
-
     def first_rings(self, paths: list) -> list:
         """Per (path, anchor) pair, the chart code at t = 0 and the weighted
         terms of the first ring, all from one kernel call; None for a pair
-        that does not cover the window, and for all when there are no rings."""
+        that does not cover the window."""
         out = [None] * len(paths)
         covered = [j for j, (path, anchor) in enumerate(paths)
-                   if self.rings and not self._uncovered(path, anchor)]
+                   if not self._uncovered(path, anchor)]
         if covered:
             lo, hi = self.rings[0]
             got = [paths[j][0].positions(self.ts[lo:hi] + paths[j][1]) for j in covered]
@@ -898,17 +874,19 @@ class _DistanceGrid:
                 out[j] = (k2[self.i0 - lo], row)
         return out
 
-    def ring_bounds(self, path2, anchor2: float, first):
-        """Yields each ring's lower bound in turn, computing only the ring's
-        new nodes. ``first`` is the pair's entry of ``first_rings``; the
-        checks of ``distance`` run at the first ``next``."""
+    def sums(self, path2, anchor2: float = 0.0, first=None):
+        """Yields the trapezoid sum over each ring in turn, computing only the
+        ring's new nodes; the last is the distance. ``first`` is the pair's
+        entry of ``first_rings``, or None to compute the first ring here. The
+        second path's checks run at the first ``next``."""
         if err := self._uncovered(path2, anchor2):
             raise err
+        lo, hi = self.rings[0]
         if first is None:
-            return
+            k2, terms = self._terms(path2, anchor2, slice(lo, hi))
+            first = (k2[self.i0 - lo], terms)
         k0, terms = first
         self._check_aligned(k0)
-        lo, hi = self.rings[0]
         for new_lo, new_hi in self.rings:
             if new_hi - new_lo > hi - lo:
                 _, new = self._terms(path2, anchor2, np.r_[new_lo:lo, hi:new_hi])
@@ -923,18 +901,49 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     """Exponentially weighted compact-open distance between two paths.
 
     Numerically integrates dist(path1(t), path2(t)) * exp(-|t|) over the
-    window, with t measured from per-path anchors (arclengths; default the
-    path starts), by the trapezoid rule with the surface's ``distance_step``,
-    which must be positive. Pointwise distances minimize over the copies of
-    the second chart within two gluing crossings of the first and are capped
-    at the diameter bound D, the summed chart diameters, whose tail
-    contribution 2*D*exp(-W) is reported.
+    window, which must be finite and non-empty, with t measured from
+    per-path anchors (arclengths; default the path starts), by the trapezoid
+    rule with the surface's ``distance_step``, which must be positive.
+    Pointwise distances minimize over the copies of the second chart within
+    two gluing crossings of the first and are capped at the diameter bound
+    D, the summed chart diameters, whose tail contribution 2*D*exp(-W) is
+    reported. The value is the last of the grid's ring sums.
     """
     grid = _DistanceGrid(surface, path1, window, anchor1)
-    value = grid.distance(path2, anchor2)
+    *_, value = grid.sums(path2, anchor2)
     w0, w1 = grid.window
     bound = 2.0 * grid.diameter_bound * math.exp(-min(-w0, w1))
     return DistanceResult(value, bound, grid.window, grid.step, grid.diameter_bound)
+
+
+def _least_distances(surface: ConeSurface, target, window, pairs: list) -> list[float]:
+    """Per (path, anchor) pair, in order, its distance from ``target`` over
+    ``window``, or the first ring sum above the least value before it by a
+    relative ``_PRUNE_MARGIN``, which rules the pair out (``_DistanceGrid``).
+
+    The first pair, with nothing to beat, is measured by ``geodesic_distance``;
+    a pair that no ring rules out ends its walk at the whole grid. The first
+    rings of ``_RING_BLOCK`` pairs at a time share one kernel call. Each
+    pair's checks run in pair order and raise the errors of ``geodesic_distance``.
+    """
+    out = []
+    for i, (path, anchor) in enumerate(pairs):
+        if i == 0:
+            value = least = geodesic_distance(surface, target, path, window,
+                                              anchor2=anchor).value
+        else:
+            if i == 1:
+                grid = _DistanceGrid(surface, target, window)
+            j = (i - 1) % _RING_BLOCK
+            if j == 0:
+                block = grid.first_rings(pairs[i:i + _RING_BLOCK])
+            limit = least * (1.0 + _PRUNE_MARGIN)
+            for value in grid.sums(path, anchor, block[j]):
+                if value > limit:
+                    break
+            least = min(least, value)
+        out.append(value)
+    return out
 
 
 # -- min-distance experiment ----------------------------------------------------------

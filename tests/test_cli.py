@@ -213,6 +213,11 @@ def test_cylinders_requires_exactly_one_direction_source():
     assert run(["--quiet", "cylinders", "--surface", MARKED]) == 2
 
 
+def test_cylinders_zero_direction_exits_2(capsys):
+    assert run(["cylinders", "--surface", MARKED, "--direction", "0,0"]) == 2
+    assert "direction (0.0, 0.0) has no usable length" in capsys.readouterr().err
+
+
 def test_cylinders_not_found_is_not_an_error(tmp_path):
     report = tmp_path / "ir.json"
     rc = run(["--quiet", "cylinders", "--surface", MARKED,

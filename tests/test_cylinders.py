@@ -43,6 +43,7 @@ from conesurf.errors import (
     IncomparableTraces,
     TraceNumericalError,
     UnfoldingBudgetExceeded,
+    ZeroDirection,
 )
 from conesurf.geometry import Isometry
 from conesurf.surface import FanPencil, WindowSweep
@@ -340,6 +341,25 @@ def test_circumference_bound_is_checked_before_any_trace(mtorus, monkeypatch, bo
     assert traced == []
 
 
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)])
+def test_zero_direction_is_checked_before_any_trace(mtorus, monkeypatch, direction):
+    traced = []
+    monkeypatch.setattr(cylinders, "trace", lambda *a, **k: traced.append(a))
+    message = f"direction {direction} has no usable length"
+    with pytest.raises(ZeroDirection) as exc:
+        find_closed_geodesic(mtorus, direction)
+    assert str(exc.value) == message
+    for u in (0.0, 0.2):
+        with pytest.raises(ZeroDirection) as exc:
+            offset_state(mtorus, GeodesicState("sq", (0.31, 0.17), direction), u)
+        assert str(exc.value) == message
+    assert traced == []
+    # trace raises the same error with the same message
+    with pytest.raises(ZeroDirection) as exc:
+        tracer.trace(mtorus, GeodesicState("sq", (0.31, 0.17), direction), 1.0)
+    assert str(exc.value) == message
+
+
 def _cylinder_record(cyl):
     return (cyl.circumference, cyl.width_left, cyl.width_right, cyl.witnesses,
             {side: [(c.start, c.end, c.length, c.holonomy) for c in conns]
@@ -431,6 +451,14 @@ def test_chain_path_wraps_closed_chains(mtorus):
     assert geodesic_distance(mtorus, cp, cp, window=5.0).value == 0.0
 
 
+@pytest.mark.parametrize("window", [math.inf, (0.0, math.inf), (-math.inf, 1.0), math.nan])
+def test_geodesic_distance_rejects_a_non_finite_window(mtorus, window):
+    # a periodic path covers every window, so only the window check can refuse it
+    pp = PeriodicPath(find_closed_geodesic(mtorus, (1.0, 2.0)).core)
+    with pytest.raises(DomainError, match=r"window \(.*\) must be finite"):
+        geodesic_distance(mtorus, pp, pp, window=window)
+
+
 PLAIN = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
@@ -488,18 +516,19 @@ def test_pruning_partials_bound_the_distance(request, name):
                if name == "coarse" else request.getfixturevalue(name))
     target, others = _path_kinds(surface)
     grid = tracer._DistanceGrid(surface, target, 3.0)
-    assert grid.rings
+    # rings narrower than the grid, and the whole grid last
+    assert len(grid.rings) > 1 and grid.rings[-1] == (0, len(grid.ts))
     for kind, path in others.items():
         for anchor2 in (0.0, 0.37):
             full = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2).value
             (first,) = grid.first_rings([(path, anchor2)])
-            bounds = list(grid.ring_bounds(path, anchor2, first))
-            assert len(bounds) == len(grid.rings), (kind, anchor2)
-            assert 0.0 <= bounds[0], (kind, anchor2, bounds)
-            assert all(a <= b for a, b in zip(bounds, bounds[1:])), (kind, anchor2, bounds)
-            assert bounds[-1] <= full, (kind, anchor2, bounds, full)
-            # the whole grid is the distance itself
-            assert grid.distance(path, anchor2) == full, (kind, anchor2)
+            sums = list(grid.sums(path, anchor2, first))
+            assert len(sums) == len(grid.rings), (kind, anchor2)
+            assert 0.0 <= sums[0], (kind, anchor2, sums)
+            assert all(a <= b for a, b in zip(sums, sums[1:])), (kind, anchor2, sums)
+            # the whole grid is the distance itself, with or without a given first ring
+            assert sums[-1] == full, (kind, anchor2, sums, full)
+            assert list(grid.sums(path, anchor2)) == sums, (kind, anchor2)
 
 
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
@@ -568,13 +597,12 @@ def test_two_sided_positions_follow_a_changed_grid(pcase):
     target, _ = _path_kinds(pcase)
     fresh = lambda grid: type(target)(target.forward, target.backward).positions(grid)
     grid = np.linspace(-3.0, 3.0, 301)
-    first = target.positions(grid)
-    assert not first[0].flags.writeable and not first[1].flags.writeable
+    target.positions(grid)
     for changed in (grid + 0.25, np.linspace(-2.0, 3.0, 11), grid):
         codes, xy = target.positions(changed)
         want_codes, want_xy = fresh(changed)
         assert np.array_equal(codes, want_codes) and np.array_equal(xy, want_xy)
-    # the memo compares values, not the caller's array object
+    # the positions follow the values, not the caller's array object
     moving = grid.copy()
     target.positions(moving)
     moving += 0.5
@@ -662,17 +690,62 @@ def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, cha
                                                  lengths, window, chain_budget, prunes):
     surface = request.getfixturevalue(name)
     target = _golden_target(surface, chart, point)
-    calls = []
-    full = cylinders.geodesic_distance
-    monkeypatch.setattr(cylinders, "geodesic_distance",
-                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    samples = []    # the sizes passed to the distance kernel
+    kernel = tracer._sample_distances
+    monkeypatch.setattr(tracer, "_sample_distances",
+                        lambda s, k1, *a: samples.append(len(k1)) or kernel(s, k1, *a))
     pruned = _density_json(surface, target, lengths, window, chain_budget)
-    pruned_calls = len(calls)
-    calls.clear()
-    # no ring narrower than the grid: every candidate is evaluated in full
+    pruned_samples = sum(samples)
+    samples.clear()
+    # the whole grid is the only ring: every candidate is evaluated in full
     monkeypatch.setattr(tracer, "_FIRST_RING", math.inf)
     assert _density_json(surface, target, lengths, window, chain_budget) == pruned
-    assert (pruned_calls < len(calls)) if prunes else (pruned_calls == len(calls))
+    full_samples = sum(samples)
+    assert (pruned_samples < full_samples) if prunes else (pruned_samples == full_samples)
+
+
+@pytest.mark.parametrize("name, chart, point, lengths, window, chain_budget", [
+    ("mtorus", "sq", (0.31, 0.17), [1.0, 2.0, 3.0], 5.0, 200),
+    ("octagon", None, (0.05, 0.02), [1.0, 1.5, 2.0], 3.0, 200),
+    ("pcase", "front", (0.3, 0.45), [1.0, 2.0, 3.0, 4.0], 3.0, 200),
+    ("pcover", "front@1", (0.3, 0.45), [1.0, 2.0, 3.0], 3.0, 0),
+])
+def test_least_distances_are_distances_or_ruled_out(request, monkeypatch, name, chart,
+                                                      point, lengths, window, chain_budget):
+    # the density experiment's own pairs: each value is the pair's distance,
+    # or a ring sum above the least value before it, and pruning happens
+    surface = request.getfixturevalue(name)
+    seen = []
+
+    def recording(*args):
+        seen.append((args, tracer._least_distances(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cylinders, "_least_distances", recording)
+    density_experiment(surface, _golden_target(surface, chart, point), lengths,
+                       window=window, chain_budget=chain_budget)
+    ((_, target, _, pairs), values), = seen
+    assert len(values) == len(pairs) > 1
+    least, pruned = math.inf, 0
+    for (path, anchor), value in zip(pairs, values):
+        full = geodesic_distance(surface, target, path, window, anchor2=anchor).value
+        if value != full:
+            pruned += 1
+            assert value > least * (1.0 + 1e-12) and value <= full * (1.0 + 1e-12), (
+                value, least, full)
+        least = min(least, value)
+    assert 0 < pruned < len(pairs)
+
+
+def test_density_run_calls_geodesic_distance_once(mtorus, monkeypatch):
+    # only the first candidate is measured by geodesic_distance; every other
+    # one walks its rings on the shared grid
+    calls = []
+    full = tracer.geodesic_distance
+    monkeypatch.setattr(tracer, "geodesic_distance",
+                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    rep = density_experiment(mtorus, _golden_target(mtorus, "sq", (0.31, 0.17)), [1.0, 2.0, 3.0])
+    assert rep.inventory["closed_geodesics"] == 8 and len(calls) == 1
 
 
 def _three_tori():

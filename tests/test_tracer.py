@@ -802,8 +802,9 @@ def test_geodesic_distance_incomparable_components():
         geodesic_distance(s, p1, p2, window=2.0)
     grid = tracer._DistanceGrid(s, p1, 2.0)
     (first,) = grid.first_rings([(p2, 0.0)])
-    with pytest.raises(IncomparableTraces):
-        next(grid.ring_bounds(p2, 0.0, first))
+    for given in (first, None):
+        with pytest.raises(IncomparableTraces):
+            next(grid.sums(p2, 0.0, given))
 
 
 @pytest.mark.parametrize("name, copies, classes", [
