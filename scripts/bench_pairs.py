@@ -18,7 +18,12 @@ Even pairs run the parent first and odd pairs the change first, so a drift
 of the machine's speed favours neither side. For each end-to-end metric of
 this checkout's BENCHMARK.json it prints every pair's values, each side's
 median and quartiles, and the number of pairs the change won (strictly
-better in the metric's direction). A run that exits non-zero or reports a
+better in the metric's direction), then one verdict per metric: ``gain``
+(at least 9 of 10 pairs won and a median gap wider than the parent's
+interquartile range), ``worse than bound`` (a median worse than the
+parent's by more than the metric's relative ``bound``), ``unresolved`` (a
+parent interquartile range wider than the bound, unless every run of the
+change reads better) or ``within bound``. A run that exits non-zero or reports a
 failed operation stops the script. Both sides run with an empty bytecode
 cache (``PYTHONPYCACHEPREFIX``) and bytecode writing off, so ``.pyc`` files
 left in a checkout's ``__pycache__`` cannot make its imports, set-up time
@@ -78,6 +83,51 @@ def summarize(metrics: list[dict], pairs: list[tuple[int, str, str]]) -> list[st
             q1, q2, q3 = quartiles([row[col] for row in rows])
             lines.append(f"  {side}: median {q2:.6g}, quartiles {q1:.6g} .. {q3:.6g}")
         lines.append(f"  change won {won} of {len(rows)} pairs")
+    return lines
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """The verdict on one end-to-end metric from its paired values: ``gain``
+    when the change won at least 9 of 10 pairs and its median is better than
+    the parent's by more than the parent's interquartile range; ``worse than
+    bound`` when its median is worse than the parent's by more than the
+    metric's relative ``bound``; ``unresolved`` when the metric has no bound,
+    or the parent's interquartile range is wider than the bound and not
+    every run of the change reads better than every run of the parent;
+    otherwise ``within bound``."""
+    lower = metric["better"] == "lower"
+    better = (lambda a, b: b < a) if lower else (lambda a, b: b > a)
+    won = sum(better(a, b) for a, b in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gap = (median - quartiles(change)[1]) * (1.0 if lower else -1.0)
+    if 10 * won >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    bound = metric.get("bound")
+    if bound is None:
+        return "unresolved"
+    if -gap > bound * abs(median):
+        return "worse than bound"
+    if q3 - q1 > bound * abs(median) and not all(better(a, b) for a in parent for b in change):
+        return "unresolved"
+    return "within bound"
+
+
+def verdict_lines(metrics: list[dict], pairs: list[tuple[int, str, str]]) -> list[str]:
+    """One line per end-to-end metric: its name, ``verdict`` and the numbers
+    behind it, for ``pairs`` as in ``summarize``."""
+    results = [(json.loads(a)["metrics"], json.loads(b)["metrics"]) for _, a, b in pairs]
+    lines = ["verdicts (gain: won >= 9/10 and median gap > parent IQR; bounds of "
+             "BENCHMARK.json)"]
+    for m in metrics:
+        name = m["name"]
+        parent = [a[name]["value"] for a, _ in results]
+        change = [b[name]["value"] for _, b in results]
+        q1, pm, q3 = quartiles(parent)
+        cm = quartiles(change)[1]
+        rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+        bound = f"{m['bound']:.0%}" if m.get("bound") is not None else "none"
+        lines.append(f"  {name}: {verdict(m, parent, change)} (median {pm:.6g} -> {cm:.6g}, "
+                     f"{rel}; parent IQR {q3 - q1:.6g}; bound {bound})")
     return lines
 
 
@@ -178,7 +228,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             print(f"{workload}: {args.rev} (parent) against the checkout (change), "
                   f"{args.pairs} pairs of {seconds:g} s runs")
-            print("\n".join(summarize(spec["end_to_end"], pairs)), flush=True)
+            print("\n".join(summarize(spec["end_to_end"], pairs)))
+            print("\n".join(verdict_lines(spec["end_to_end"], pairs)), flush=True)
     return 0
 
 

@@ -43,6 +43,7 @@ from .tracer import (
     TraceResult,
     _least_distances,
     _sample_distances,
+    _TracedPath,
     develop,
     trace,
     two_sided_trace,
@@ -359,7 +360,7 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
 
 
 @dataclass
-class PeriodicPath:
+class PeriodicPath(_TracedPath):
     """A closed geodesic traversed periodically; parameter 0 at the core start."""
 
     core: TraceResult
@@ -371,15 +372,18 @@ class PeriodicPath:
     def param_range(self):
         return (-math.inf, math.inf)
 
-    def positions(self, ts):
-        """Chart codes and coordinates at the given parameters, taken modulo
-        the circumference (path protocol)."""
-        return self.core.positions(np.mod(np.asarray(ts, dtype=float),
-                                          self.core.total_length))
+    @property
+    def traces(self) -> tuple:
+        return (self.core,)
+
+    def arclengths(self, ts):
+        """Parameters taken modulo the circumference."""
+        ts = np.mod(np.asarray(ts, dtype=float), self.core.total_length)
+        return ts, np.zeros(len(ts), dtype=np.int64)
 
 
 @dataclass
-class ChainPath:
+class ChainPath(_TracedPath):
     """A closed chain of saddle connections traversed periodically, piece by
     piece: a generalized link runs through its pieces in turn."""
 
@@ -388,8 +392,9 @@ class ChainPath:
     def __post_init__(self):
         if not self.pg.closed:
             raise DomainError("only closed chains can be traversed periodically")
-        self.pieces = [p for l in self.pg.links for p in l.pieces]
-        self.offsets = np.cumsum([0.0] + [p.total_length for p in self.pieces])
+        self.traces = tuple(p for l in self.pg.links for p in l.pieces)
+        self.offsets = np.cumsum([0.0] + [p.total_length for p in self.traces])
+        self.lengths = np.array([p.total_length for p in self.traces])
 
     @property
     def length(self) -> float:
@@ -398,21 +403,12 @@ class ChainPath:
     def param_range(self):
         return (-math.inf, math.inf)
 
-    def positions(self, ts):
-        """Chart codes and coordinates at the given parameters, taken modulo
-        the chain length (path protocol)."""
+    def arclengths(self, ts):
+        """Parameters taken modulo the chain length, each on its piece."""
         ts = np.mod(np.asarray(ts, dtype=float), self.pg.total_length)
         idx = np.clip(np.searchsorted(self.offsets, ts, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        codes = np.empty(len(ts), dtype=np.int64)
-        xy = np.empty((len(ts), 2))
-        for j, piece in enumerate(self.pieces):
-            sel = idx == j
-            if not sel.any():
-                continue
-            local = np.minimum(ts[sel] - self.offsets[j], piece.total_length)
-            codes[sel], xy[sel] = piece.positions(local)
-        return codes, xy
+                      0, len(self.traces) - 1)
+        return np.minimum(ts - self.offsets[idx], self.lengths[idx]), idx
 
 
 # -- density experiment ----------------------------------------------------------------

@@ -13,17 +13,22 @@ weighted compact-open distance between two traced paths.
 
 Path protocol. Every path that ``geodesic_distance`` compares -- a
 ``TraceResult``, a ``TwoSidedPath`` here, a ``PeriodicPath`` or ``ChainPath``
-in ``cylinders`` -- offers ``param_range()``, the (lo, hi) arclength interval
-it covers, and ``positions(ts)``, which returns ``(codes, xy)`` for an array
-of arclengths: an int64 array of chart codes and an (n, 2) array of points in
-those charts' frames. A chart code indexes ``surface.chart_names``, the sorted
-chart ids of the surface the path was traced on (``surface.chart_index`` maps
-back), so samples are grouped by chart pair with integer arithmetic.
+in ``cylinders`` -- is a ``_TracedPath``. It runs through the traces
+``traces`` and offers ``param_range()``, the (lo, hi) parameter interval it
+covers, and ``arclengths(ts)``, which maps an array of parameters to
+arclengths along its traces and the int64 index into ``traces`` of each.
+``positions(ts)`` then returns ``(codes, xy)``: an int64 array of chart codes
+and an (n, 2) array of points in those charts' frames. A chart code indexes
+``surface.chart_names``, the sorted chart ids of the surface the path was
+traced on (``surface.chart_index`` maps back), so samples are grouped by chart
+pair with integer arithmetic. The samples of many paths are located in one
+pass over their traces' segments.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -116,8 +121,83 @@ DEFAULT_TRACE_OPTIONS = TraceOptions()
 PLAIN_TRACE_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=False)
 
 
+class _Segments:
+    """The segments of one or more traces, in order: each segment's start
+    arclength along its own trace, start point, unit direction and chart
+    code, with each trace's first segment (``first``, ending in the count)
+    and its total length.
+
+    ``locate`` finds every sample's segment by one ``searchsorted``. Over
+    several traces it searches (trace, arclength) keys as complex numbers,
+    which numpy orders lexicographically, so within a trace the search makes
+    the comparisons of a search in that trace alone, and each sample's point
+    is bit for bit the one its own trace gives. Searching the starts alone,
+    clipped to the trace's last segment, finds the segment that a search that
+    also holds the trace's end finds.
+    """
+
+    def __init__(self, traces):
+        segments = [seg for tr in traces for seg in tr.segments]
+        lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in segments]
+        self.first = np.cumsum([0] + [len(tr.segments) for tr in traces])
+        # each trace's running sum, added in the order of np.cumsum
+        self.starts = np.array([
+            s for f, l in itertools.pairwise(self.first.tolist())
+            for s in itertools.islice(itertools.accumulate(lengths[f:l], initial=0.0), l - f)])
+        self.p0 = np.array([a for _, a, _ in segments], dtype=float)
+        p1 = np.array([b for _, _, b in segments], dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.dirs = (p1 - self.p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
+        self.codes = np.array([tr.chart_index[c] for tr in traces for c, _, _ in tr.segments],
+                              dtype=np.int64)
+        self.totals = np.array([tr.total_length for tr in traces])
+        self.keys = np.empty(len(segments), dtype=complex)
+        self.keys.real = np.repeat(np.arange(len(traces)), np.diff(self.first))
+        self.keys.imag = self.starts
+
+    def locate(self, s: np.ndarray, which: np.ndarray):
+        """Chart codes and points at arclengths ``s``, sample i along trace
+        ``which[i]``. Arclengths must lie in [0, total_length] up to a small
+        slack."""
+        s = np.asarray(s, dtype=float)
+        keys = np.empty(len(s), dtype=complex)
+        keys.real, keys.imag = which, s
+        total = self.totals[which]
+        out = (s < -1e-9) | (s > total + 1e-9)
+        if out.any():
+            k = int(np.argmax(out))
+            own = s[which == which[k]]
+            raise InsufficientPath(
+                f"arclength range [{own.min():.6g}, {own.max():.6g}] outside "
+                f"[0, {total[k]:.6g}]")
+        idx = np.clip(np.searchsorted(self.keys, keys, side="right") - 1,
+                      self.first[which], self.first[which + 1] - 1)
+        rel = np.clip(s - self.starts[idx], 0.0, None)
+        return self.codes[idx], self.p0[idx] + rel[:, None] * self.dirs[idx]
+
+
+class _TracedPath:
+    """The path protocol for a path that runs through the traces ``traces``:
+    ``arclengths(ts)`` maps parameters to arclengths along them, with the
+    int64 index into ``traces`` of each, and
+    ``positions`` locates them all in one pass over the traces' segments.
+    Distances locate the samples of many such paths in one pass."""
+
+    @cached_property
+    def _segments(self) -> _Segments:
+        return _Segments(self.traces)
+
+    def positions(self, ts):
+        """Chart codes and coordinates at the given parameters (path protocol).
+
+        Returns (codes, xy): an int64 array of codes into the traced surface's
+        ``chart_names``, one per sample, and an (n, 2) array.
+        """
+        return self._segments.locate(*self.arclengths(ts))
+
+
 @dataclass
-class TraceResult:
+class TraceResult(_TracedPath):
     start: GeodesicState
     segments: list            # (chart_id, (x0, y0), (x1, y1))
     transitions: list         # per boundary: Isometry mapping next chart -> previous chart frame
@@ -145,42 +225,19 @@ class TraceResult:
     def param_range(self) -> tuple[float, float]:
         return (0.0, self.total_length)
 
-    @cached_property
-    def _arrays(self) -> tuple:
-        """Segment start arclengths (and the total), start points, unit directions, codes."""
-        lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in self.segments]
-        bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-        p0 = np.array([a for _, a, _ in self.segments], dtype=float)
-        p1 = np.array([b for _, _, b in self.segments], dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            dirs = (p1 - p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
-        codes = np.array([self.chart_index[c] for c, _, _ in self.segments], dtype=np.int64)
-        return bounds, p0, dirs, codes
+    @property
+    def traces(self) -> tuple:
+        return (self,)
 
-    def positions(self, ts: np.ndarray):
-        """Chart codes and coordinates at the given arclengths (path protocol).
-
-        Returns (codes, xy): an int64 array of codes into the traced surface's
-        ``chart_names``, one per sample, and an (n, 2) array. Arclengths must
-        lie in [0, total_length] up to a small slack.
-        """
-        bounds, p0, dirs, codes = self._arrays
+    def arclengths(self, ts):
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < -1e-9 or ts.max() > self.total_length + 1e-9):
-            raise InsufficientPath(
-                f"arclength range [{ts.min():.6g}, {ts.max():.6g}] outside "
-                f"[0, {self.total_length:.6g}]")
-        idx = np.clip(np.searchsorted(bounds, ts, side="right") - 1,
-                      0, len(self.segments) - 1)
-        rel = np.clip(ts - bounds[idx], 0.0, None)
-        xy = p0[idx] + rel[:, None] * dirs[idx]
-        return codes[idx], xy
+        return ts, np.zeros(len(ts), dtype=np.int64)
 
     def state_at(self, t: float) -> GeodesicState:
-        bounds, _, dirs, _ = self._arrays
-        idx = int(np.clip(np.searchsorted(bounds, t, side="right") - 1,
+        starts, dirs = self._segments.starts, self._segments.dirs
+        idx = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
                           0, len(self.segments) - 1))
-        rel = t - bounds[idx]
+        rel = t - starts[idx]
         cid, a, b = self.segments[idx]
         u = dirs[idx]
         return GeodesicState(cid, (a[0] + rel * u[0], a[1] + rel * u[1]),
@@ -699,8 +756,9 @@ def surface_point_distance(surface: ConeSurface, a, b) -> float:
 
 
 @dataclass
-class TwoSidedPath:
-    """A trajectory extended both ways from an anchor state (parameter 0)."""
+class TwoSidedPath(_TracedPath):
+    """A trajectory extended both ways from an anchor state (parameter 0):
+    t >= 0 on the forward trace, t < 0 at arclength -t on the backward one."""
 
     forward: TraceResult
     backward: TraceResult
@@ -708,19 +766,14 @@ class TwoSidedPath:
     def param_range(self) -> tuple[float, float]:
         return (-self.backward.total_length, self.forward.total_length)
 
-    def positions(self, ts: np.ndarray):
-        """Chart codes and coordinates at signed parameters (path protocol):
-        t >= 0 on the forward trace, t < 0 at arclength -t on the backward one."""
+    @property
+    def traces(self) -> tuple:
+        return (self.forward, self.backward)
+
+    def arclengths(self, ts):
         ts = np.asarray(ts, dtype=float)
-        codes = np.empty(len(ts), dtype=np.int64)
-        xy = np.empty((len(ts), 2))
-        pos = ts >= 0.0
-        if pos.any():
-            codes[pos], xy[pos] = self.forward.positions(ts[pos])
-        neg = ~pos
-        if neg.any():
-            codes[neg], xy[neg] = self.backward.positions(-ts[neg])
-        return codes, xy
+        back = ~(ts >= 0.0)
+        return np.where(back, -ts, ts), back.astype(np.int64)
 
 
 def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: float, *,
@@ -783,8 +836,23 @@ class DistanceResult:
 _FIRST_RING = 0.1
 # covers the rounding of a ring sum against the whole grid's (about 1e-15)
 _PRUNE_MARGIN = 1e-12
-# pairs whose first rings share one kernel call (``_least_distances``)
+# pairs whose early rings share one positions pass and kernel call per ring
+# (``_least_distances``)
 _RING_BLOCK = 32
+# the rings that a block computes ahead for every pair that may need them;
+# more is wasted on the pairs that a lower least value within the block
+# rules out at these rings (batching every ring doubled the samples)
+_EARLY_RINGS = 3
+
+
+class _Walk:
+    """One (path, anchor) pair's walk over a grid's rings: the segments that
+    hold its traces, its first trace there, its chart code at t = 0, the
+    weighted terms of the rings walked so far and their sums."""
+
+    def __init__(self, path, anchor: float, segments: _Segments, base: int = 0):
+        self.path, self.anchor, self.segments, self.base = path, anchor, segments, base
+        self.k0, self.terms, self.sums = None, None, []
 
 
 class _DistanceGrid:
@@ -832,6 +900,10 @@ class _DistanceGrid:
             if ring not in self.rings[-1:]:
                 self.rings.append(ring)
             h *= 2.0
+        # per ring, the nodes it adds to the ring before: left ones, then right
+        self.new_nodes = [np.arange(*self.rings[0])]
+        for (lo, hi), (new_lo, new_hi) in zip(self.rings, self.rings[1:]):
+            self.new_nodes.append(np.r_[new_lo:lo, hi:new_hi])
 
     def _uncovered(self, path, anchor: float, name: str = "path2") -> InsufficientPath | None:
         (w0, w1), (lo, hi) = self.window, path.param_range()
@@ -848,51 +920,72 @@ class _DistanceGrid:
             raise IncomparableTraces(
                 f"no chart alignment between {c1!r} and {c2!r} at time 0")
 
-    def _terms(self, path2, anchor2: float, nodes):
-        """The second path's chart codes and the weighted terms at ``nodes``."""
-        k2, xy2 = path2.positions(self.ts[nodes] + anchor2)
-        dists = _sample_distances(self.surface, self.k1[nodes], self.xy1[nodes], k2, xy2,
+    def _extend(self, walks: list) -> None:
+        """Adds the next ring, the same for every walk, to each of ``walks``,
+        which share their segments, from one positions pass, one kernel call
+        and one trapezoid call."""
+        r, segments = len(walks[0].sums), walks[0].segments
+        nodes, (lo, hi) = self.new_nodes[r], self.rings[r]
+        m, n, ts = len(walks), len(nodes), self.ts[nodes]
+        located = [w.path.arclengths(ts + w.anchor) for w in walks]
+        codes, xy = segments.locate(np.concatenate([s for s, _ in located]),
+                                    np.concatenate([own + w.base
+                                                    for w, (_, own) in zip(walks, located)]))
+        dists = _sample_distances(self.surface, np.tile(self.k1[nodes], m),
+                                  np.tile(self.xy1[nodes], (m, 1)), codes, xy,
                                   self.diameter_bound)
-        return k2, dists * self.weights[nodes]
+        terms = dists.reshape(m, n) * self.weights[nodes]
+        if r == 0:
+            for w, k0 in zip(walks, codes.reshape(m, n)[:, self.i0 - lo]):
+                w.k0 = k0
+        else:
+            cut = self.rings[r - 1][0] - lo
+            terms = np.concatenate((terms[:, :cut], [w.terms for w in walks], terms[:, cut:]),
+                                   axis=1)
+        # a sum along the rows is each row's own sum, bit for bit
+        for w, row, total in zip(walks, terms, _trapezoid(terms, self.ts[lo:hi]).tolist()):
+            w.terms = row
+            w.sums.append(total)
 
-    def first_rings(self, paths: list) -> list:
-        """Per (path, anchor) pair, the chart code at t = 0 and the weighted
-        terms of the first ring, all from one kernel call; None for a pair
-        that does not cover the window."""
-        out = [None] * len(paths)
-        covered = [j for j, (path, anchor) in enumerate(paths)
-                   if not self._uncovered(path, anchor)]
-        if covered:
-            lo, hi = self.rings[0]
-            got = [paths[j][0].positions(self.ts[lo:hi] + paths[j][1]) for j in covered]
-            dists = _sample_distances(
-                self.surface, np.tile(self.k1[lo:hi], len(got)),
-                np.tile(self.xy1[lo:hi], (len(got), 1)), np.concatenate([k for k, _ in got]),
-                np.concatenate([xy for _, xy in got]), self.diameter_bound)
-            terms = dists.reshape(len(got), hi - lo) * self.weights[lo:hi]
-            for j, (k2, _), row in zip(covered, got, terms):
-                out[j] = (k2[self.i0 - lo], row)
-        return out
+    def early_rings(self, pairs: list, least: float) -> list:
+        """Per (path, anchor) pair, its walk over the first ``_EARLY_RINGS``
+        rings, or None for a pair that ``sums`` rejects. The pairs' traces
+        share one ``_Segments``, and each ring is computed in one pass for
+        the pairs whose sums so far stay within ``least`` by the margin: the
+        least value at any later pair is at most ``least``, so a pair left
+        out is one that its walk rules out at an earlier ring."""
+        covered = [not self._uncovered(path, anchor) for path, anchor in pairs]
+        paths = [path for (path, _), ok in zip(pairs, covered) if ok]
+        if not paths:
+            return [None] * len(pairs)
+        segments = _Segments([tr for path in paths for tr in path.traces])
+        bases = iter(np.cumsum([0] + [len(path.traces) for path in paths]).tolist())
+        walks = [_Walk(path, anchor, segments, next(bases)) if ok else None
+                 for (path, anchor), ok in zip(pairs, covered)]
+        live = [w for w in walks if w]
+        limit = least * (1.0 + _PRUNE_MARGIN)
+        for _ in self.rings[:_EARLY_RINGS]:
+            if not live:
+                break
+            self._extend(live)
+            live = [w for w in live if w.sums[-1] <= limit]
+        return walks
 
-    def sums(self, path2, anchor2: float = 0.0, first=None):
+    def sums(self, path2, anchor2: float = 0.0, walk: _Walk | None = None):
         """Yields the trapezoid sum over each ring in turn, computing only the
-        ring's new nodes; the last is the distance. ``first`` is the pair's
-        entry of ``first_rings``, or None to compute the first ring here. The
+        ring's new nodes; the last is the distance. ``walk`` is the pair's
+        entry of ``early_rings``, whose rings are not computed again. The
         second path's checks run at the first ``next``."""
         if err := self._uncovered(path2, anchor2):
             raise err
-        lo, hi = self.rings[0]
-        if first is None:
-            k2, terms = self._terms(path2, anchor2, slice(lo, hi))
-            first = (k2[self.i0 - lo], terms)
-        k0, terms = first
-        self._check_aligned(k0)
-        for new_lo, new_hi in self.rings:
-            if new_hi - new_lo > hi - lo:
-                _, new = self._terms(path2, anchor2, np.r_[new_lo:lo, hi:new_hi])
-                terms = np.concatenate((new[:lo - new_lo], terms, new[lo - new_lo:]))
-                lo, hi = new_lo, new_hi
-            yield float(_trapezoid(terms, self.ts[lo:hi]))
+        if walk is None:
+            walk = _Walk(path2, anchor2, path2._segments)
+            self._extend([walk])
+        self._check_aligned(walk.k0)
+        for r in range(len(self.rings)):
+            if r == len(walk.sums):
+                self._extend([walk])
+            yield walk.sums[r]
 
 
 def geodesic_distance(surface: ConeSurface, path1, path2,
@@ -907,8 +1000,12 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     Pointwise distances minimize over the copies of the second chart within
     two gluing crossings of the first and are capped at the diameter bound
     D, the summed chart diameters, whose tail contribution 2*D*exp(-W) is
-    reported. The value is the last of the grid's ring sums.
+    reported. The value is the last of the grid's ring sums. Both anchors
+    must be finite, and both paths are ``_TracedPath``s (module docstring).
     """
+    for name, anchor in (("anchor1", anchor1), ("anchor2", anchor2)):
+        if not math.isfinite(anchor):
+            raise DomainError(f"{name} must be finite, got {anchor}")
     grid = _DistanceGrid(surface, path1, window, anchor1)
     *_, value = grid.sums(path2, anchor2)
     w0, w1 = grid.window
@@ -922,9 +1019,10 @@ def _least_distances(surface: ConeSurface, target, window, pairs: list) -> list[
     relative ``_PRUNE_MARGIN``, which rules the pair out (``_DistanceGrid``).
 
     The first pair, with nothing to beat, is measured by ``geodesic_distance``;
-    a pair that no ring rules out ends its walk at the whole grid. The first
-    rings of ``_RING_BLOCK`` pairs at a time share one kernel call. Each
-    pair's checks run in pair order and raise the errors of ``geodesic_distance``.
+    a pair that no ring rules out ends its walk at the whole grid. The early
+    rings of ``_RING_BLOCK`` pairs at a time are computed together
+    (``_DistanceGrid.early_rings``), the later ones pair by pair. Each pair's
+    checks run in pair order and raise the errors of ``geodesic_distance``.
     """
     out = []
     for i, (path, anchor) in enumerate(pairs):
@@ -934,11 +1032,11 @@ def _least_distances(surface: ConeSurface, target, window, pairs: list) -> list[
         else:
             if i == 1:
                 grid = _DistanceGrid(surface, target, window)
-            j = (i - 1) % _RING_BLOCK
-            if j == 0:
-                block = grid.first_rings(pairs[i:i + _RING_BLOCK])
+            if (i - 1) % _RING_BLOCK == 0:
+                walks = grid.early_rings(pairs[i:i + _RING_BLOCK], least)
             limit = least * (1.0 + _PRUNE_MARGIN)
-            for value in grid.sums(path, anchor, block[j]):
+            # popped, so that each walk's terms are freed when its pair is done
+            for value in grid.sums(path, anchor, walks.pop(0)):
                 if value > limit:
                     break
             least = min(least, value)

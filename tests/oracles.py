@@ -29,7 +29,12 @@ floats: the references that the stepper and ``develop`` must equal bit for
 bit. ``reference_sample_distances`` is the compact-open distance's
 per-sample kernel as it was before its copies were grouped by rotation: it
 maps the samples through every copy in full, the reference that the kernel
-must equal bit for bit.
+must equal bit for bit. ``reference_positions`` locates a path's samples
+trace by trace, each trace searching its own segment arrays, and
+``reference_least_distances`` walks each density candidate's rings on its
+own, one kernel call per ring (the package's kernel, so that its calls can
+be counted): the references that the positions pass over many paths' traces
+and the block walk of ``tracer._least_distances`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ import math
 import mpmath
 import numpy as np
 
+from conesurf import tracer
 from conesurf.errors import (
     DomainError,
+    IncomparableTraces,
+    InsufficientPath,
     StartOutsideSurface,
     TraceNumericalError,
     UnfoldingBudgetExceeded,
@@ -987,3 +995,110 @@ def reference_sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.nda
             np.minimum(best, np.hypot(x1 - qx, y1 - qy), out=best)
         dists[sel] = np.minimum(best, cap, out=best)
     return dists
+
+
+def _reference_trace_positions(trace_result, ts: np.ndarray):
+    """(codes, xy) at arclengths ``ts`` of one trace, from that trace's own
+    segment arrays: start arclengths with the total, searched on their own."""
+    segments = trace_result.segments
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in segments]
+    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+    p0 = np.array([a for _, a, _ in segments], dtype=float)
+    p1 = np.array([b for _, _, b in segments], dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dirs = (p1 - p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
+    codes = np.array([trace_result.chart_index[c] for c, _, _ in segments], dtype=np.int64)
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and (ts.min() < -1e-9 or ts.max() > trace_result.total_length + 1e-9):
+        raise InsufficientPath(
+            f"arclength range [{ts.min():.6g}, {ts.max():.6g}] outside "
+            f"[0, {trace_result.total_length:.6g}]")
+    idx = np.clip(np.searchsorted(bounds, ts, side="right") - 1, 0, len(segments) - 1)
+    rel = np.clip(ts - bounds[idx], 0.0, None)
+    return codes[idx], p0[idx] + rel[:, None] * dirs[idx]
+
+
+def reference_positions(path, ts):
+    """(codes, xy) at parameters ``ts`` of a traced, two-sided, periodic or
+    chain path, each trace located on its own: a two-sided path splits the
+    samples between its forward and backward traces, and a chain locates
+    each piece's samples in turn."""
+    ts = np.asarray(ts, dtype=float)
+    if hasattr(path, "forward"):
+        codes, xy = np.empty(len(ts), dtype=np.int64), np.empty((len(ts), 2))
+        pos = ts >= 0.0
+        if pos.any():
+            codes[pos], xy[pos] = _reference_trace_positions(path.forward, ts[pos])
+        neg = ~pos
+        if neg.any():
+            codes[neg], xy[neg] = _reference_trace_positions(path.backward, -ts[neg])
+        return codes, xy
+    if hasattr(path, "core"):
+        return _reference_trace_positions(path.core, np.mod(ts, path.core.total_length))
+    if hasattr(path, "pg"):
+        pieces = [p for link in path.pg.links for p in link.pieces]
+        offsets = np.cumsum([0.0] + [p.total_length for p in pieces])
+        ts = np.mod(ts, path.pg.total_length)
+        idx = np.clip(np.searchsorted(offsets, ts, side="right") - 1, 0, len(pieces) - 1)
+        codes, xy = np.empty(len(ts), dtype=np.int64), np.empty((len(ts), 2))
+        for j, piece in enumerate(pieces):
+            sel = idx == j
+            if sel.any():
+                local = np.minimum(ts[sel] - offsets[j], piece.total_length)
+                codes[sel], xy[sel] = _reference_trace_positions(piece, local)
+        return codes, xy
+    return _reference_trace_positions(path, ts)
+
+
+def reference_least_distances(surface: ConeSurface, target, window: float,
+                              pairs: list) -> list[float]:
+    """Per (path, anchor) pair, in order, its distance from ``target`` over
+    (-window, window), or the first ring sum above the least value before it
+    by a relative 1e-12. Each pair walks the doubling rings |t| <= 0.1, 0.2,
+    ..., up to the whole grid, on its own: one ``reference_positions`` call
+    and one kernel call per ring, its sum the trapezoid over the ring. The
+    first pair, with nothing to beat, walks every ring. Raises the errors of
+    ``geodesic_distance`` in pair order."""
+    w0, w1 = -float(window), float(window)
+    count = max(2, int(round((w1 - w0) / surface.tolerances.distance_step)) + 1)
+    ts = np.linspace(w0, w1, count)
+    weights = np.exp(-np.abs(ts))
+    i0 = int(np.argmin(np.abs(ts)))
+    k1, xy1 = reference_positions(target, ts + 0.0)
+    diameter = sum(g.diameter for g in surface.geometry.values())
+    rings, h = [], 0.1
+    while rings[-1:] != [(0, count)]:
+        ring = (min(int(np.searchsorted(ts, -h, side="left")), i0),
+                max(int(np.searchsorted(ts, h, side="right")), i0 + 1))
+        if ring not in rings[-1:]:
+            rings.append(ring)
+        h *= 2.0
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    out, least = [], math.inf
+    for path, anchor in pairs:
+        first, last = path.param_range()
+        if anchor + w0 < first - 1e-9 or anchor + w1 > last + 1e-9:
+            raise InsufficientPath(f"path2 covers [{first:.6g}, {last:.6g}] but the window "
+                                   f"needs [{anchor + w0:.6g}, {anchor + w1:.6g}]")
+        limit = least * (1.0 + 1e-12)
+        for r, (lo, hi) in enumerate(rings):
+            nodes = np.arange(lo, hi) if r == 0 else np.r_[lo:rings[r - 1][0],
+                                                         rings[r - 1][1]:hi]
+            k2, xy2 = reference_positions(path, ts[nodes] + anchor)
+            new = tracer._sample_distances(surface, k1[nodes], xy1[nodes], k2, xy2,
+                                           diameter) * weights[nodes]
+            if r == 0:
+                c1, c2 = surface.chart_names[k1[i0]], surface.chart_names[k2[i0 - lo]]
+                if not surface.alignment_isos(c1, c2):
+                    raise IncomparableTraces(
+                        f"no chart alignment between {c1!r} and {c2!r} at time 0")
+                terms = new
+            else:
+                cut = rings[r - 1][0] - lo
+                terms = np.concatenate((new[:cut], terms, new[cut:]))
+            value = float(trapezoid(terms, ts[lo:hi]))
+            if value > limit:
+                break
+        least = min(least, value)
+        out.append(value)
+    return out

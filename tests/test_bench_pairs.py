@@ -111,3 +111,40 @@ def test_missing_or_unknown_workload_is_a_usage_error(argv, capsys):
         bench_pairs.parse_args(argv, WORKLOADS)
     assert exc.value.code == 2
     assert "workload" in capsys.readouterr().err
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]   # IQR 0.045
+WIDE = [0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.2, 1.3, 1.4, 1.5]               # IQR 0.55
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    (PARENT, [a - 0.06 for a in PARENT], "gain"),
+    # 10 of 10 won, but a median gap inside the parent's IQR
+    (PARENT, [a - 0.04 for a in PARENT], "within bound"),
+    # a wide gap, but 8 of 10 won
+    (PARENT, [a - 0.06 for a in PARENT[:8]] + [a + 0.01 for a in PARENT[8:]], "within bound"),
+    (PARENT, [a * 1.2 for a in PARENT], "within bound"),
+    (PARENT, [a * 1.3 for a in PARENT], "worse than bound"),
+    # a parent IQR wider than the bound: unresolved, unless every run of
+    # the change reads better than every run of the parent
+    (WIDE, WIDE[::-1], "unresolved"),
+    (WIDE, [0.45, 0.46, 0.47, 0.48, 0.49] * 2, "within bound"),
+    (WIDE, [a * 1.3 for a in WIDE], "worse than bound"),
+])
+def test_verdict_of_a_lower_is_better_metric(parent, change, want):
+    assert bench_pairs.verdict(METRICS[0], parent, change) == want
+
+
+def test_verdict_of_a_higher_is_better_metric_without_bound():
+    rate = METRICS[1]
+    assert bench_pairs.verdict(rate, PARENT, [a + 0.06 for a in PARENT]) == "gain"
+    assert bench_pairs.verdict(rate, PARENT, [a - 0.06 for a in PARENT]) == "unresolved"
+
+
+def test_verdict_lines_name_each_metric_with_its_numbers():
+    pairs = [(seed, result_line(a, 10.0), result_line(a - 0.06, 10.0))
+             for seed, a in enumerate(PARENT, 1)]
+    assert bench_pairs.verdict_lines(METRICS, pairs) == [
+        "verdicts (gain: won >= 9/10 and median gap > parent IQR; bounds of BENCHMARK.json)",
+        "  norm_wall_s: gain (median 1.045 -> 0.985, -5.7%; parent IQR 0.045; bound 25%)",
+        "  rate: unresolved (median 10 -> 10, +0.0%; parent IQR 0; bound none)"]

@@ -6,6 +6,8 @@ import collections
 import dataclasses
 import json
 import math
+import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from conesurf import (
     find_monodromy,
     geodesic_distance,
     lift_trace,
+    load_surface,
     offset_state,
     project_trace,
     strip_quadrangle,
@@ -41,6 +44,7 @@ from conesurf.corpus import marked_torus, pillowcase, regular_octagon
 from conesurf.errors import (
     DomainError,
     IncomparableTraces,
+    InsufficientPath,
     TraceNumericalError,
     UnfoldingBudgetExceeded,
     ZeroDirection,
@@ -521,33 +525,54 @@ def test_pruning_partials_bound_the_distance(request, name):
     for kind, path in others.items():
         for anchor2 in (0.0, 0.37):
             full = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2).value
-            (first,) = grid.first_rings([(path, anchor2)])
-            sums = list(grid.sums(path, anchor2, first))
+            (walk,) = grid.early_rings([(path, anchor2)], math.inf)
+            sums = list(grid.sums(path, anchor2, walk))
             assert len(sums) == len(grid.rings), (kind, anchor2)
             assert 0.0 <= sums[0], (kind, anchor2, sums)
             assert all(a <= b for a, b in zip(sums, sums[1:])), (kind, anchor2, sums)
-            # the whole grid is the distance itself, with or without a given first ring
+            # the whole grid is the distance itself, with or without early rings
             assert sums[-1] == full, (kind, anchor2, sums, full)
             assert list(grid.sums(path, anchor2)) == sums, (kind, anchor2)
 
 
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
 def test_batched_first_rings_equal_single_path_terms(request, name):
+    # a block of periodic cores, chains and two-sided paths, the last ones
+    # uncovered from anchor 1.1 on, batched through the early rings with no
+    # least value to beat and with one that stops some walks early
     surface = request.getfixturevalue(name)
     target, others = _path_kinds(surface)
     grid = tracer._DistanceGrid(surface, target, 3.0)
     block = [(others[kind], anchor2) for anchor2 in (0.0, 0.37, 1.1, 2.9, 4.6)
-             for kind in ("periodic", "chain")]
-    lo, hi = grid.rings[0]
-    pairs = set()
-    for (path, anchor2), got in zip(block, grid.first_rings(block)):
-        (want,) = grid.first_rings([(path, anchor2)])
-        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes(), anchor2
-        # and both are the whole grid's terms at the first ring's nodes
-        codes, terms = grid._terms(path, anchor2, slice(None))
-        assert got[0] == codes[grid.i0]
-        assert got[1].tobytes() == terms[lo:hi].tobytes(), anchor2
-        pairs.update(zip(grid.k1[lo:hi].tolist(), codes[lo:hi].tolist()))
+             for kind in ("periodic", "chain", "two_sided")]
+    whole = []
+    for path, anchor2 in block:
+        own = tracer._Walk(path, anchor2, path._segments)
+        if not grid._uncovered(path, anchor2):
+            for _ in grid.rings:
+                grid._extend([own])
+        whole.append(own)
+    firsts = sorted(w.sums[0] for w in whole if w.sums)
+    pairs, depths = set(), set()
+    for least in (math.inf, firsts[len(firsts) // 2]):
+        for (path, anchor2), got, full in zip(block, grid.early_rings(block, least), whole):
+            if not full.sums:
+                assert got is None and anchor2 > 1.0, anchor2
+                continue
+            # the same rings walked alone, ring by ring, and the whole grid
+            own = tracer._Walk(path, anchor2, path._segments)
+            for _ in got.sums:
+                grid._extend([own])
+            lo, hi = grid.rings[len(got.sums) - 1]
+            assert got.k0 == own.k0 == full.k0
+            assert repr(got.sums) == repr(own.sums) == repr(full.sums[:len(got.sums)])
+            assert got.terms.tobytes() == own.terms.tobytes() == full.terms[lo:hi].tobytes()
+            depths.add((least, len(got.sums)))
+            codes, _ = path.positions(grid.ts[lo:hi] + anchor2)
+            pairs.update(zip(grid.k1[lo:hi].tolist(), codes.tolist()))
+    # no least value: every covered pair walks the early rings; with one, some stop
+    assert {d for least, d in depths if least == math.inf} == {tracer._EARLY_RINGS}
+    assert len({d for least, d in depths if least != math.inf}) > 1, depths
     if name != "mtorus":
         assert len(pairs) > 1, pairs
 
@@ -562,6 +587,9 @@ def test_path_protocol_chart_codes(request, name):
         grid = (ts - ts[0]) / 2.0 if path is target.forward else ts
         codes, xy = path.positions(grid)
         assert codes.dtype == np.int64 and xy.shape == (len(grid), 2)
+        # bit for bit the points of each trace located on its own
+        want_codes, want_xy = oracles.reference_positions(path, grid)
+        assert np.array_equal(codes, want_codes) and xy.tobytes() == want_xy.tobytes()
         want = [oracles.path_sample(path, t) for t in grid]
         assert list(surface.chart_names[codes]) == [c for c, _ in want]
         assert np.abs(xy - np.array([p for _, p in want])).max() <= 1e-12
@@ -584,6 +612,7 @@ def test_chain_path_samples_generalized_links(pcase):
     path = ChainPath(chain(cover, [merged, *back]))
     grid = np.linspace(-1.3, 2.0 * path.length, 501)
     codes, xy = path.positions(grid)
+    assert xy.tobytes() == oracles.reference_positions(path, grid)[1].tobytes()
     want = [oracles.path_sample(path, t) for t in grid]
     assert list(cover.chart_names[codes]) == [c for c, _ in want]
     assert np.abs(xy - np.array([p for _, p in want])).max() <= 1e-12
@@ -694,8 +723,14 @@ def test_density_pruning_matches_full_evaluation(request, monkeypatch, name, cha
     kernel = tracer._sample_distances
     monkeypatch.setattr(tracer, "_sample_distances",
                         lambda s, k1, *a: samples.append(len(k1)) or kernel(s, k1, *a))
+    calls = []
+    monkeypatch.setattr(cylinders, "_least_distances",
+                        lambda *args: calls.append(args) or tracer._least_distances(*args))
     pruned = _density_json(surface, target, lengths, window, chain_budget)
     pruned_samples = sum(samples)
+    # the block walk equals each candidate walking its rings on its own
+    (args,) = calls
+    assert repr(tracer._least_distances(*args)) == repr(oracles.reference_least_distances(*args))
     samples.clear()
     # the whole grid is the only ring: every candidate is evaluated in full
     monkeypatch.setattr(tracer, "_FIRST_RING", math.inf)
@@ -737,6 +772,77 @@ def test_least_distances_are_distances_or_ruled_out(request, monkeypatch, name, 
     assert 0 < pruned < len(pairs)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_golden_least_distances_equal_the_reference_walk_with_little_waste(monkeypatch, seed):
+    # the benchmark's density inputs at bound 21: the marked torus, the
+    # golden-slope target, moved by the seed as the benchmark moves it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    surface = load_surface(root / "surfaces" / "torus_marked.json")
+    config = json.loads((root / "configs" / "density_torus_golden.json").read_text())
+    t = config["target"]
+    rng = random.Random(seed)
+    point = (t["x"], t["y"]) if seed == 0 else (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+    target = GeodesicState(t["chart"], point, (t["dx"], t["dy"]))
+    calls = []
+    monkeypatch.setattr(cylinders, "_least_distances",
+                        lambda *args: calls.append(args) or tracer._least_distances(*args))
+    density_experiment(surface, target, [float(L) for L in config["lengths"] if L <= 21],
+                       window=config["window"], eta=config["eta"])
+    (args,) = calls
+    kernel, counts = tracer._sample_distances, []
+    monkeypatch.setattr(tracer, "_sample_distances",
+                        lambda s, k1, *a: counts.append(len(k1)) or kernel(s, k1, *a))
+    got = tracer._least_distances(*args)
+    calls, samples = len(counts), sum(counts)
+    counts.clear()
+    want = oracles.reference_least_distances(*args)
+    assert repr(got) == repr(want)
+    # the early rings computed ahead cost few samples that the walk pair by
+    # pair does not need (batching every ring doubled them)
+    assert calls < len(counts) and samples <= 1.05 * sum(counts), (calls, samples, counts)
+
+
+@pytest.mark.parametrize("name", ["pcase", "pcover"])
+def test_mixed_block_least_distances_equal_the_reference_walk(request, name):
+    # periodic cores, chains of two pieces and two-sided paths, 45 pairs in
+    # one block of 32 and one of 12 after the first pair, some ruled out and
+    # the others walking the whole grid; then an uncovered pair in the
+    # second block
+    surface = request.getfixturevalue(name)
+    target, others = _path_kinds(surface)
+    pairs = [(others[kind], anchor) for anchor in np.linspace(0.0, 1.0, 15).tolist()
+             for kind in ("periodic", "chain", "two_sided")]
+    assert {len(path.traces) for path, _ in pairs} == {1, 2}
+    got = tracer._least_distances(surface, target, 3.0, pairs)
+    assert repr(got) == repr(oracles.reference_least_distances(surface, target, 3.0, pairs))
+    full = [geodesic_distance(surface, target, path, 3.0, anchor2=anchor).value
+            for path, anchor in pairs]
+    assert 0 < sum(a != b for a, b in zip(got, full)) < len(pairs)
+    pairs.insert(40, (others["two_sided"], 1.5))
+    with pytest.raises(InsufficientPath) as batched:
+        tracer._least_distances(surface, target, 3.0, pairs)
+    with pytest.raises(InsufficientPath) as walked:
+        oracles.reference_least_distances(surface, target, 3.0, pairs)
+    assert str(batched.value) == str(walked.value)
+    assert str(batched.value).startswith("path2 covers")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["anchor1", "anchor2"])
+def test_geodesic_distance_rejects_non_finite_anchors(mtorus, monkeypatch, which, value):
+    # a two-sided target and a periodic core, whose range checks a
+    # non-finite anchor passes, raise before any sample is taken
+    target = two_sided_trace(mtorus, GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN)),
+                             6.0, options=PLAIN)
+    core = PeriodicPath(find_closed_geodesic(mtorus, (2.0, 1.0)).core)
+    sampled = []
+    monkeypatch.setattr(tracer._Segments, "locate", lambda *args: sampled.append(args))
+    monkeypatch.setattr(tracer, "_sample_distances", lambda *args: sampled.append(args))
+    with pytest.raises(DomainError, match=f"^{which} must be finite, got {value}$"):
+        geodesic_distance(mtorus, target, core, 3.0, **{which: value})
+    assert not sampled
+
+
 def test_density_run_calls_geodesic_distance_once(mtorus, monkeypatch):
     # only the first candidate is measured by geodesic_distance; every other
     # one walks its rings on the shared grid
@@ -759,17 +865,28 @@ def _three_tori():
 
 def test_density_block_raises_for_its_first_failing_candidate(monkeypatch):
     # chains on the other tori have no chart alignment with the target's at
-    # t = 0; one block holds a chain on "b" and, later, one on "c"
+    # t = 0; one block holds a chain on "b" and, later, one on "c", and
+    # before them a pair that walks past the early rings
     surface = _three_tori()
     target = _golden_target(surface, "a", (0.31, 0.17))
     blocks = []
-    first_rings = tracer._DistanceGrid.first_rings
-    monkeypatch.setattr(tracer._DistanceGrid, "first_rings",
-                        lambda self, pairs: blocks.append(pairs) or first_rings(self, pairs))
+    early_rings = tracer._DistanceGrid.early_rings
+
+    def recording(self, pairs, least):
+        walks = early_rings(self, pairs, least)
+        blocks.append((pairs, list(walks)))
+        return walks
+
+    monkeypatch.setattr(tracer._DistanceGrid, "early_rings", recording)
     with pytest.raises(IncomparableTraces) as batched:
         density_experiment(surface, target, [1.0, 2.0, 3.0])
-    charts = [surface.chart_names[path.positions([anchor])[0][0]] for path, anchor in blocks[0]]
-    assert 0 < charts.index("b") < charts.index("c"), charts
+    pairs, walks = blocks[0]
+    charts = [surface.chart_names[path.positions([anchor])[0][0]] for path, anchor in pairs]
+    b, c = charts.index("b"), charts.index("c")
+    assert 0 < b < c, charts
+    assert max(len(w.sums) for w in walks[:b]) > tracer._EARLY_RINGS
+    # the failing pairs' early rings were computed ahead, and raised nothing
+    assert walks[b].sums and walks[c].sums
     monkeypatch.setattr(tracer, "_FIRST_RING", math.inf)
     with pytest.raises(IncomparableTraces) as full:
         density_experiment(surface, target, [1.0, 2.0, 3.0])

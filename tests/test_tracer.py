@@ -801,8 +801,8 @@ def test_geodesic_distance_incomparable_components():
     with pytest.raises(IncomparableTraces):
         geodesic_distance(s, p1, p2, window=2.0)
     grid = tracer._DistanceGrid(s, p1, 2.0)
-    (first,) = grid.first_rings([(p2, 0.0)])
-    for given in (first, None):
+    (walk,) = grid.early_rings([(p2, 0.0)], math.inf)
+    for given in (walk, None):
         with pytest.raises(IncomparableTraces):
             next(grid.sums(p2, 0.0, given))
 
