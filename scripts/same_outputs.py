@@ -11,12 +11,18 @@ prints or writes names the tree:
 
 - the density experiment with ``configs/density_torus_golden.json`` on the
   marked torus (bounds 1..55);
+- ``--json density`` on the marked torus with the golden-slope target of
+  ``configs/golden_target.json`` and bounds 1, 2, 3, 5, 8: the other command
+  that measures compact-open distances;
 - ``saddles --csv`` on the octagon at L = 3 and on the marked torus at L = 8;
 - ``--json cylinders --from-saddle 3`` on the marked torus, the octagon and
   the pillowcase;
 - the no-strips experiment with both ``configs/no_strips_*.json``;
 - ``trace --csv --svg`` on the octagon from (0, 0) at slope pi/10, L = 500
-  (the benchmark's CLI export).
+  (the benchmark's CLI export);
+- ``selftest --quick``, whose checks include the density pruning against the
+  full evaluation, the no-strips rows and the bounding saddles traced through
+  ``trace_connection``.
 
 Every report, CSV and SVG, and each command's stdout and exit code, lands in
 an output directory per tree. The two directories are compared file by file;
@@ -43,6 +49,10 @@ COMMANDS = {
         "--quiet", "experiment", "density", "--surface", "surfaces/torus_marked.json",
         "--config", "configs/density_torus_golden.json",
         "--report", f"{OUT}/density_torus_golden.json"],
+    "density_golden_target": [
+        "--json", "density", "--surface", "surfaces/torus_marked.json",
+        "--target-spec", "configs/golden_target.json", "--lengths", "1,2,3,5,8",
+        "--report", f"{OUT}/density_golden_target.json"],
     "saddles_octagon_L3": [
         "--quiet", "saddles", "--surface", "surfaces/octagon.json", "--max-length", "3",
         "--csv", f"{OUT}/saddles_octagon_L3.csv"],
@@ -61,6 +71,7 @@ COMMANDS = {
         "--x", "0", "--y", "0", "--dx", "1", "--dy", repr(math.pi / 10.0),
         "--max-length", "500.0", "--csv", f"{OUT}/trace_octagon_L500.csv",
         "--svg", f"{OUT}/trace_octagon_L500.svg"],
+    "selftest_quick": ["--quiet", "selftest", "--quick", "--report", f"{OUT}/selftest_quick.json"],
 }
 
 

@@ -50,32 +50,6 @@ _SELFTEST_SEED = 20260814
 
 
 @dataclasses.dataclass
-class ExperimentConfig:
-    """Parsed experiment description (no-strips or density)."""
-
-    scenario: str
-    start: dict            # {chart, x, y, dx, dy}
-    lengths: list
-    threshold: float
-    window: float = 5.0
-    chain_budget: int = 200
-
-    def validate(self) -> None:
-        if self.scenario not in ("no-strips", "density"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if not all(math.isfinite(v) for v in [*self.lengths, self.threshold, self.window]):
-            raise ValueError("lengths, threshold and window must be finite")
-        if not self.lengths or any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
-            raise ValueError("lengths must be a strictly increasing schedule")
-        if self.lengths[0] <= 0:
-            raise ValueError("lengths must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-
-
-@dataclasses.dataclass
 class RunReport:
     """Deterministic machine-readable record of one CLI run."""
 
@@ -393,42 +367,44 @@ def cmd_experiment(args) -> int:
     if not (isinstance(raw, dict) and isinstance(raw.get("lengths", []), list)):
         raise ConeSurfaceError(f"--config {args.config} must hold a JSON object whose "
                                "lengths are a list")
-    start = "start" if "start" in raw else "target"
-    threshold = "threshold" if "threshold" in raw else "eta"
-    cfg = ExperimentConfig(
-        scenario=args.scenario,
-        start=raw.get(start, {}),
-        lengths=[_number(v, f"lengths[{k}]") for k, v in enumerate(raw.get("lengths", []))],
-        threshold=_number(raw.get(threshold, 0.05), threshold),
-        window=_number(raw.get("window", 5.0), "window"),
-        chain_budget=_number(raw.get("chain_budget", 200), "chain_budget", int),
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConeSurfaceError(str(exc)) from exc
+    start_key = "start" if "start" in raw else "target"
+    threshold_key = "threshold" if "threshold" in raw else "eta"
+    start = raw.get(start_key, {})
+    lengths = [_number(v, f"lengths[{k}]") for k, v in enumerate(raw.get("lengths", []))]
+    threshold = _number(raw.get(threshold_key, 0.05), threshold_key)
+    window = _number(raw.get("window", 5.0), "window")
+    chain_budget = _number(raw.get("chain_budget", 200), "chain_budget", int)
+    if not all(math.isfinite(v) for v in [*lengths, threshold, window]):
+        raise ConeSurfaceError("lengths, threshold and window must be finite")
+    if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ConeSurfaceError("lengths must be a strictly increasing schedule")
+    if lengths[0] <= 0:
+        raise ConeSurfaceError("lengths must be positive")
+    if threshold <= 0:
+        raise ConeSurfaceError("threshold must be positive")
+    if window <= 0:
+        raise ConeSurfaceError("window must be positive")
     started = time.perf_counter()
-    state = _state_from_dict(cfg.start, start)
+    state = _state_from_dict(start, start_key)
 
     if args.scenario == "no-strips":
         # the rows come from min_singular_distance_up_to, not the trace's series
-        rep = min_distance_experiment(surface, state, cfg.lengths, threshold=cfg.threshold,
+        rep = min_distance_experiment(surface, state, lengths, threshold=threshold,
                                       options=PLAIN_TRACE_OPTIONS)
-        metrics = {"rows": [[L, m] for L, m in rep.rows], "threshold": cfg.threshold}
+        metrics = {"rows": [[L, m] for L, m in rep.rows], "threshold": threshold}
         passed = rep.passed
         for L, m in rep.rows:
             _say(args, f"  m({L:g}) = {m:.12g}")
     else:
-        passed, metrics = _run_density(surface, state, cfg.lengths, cfg.window,
-                                       cfg.threshold, cfg.chain_budget)
+        passed, metrics = _run_density(surface, state, lengths, window, threshold, chain_budget)
         for row in metrics["rows"]:
             _say(args, f"  L={row['length_bound']:g}: distance {row['distance']:.6g}")
 
     report = RunReport(
         scenario=args.scenario,
         inputs={"surface": args.surface, "config": args.config,
-                "start": cfg.start, "lengths": cfg.lengths,
-                "threshold": cfg.threshold, "window": cfg.window},
+                "start": start, "lengths": lengths,
+                "threshold": threshold, "window": window},
         metrics=metrics,
         verdicts={"passed": passed},
         wall_clock=(time.perf_counter() - started) if args.timings else None,

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NotClosed, TraceNumericalError, ZeroDirection
+from .errors import DomainError, NotClosed, TraceNumericalError
 from .geometry import Isometry, angle_of, interior_point, normalize
 from .saddles import (
     PiecewiseGeodesic,
@@ -44,6 +44,7 @@ from .tracer import (
     _least_distances,
     _sample_distances,
     _TracedPath,
+    _unit,
     develop,
     trace,
     two_sided_trace,
@@ -148,14 +149,6 @@ def _state_gap(surface: ConeSurface, a: GeodesicState, b: GeodesicState) -> floa
                + math.hypot(a.direction[0] - u[0], a.direction[1] - u[1]))
         best = min(best, gap)
     return best
-
-
-def _unit(direction) -> tuple[float, float]:
-    """``normalize``, raising ``trace``'s ZeroDirection for a zero or non-finite vector."""
-    try:
-        return normalize(direction)
-    except ValueError:
-        raise ZeroDirection(f"direction {direction} has no usable length") from None
 
 
 def offset_state(surface: ConeSurface, state: GeodesicState, u: float) -> GeodesicState:

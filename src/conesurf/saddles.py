@@ -22,6 +22,7 @@ from .tracer import (
     PLAIN_TRACE_OPTIONS,
     GeodesicState,
     TraceResult,
+    _unit,
     trace,
 )
 
@@ -68,13 +69,13 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
     """Certify a saddle connection by tracing from a singular corner.
 
     Returns the connection when the trace ends in a cone hit at the stated
-    length (and class, when given); None otherwise.
+    length (and class, when given); None otherwise. A zero or non-finite
+    direction raises ``trace``'s ``ZeroDirection`` before any trace.
     """
     chart, k = corner
     start_cls = surface.corner_class[corner]
     v = surface.charts[chart][k]
-    n = math.hypot(direction[0], direction[1])
-    d = (direction[0] / n, direction[1] / n)
+    d = _unit(direction)
     slack = max(1e-7, 1e-9 * length)
     tr = trace(surface, GeodesicState(chart, v, d), length + slack,
                options=PLAIN_TRACE_OPTIONS)

@@ -52,6 +52,7 @@ from .geometry import (
     Isometry,
     angle_of,
     norm,
+    normalize,
     point_in_polygon,
     point_segment_distance,
 )
@@ -191,8 +192,12 @@ class _TracedPath:
         """Chart codes and coordinates at the given parameters (path protocol).
 
         Returns (codes, xy): an int64 array of codes into the traced surface's
-        ``chart_names``, one per sample, and an (n, 2) array.
+        ``chart_names``, one per sample, and an (n, 2) array. A non-finite
+        parameter raises ``DomainError`` before any search.
         """
+        ts = np.asarray(ts, dtype=float)
+        if not np.isfinite(ts).all():
+            raise DomainError(f"path parameters must be finite, got {ts[~np.isfinite(ts)][0]}")
         return self._segments.locate(*self.arclengths(ts))
 
 
@@ -234,6 +239,13 @@ class TraceResult(_TracedPath):
         return ts, np.zeros(len(ts), dtype=np.int64)
 
     def state_at(self, t: float) -> GeodesicState:
+        """The state at arclength t, which must be finite (else ``DomainError``)
+        and lie in [0, total_length] up to ``locate``'s slack (else
+        ``InsufficientPath``)."""
+        if not math.isfinite(t):
+            raise DomainError(f"path parameters must be finite, got {t}")
+        if not -1e-9 <= t <= self.total_length + 1e-9:
+            raise InsufficientPath(f"arclength {t:.6g} outside [0, {self.total_length:.6g}]")
         starts, dirs = self._segments.starts, self._segments.dirs
         idx = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
                           0, len(self.segments) - 1))
@@ -512,6 +524,14 @@ def continuation_sector(surface: ConeSurface, class_id: str, incoming, *,
     return ContinuationSector(
         class_id=vc.id, angle=vc.angle, incoming_coordinate=t_in,
         start=(t_in + math.pi) % vc.angle, width=width)
+
+
+def _unit(direction) -> tuple[float, float]:
+    """``normalize``, raising ``trace``'s ZeroDirection for a zero or non-finite vector."""
+    try:
+        return normalize(direction)
+    except ValueError:
+        raise ZeroDirection(f"direction {direction} has no usable length") from None
 
 
 def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
@@ -837,7 +857,7 @@ _FIRST_RING = 0.1
 # covers the rounding of a ring sum against the whole grid's (about 1e-15)
 _PRUNE_MARGIN = 1e-12
 # pairs whose early rings share one positions pass and kernel call per ring
-# (``_least_distances``)
+# (``_DistanceGrid.least``)
 _RING_BLOCK = 32
 # the rings that a block computes ahead for every pair that may need them;
 # more is wasted on the pairs that a lower least value within the block
@@ -861,7 +881,7 @@ class _DistanceGrid:
     Holds the trapezoid nodes over the window, their weights exp(-|t|) and
     the first path's samples, so any number of second paths are compared on
     the same grid without rebuilding it. The constructor checks the window
-    and the first path's coverage; ``sums`` checks the second path's
+    and the first path's coverage; ``least`` checks each second path's
     coverage and its chart alignment at t = 0.
 
     ``rings`` are the node slices |t| <= h, with the node nearest t = 0,
@@ -949,7 +969,7 @@ class _DistanceGrid:
 
     def early_rings(self, pairs: list, least: float) -> list:
         """Per (path, anchor) pair, its walk over the first ``_EARLY_RINGS``
-        rings, or None for a pair that ``sums`` rejects. The pairs' traces
+        rings, or None for an uncovered pair. The pairs' traces
         share one ``_Segments``, and each ring is computed in one pass for
         the pairs whose sums so far stay within ``least`` by the margin: the
         least value at any later pair is at most ``least``, so a pair left
@@ -971,21 +991,29 @@ class _DistanceGrid:
             live = [w for w in live if w.sums[-1] <= limit]
         return walks
 
-    def sums(self, path2, anchor2: float = 0.0, walk: _Walk | None = None):
-        """Yields the trapezoid sum over each ring in turn, computing only the
-        ring's new nodes; the last is the distance. ``walk`` is the pair's
-        entry of ``early_rings``, whose rings are not computed again. The
-        second path's checks run at the first ``next``."""
-        if err := self._uncovered(path2, anchor2):
-            raise err
-        if walk is None:
-            walk = _Walk(path2, anchor2, path2._segments)
-            self._extend([walk])
-        self._check_aligned(walk.k0)
-        for r in range(len(self.rings)):
-            if r == len(walk.sums):
-                self._extend([walk])
-            yield walk.sums[r]
+    def least(self, pairs: list, least: float = math.inf) -> list[float]:
+        """Per (path, anchor) pair, in order, its distance, or the first ring
+        sum above the least value before it (``least`` at the first pair) by
+        a relative ``_PRUNE_MARGIN``, which rules the pair out. The early
+        rings of ``_RING_BLOCK`` pairs at a time are computed together, the
+        later ones pair by pair; each pair's checks run in pair order."""
+        out = []
+        for b in range(0, len(pairs), _RING_BLOCK):
+            walks = self.early_rings(pairs[b:b + _RING_BLOCK], least)
+            for path, anchor in pairs[b:b + _RING_BLOCK]:
+                walk = walks.pop(0)     # popped: its terms are freed when its pair is done
+                if err := self._uncovered(path, anchor):
+                    raise err
+                self._check_aligned(walk.k0)
+                limit = least * (1.0 + _PRUNE_MARGIN)
+                for r in range(len(self.rings)):
+                    if r == len(walk.sums):
+                        self._extend([walk])
+                    if walk.sums[r] > limit:
+                        break
+                out.append(walk.sums[r])
+                least = min(least, out[-1])
+        return out
 
 
 def geodesic_distance(surface: ConeSurface, path1, path2,
@@ -1000,47 +1028,27 @@ def geodesic_distance(surface: ConeSurface, path1, path2,
     Pointwise distances minimize over the copies of the second chart within
     two gluing crossings of the first and are capped at the diameter bound
     D, the summed chart diameters, whose tail contribution 2*D*exp(-W) is
-    reported. The value is the last of the grid's ring sums. Both anchors
-    must be finite, and both paths are ``_TracedPath``s (module docstring).
+    reported. The value is the last ring sum of the walk of this one pair
+    (``_DistanceGrid.least``). Both anchors must be finite, and both paths
+    are ``_TracedPath``s (module docstring).
     """
     for name, anchor in (("anchor1", anchor1), ("anchor2", anchor2)):
         if not math.isfinite(anchor):
             raise DomainError(f"{name} must be finite, got {anchor}")
     grid = _DistanceGrid(surface, path1, window, anchor1)
-    *_, value = grid.sums(path2, anchor2)
+    value = grid.least([(path2, anchor2)])[0]
     w0, w1 = grid.window
     bound = 2.0 * grid.diameter_bound * math.exp(-min(-w0, w1))
     return DistanceResult(value, bound, grid.window, grid.step, grid.diameter_bound)
 
 
 def _least_distances(surface: ConeSurface, target, window, pairs: list) -> list[float]:
-    """Per (path, anchor) pair, in order, its distance from ``target`` over
-    ``window``, or the first ring sum above the least value before it by a
-    relative ``_PRUNE_MARGIN``, which rules the pair out (``_DistanceGrid``).
-
-    The first pair, with nothing to beat, is measured by ``geodesic_distance``;
-    a pair that no ring rules out ends its walk at the whole grid. The early
-    rings of ``_RING_BLOCK`` pairs at a time are computed together
-    (``_DistanceGrid.early_rings``), the later ones pair by pair. Each pair's
-    checks run in pair order and raise the errors of ``geodesic_distance``.
-    """
-    out = []
-    for i, (path, anchor) in enumerate(pairs):
-        if i == 0:
-            value = least = geodesic_distance(surface, target, path, window,
-                                              anchor2=anchor).value
-        else:
-            if i == 1:
-                grid = _DistanceGrid(surface, target, window)
-            if (i - 1) % _RING_BLOCK == 0:
-                walks = grid.early_rings(pairs[i:i + _RING_BLOCK], least)
-            limit = least * (1.0 + _PRUNE_MARGIN)
-            # popped, so that each walk's terms are freed when its pair is done
-            for value in grid.sums(path, anchor, walks.pop(0)):
-                if value > limit:
-                    break
-            least = min(least, value)
-        out.append(value)
+    """``_DistanceGrid.least`` of the pairs from ``target`` over ``window``; the
+    first pair, with nothing to beat, is measured by ``geodesic_distance``."""
+    out = [geodesic_distance(surface, target, path, window, anchor2=anchor).value
+           for path, anchor in pairs[:1]]
+    if len(pairs) > 1:
+        out += _DistanceGrid(surface, target, window).least(pairs[1:], out[0])
     return out
 
 

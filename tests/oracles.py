@@ -35,6 +35,9 @@ trace by trace, each trace searching its own segment arrays, and
 own, one kernel call per ring (the package's kernel, so that its calls can
 be counted): the references that the positions pass over many paths' traces
 and the block walk of ``tracer._least_distances`` must equal bit for bit.
+``subdivide_torus`` cuts the marked torus into strips with the package's
+``build_surface``: the same flat surface in other charts, whose metric
+quantities must equal the uncut torus's.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from conesurf.errors import (
     ZeroDirection,
 )
 from conesurf.geometry import Isometry, norm, point_in_polygon
-from conesurf.surface import KIND_MARKED, ConeSurface, _offset
+from conesurf.surface import KIND_MARKED, ConeSurface, _offset, build_surface
 from conesurf.tracer import (
     DEFAULT_TRACE_OPTIONS,
     EVENT_CONE_HIT,
@@ -1102,3 +1105,16 @@ def reference_least_distances(surface: ConeSurface, target, window: float,
         least = min(least, value)
         out.append(value)
     return out
+
+
+def subdivide_torus(k: int) -> ConeSurface:
+    """The marked unit torus cut into k horizontal strips "r0".."r{k-1}" of
+    height 1/k, in torus coordinates: strip i is [0, 1] x [i/k, (i+1)/k],
+    glued to itself left to right and by its top to the bottom of the next
+    strip (the last to "r0"). Only "r0"'s corner 0, the point (0, 0), is
+    marked; the other strip corners are flat vertices."""
+    polys = [(f"r{i}", [(0.0, i / k), (1.0, i / k), (1.0, (i + 1) / k), (0.0, (i + 1) / k)])
+             for i in range(k)]
+    gluings = [((f"r{i}", 1), (f"r{i}", 3)) for i in range(k)]
+    gluings += [((f"r{i}", 2), (f"r{(i + 1) % k}", 0)) for i in range(k)]
+    return build_surface(polys, gluings, marked=[("r0", 0)])

@@ -495,6 +495,19 @@ def _path_kinds(surface):
                     "chain": ChainPath(chain(surface, links))}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_path_parameters_must_be_finite(mtorus, monkeypatch, value):
+    # every path kind raises before any search, and with no numpy warning
+    target, others = _path_kinds(mtorus)
+    searched = []
+    monkeypatch.setattr(tracer._Segments, "locate", lambda *args: searched.append(args))
+    for kind, path in {"trace": target.forward, **others}.items():
+        with pytest.raises(DomainError) as exc:
+            path.positions([0.5, value])
+        assert str(exc.value) == f"path parameters must be finite, got {value}", kind
+    assert not searched
+
+
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
 def test_distance_matches_per_sample_oracle(name):
     coarse = dataclasses.replace(DEFAULT_TOLERANCES, distance_step=5e-3)
@@ -525,14 +538,21 @@ def test_pruning_partials_bound_the_distance(request, name):
     for kind, path in others.items():
         for anchor2 in (0.0, 0.37):
             full = geodesic_distance(surface, target, path, 3.0, anchor2=anchor2).value
+            # the block walk: its early rings computed ahead, then one ring at a time
             (walk,) = grid.early_rings([(path, anchor2)], math.inf)
-            sums = list(grid.sums(path, anchor2, walk))
+            while len(walk.sums) < len(grid.rings):
+                grid._extend([walk])
+            sums = walk.sums
             assert len(sums) == len(grid.rings), (kind, anchor2)
             assert 0.0 <= sums[0], (kind, anchor2, sums)
             assert all(a <= b for a, b in zip(sums, sums[1:])), (kind, anchor2, sums)
-            # the whole grid is the distance itself, with or without early rings
+            # the whole grid is the distance itself, by the block walk and alone
             assert sums[-1] == full, (kind, anchor2, sums, full)
-            assert list(grid.sums(path, anchor2)) == sums, (kind, anchor2)
+            alone = tracer._Walk(path, anchor2, path._segments)
+            for _ in grid.rings:
+                grid._extend([alone])
+            assert alone.sums == sums, (kind, anchor2)
+            assert grid.least([(path, anchor2)]) == [full], (kind, anchor2)
 
 
 @pytest.mark.parametrize("name", ["mtorus", "pcase", "pcover"])
@@ -880,7 +900,9 @@ def test_density_block_raises_for_its_first_failing_candidate(monkeypatch):
     monkeypatch.setattr(tracer._DistanceGrid, "early_rings", recording)
     with pytest.raises(IncomparableTraces) as batched:
         density_experiment(surface, target, [1.0, 2.0, 3.0])
-    pairs, walks = blocks[0]
+    # the first candidate's geodesic_distance is a block of its own
+    assert len(blocks[0][0]) == 1
+    pairs, walks = blocks[1]
     charts = [surface.chart_names[path.positions([anchor])[0][0]] for path, anchor in pairs]
     b, c = charts.index("b"), charts.index("c")
     assert 0 < b < c, charts

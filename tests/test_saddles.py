@@ -18,12 +18,14 @@ from conesurf import (
     find_monodromy,
     trace_connection,
 )
+from conesurf import saddles
 from conesurf.corpus import regular_octagon
 from conesurf.errors import (
     DomainError,
     EndpointMismatch,
     UnfoldingBudgetExceeded,
     UnknownVertexClass,
+    ZeroDirection,
 )
 
 import oracles
@@ -293,6 +295,21 @@ def test_trace_connection_certifies_diagonal(mtorus):
     assert math.isclose(c.length, SQRT2, rel_tol=1e-9)
     assert math.isclose(c.holonomy[0], 1.0, abs_tol=1e-9)
     assert math.isclose(c.holonomy[1], 1.0, abs_tol=1e-9)
+    # a direction of any length, normalized bit for bit by its hypot
+    n = math.hypot(1.0, 1.0)
+    assert trace_connection(mtorus, ("sq", 0), (1.0, 1.0), SQRT2, "v0").direction == (1 / n, 1 / n)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.inf, 1.0), (0.0, math.nan)])
+def test_trace_connection_rejects_a_zero_direction_before_any_trace(mtorus, monkeypatch,
+                                                                    direction):
+    traced = []
+    monkeypatch.setattr(saddles, "trace", lambda *a, **k: traced.append(a))
+    with pytest.raises(ZeroDirection) as exc:
+        trace_connection(mtorus, ("sq", 0), direction, 1.0)
+    # trace's own message
+    assert str(exc.value) == f"direction {direction} has no usable length"
+    assert traced == []
 
 
 def test_trace_connection_rejects_wrong_data(mtorus):

@@ -1,0 +1,53 @@
+"""Chart-subdivision invariance: the marked torus cut into horizontal strips
+(``oracles.subdivide_torus``) is the same flat surface, so its saddle
+connections, its (2, 1) cylinder and its golden-slope m(T) rows equal the
+uncut torus's."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from conesurf import (
+    GeodesicState,
+    enumerate_saddles,
+    find_closed_geodesic,
+    min_distance_experiment,
+)
+
+import oracles
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _quantities(surface, chart):
+    """Sorted rounded holonomies of the connections from v0 at L = 8, the
+    (2, 1) cylinder's circumference and d_L + d_R, and the m(T) rows at
+    T = 5 and 20 from (0.3, 0.55) at golden slope (``chart`` holds it)."""
+    holonomies = sorted((round(c.holonomy[0], 9), round(c.holonomy[1], 9))
+                        for c in enumerate_saddles(surface, "v0", 8.0))
+    cyl = find_closed_geodesic(surface, (2.0, 1.0))
+    n = math.hypot(1.0, GOLDEN)
+    start = GeodesicState(chart, (0.3, 0.55), (1.0 / n, GOLDEN / n))
+    rows = min_distance_experiment(surface, start, [5.0, 20.0]).rows
+    return holonomies, cyl.circumference, cyl.width_left + cyl.width_right, rows
+
+
+@pytest.fixture(scope="module")
+def uncut(mtorus):
+    return _quantities(mtorus, "sq")
+
+
+@pytest.mark.parametrize("k", [2, 4, 10])
+def test_strips_keep_the_torus_quantities(uncut, k):
+    surface = oracles.subdivide_torus(k)
+    assert len(surface.charts) == k and [vc.id for vc in surface.singular_classes] == ["v0"]
+    holonomies, circumference, width, rows = _quantities(surface, f"r{int(0.55 * k)}")
+    want_holonomies, want_circumference, want_width, want_rows = uncut
+    assert len(holonomies) == 120 and holonomies == want_holonomies
+    assert abs(circumference - want_circumference) <= 1e-12, (circumference, want_circumference)
+    assert abs(width - want_width) <= 1e-12, (width, want_width)
+    assert [T for T, _ in rows] == [T for T, _ in want_rows] == [5.0, 20.0]
+    for (_, m), (_, want) in zip(rows, want_rows):
+        assert abs(m - want) <= 1e-12, (rows, want_rows)

@@ -784,6 +784,22 @@ def test_geodesic_distance_parallel_offset(torus):
         assert math.isclose(d.value, expected, abs_tol=1e-6)
 
 
+def test_state_at_stays_on_its_trace(mtorus):
+    tr = trace(mtorus, state("sq", 0.31, 0.17, 1.0, GOLDEN), 3.0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^path parameters must be finite, got {t}$"):
+            tr.state_at(t)
+    for t in (-1.0, -2e-9, 3.0 + 2e-9, 99.0):
+        with pytest.raises(InsufficientPath, match="^arclength .* outside \\[0, 3\\]$"):
+            tr.state_at(t)
+    # inside, and within locate's slack: the point that positions gives
+    for t in (0.0, 0.4, 1.3, 3.0, 3.0 + 5e-10):
+        codes, xy = tr.positions([t])
+        got = tr.state_at(t)
+        assert got.chart == mtorus.chart_names[codes[0]] and got.point == tuple(xy[0]), t
+    assert tr.state_at(-5e-10).arclength == -5e-10
+
+
 def test_geodesic_distance_requires_enough_path(torus):
     p = two_sided_trace(torus, state("sq", 0.5, 0.25, 1, 0), 2.0)
     with pytest.raises(InsufficientPath):
@@ -800,11 +816,11 @@ def test_geodesic_distance_incomparable_components():
     p2 = two_sided_trace(s, state("b", 3.5, 0.5, 1, 0), 3.0)
     with pytest.raises(IncomparableTraces):
         geodesic_distance(s, p1, p2, window=2.0)
+    # alone, and after a comparable pair of the same block
     grid = tracer._DistanceGrid(s, p1, 2.0)
-    (walk,) = grid.early_rings([(p2, 0.0)], math.inf)
-    for given in (walk, None):
-        with pytest.raises(IncomparableTraces):
-            next(grid.sums(p2, 0.0, given))
+    for pairs in ([(p2, 0.0)], [(p1, 0.0), (p2, 0.0)]):
+        with pytest.raises(IncomparableTraces, match="^no chart alignment between 'a' and 'b'"):
+            grid.least(pairs)
 
 
 @pytest.mark.parametrize("name, copies, classes", [
