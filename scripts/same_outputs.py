@@ -20,6 +20,10 @@ prints or writes names the tree:
 - the no-strips experiment with both ``configs/no_strips_*.json``;
 - ``trace --csv --svg`` on the octagon from (0, 0) at slope pi/10, L = 500
   (the benchmark's CLI export);
+- ``--json trace`` without ``--quiet``, whose stdout holds the events list,
+  the ``m(T) =`` line and the collinearity residual: on the octagon as above
+  with ``--recurrence``, and on the marked torus from the golden-slope
+  target of ``configs/golden_target.json``, L = 200, with default options;
 - ``selftest --quick``, whose checks include the density pruning against the
   full evaluation, the no-strips rows and the bounding saddles traced through
   ``trace_connection``.
@@ -71,6 +75,14 @@ COMMANDS = {
         "--x", "0", "--y", "0", "--dx", "1", "--dy", repr(math.pi / 10.0),
         "--max-length", "500.0", "--csv", f"{OUT}/trace_octagon_L500.csv",
         "--svg", f"{OUT}/trace_octagon_L500.svg"],
+    "trace_json_octagon_L500_recurrence": [
+        "--json", "trace", "--surface", "surfaces/octagon.json", "--chart", "oct",
+        "--x", "0", "--y", "0", "--dx", "1", "--dy", repr(math.pi / 10.0),
+        "--max-length", "500.0", "--recurrence"],
+    "trace_json_torus_marked_L200": [
+        "--json", "trace", "--surface", "surfaces/torus_marked.json", "--chart", "sq",
+        "--x", "0.41421356237309515", "--y", "0.7320508075688772",
+        "--dx", "1.0", "--dy", "1.618033988749895", "--max-length", "200.0"],
     "selftest_quick": ["--quiet", "selftest", "--quick", "--report", f"{OUT}/selftest_quick.json"],
 }
 

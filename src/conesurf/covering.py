@@ -288,13 +288,15 @@ def project_trace(cover_trace: TraceResult) -> TraceResult:
     Chart references in segments, events, and endpoint states lose their
     '@sheet' suffix; geometry is untouched (the projection is a local
     isometry away from branch points).  Vertex-class ids in event payloads
-    remain the cover's own class names.
+    remain the cover's own class names. The m(T) series is the cover trace's:
+    copied if the cover trace has read it, else built from the same records
+    on the projection's first read.
     """
     segments = [(split_sheet(c)[0], a, b) for c, a, b in cover_trace.segments]
     events = [type(ev)(ev.kind, ev.arclength, {
         k: split_sheet(v)[0] if k in ("chart", "from_chart", "to_chart") else v
         for k, v in ev.detail.items()}) for ev in cover_trace.events]
-    return TraceResult(
+    projected = TraceResult(
         start=_strip_state(cover_trace.start),
         segments=segments,
         transitions=list(cover_trace.transitions),
@@ -303,11 +305,15 @@ def project_trace(cover_trace: TraceResult) -> TraceResult:
         end_state=_strip_state(cover_trace.end_state),
         termination=cover_trace.termination,
         recurrence=cover_trace.recurrence,
-        min_distance_series=list(cover_trace.min_distance_series),
         # the cover has every sheet of every base chart, so this is the base's
         chart_index={c: k for k, c in enumerate(
             sorted({split_sheet(c)[0] for c in cover_trace.chart_index}))},
+        distance_records=cover_trace.distance_records,
+        surface=cover_trace.surface,
     )
+    if cover_trace.distance_records is None:    # read already, or never recorded
+        projected.min_distance_series = list(cover_trace.min_distance_series)
+    return projected
 
 
 def find_monodromy(base: ConeSurface, degree: int,

@@ -50,7 +50,7 @@ class Isometry:
 
     def __init__(self, c: float, s: float, tx: float, ty: float):
         # the slots' own setters cost about 60 % of the object.__setattr__ calls
-        # of a generated frozen __init__; develop builds one per segment
+        # of a generated frozen __init__
         _SET_C(self, c)
         _SET_S(self, s)
         _SET_TX(self, tx)

@@ -106,9 +106,9 @@ class TraceOptions:
     component of point and direction and lies more than 1e-9 of arclength
     earlier; the earliest matching crossing wins. Each check costs O(1) on
     average. ``stop_on_recurrence`` ends the trace there and requires
-    ``detect_recurrence``. With ``record_min_distance`` the trace fills
-    ``min_distance_series`` once its stepping ends, from one vectorized pass
-    of the distance kernel over its segments.
+    ``detect_recurrence``. With ``record_min_distance`` the trace keeps a
+    record per segment, and ``min_distance_series`` is built from them on its
+    first read, by one vectorized pass of the distance kernel over the segments.
     """
 
     stop_on_cone: bool = True          # False: pass through marked (2*pi) points
@@ -203,6 +203,9 @@ class _TracedPath:
 
 @dataclass
 class TraceResult(_TracedPath):
+    """A traced geodesic. Its ``events`` and ``min_distance_series`` are
+    built from compact records on first read."""
+
     start: GeodesicState
     segments: list            # (chart_id, (x0, y0), (x1, y1))
     transitions: list         # per boundary: Isometry mapping next chart -> previous chart frame
@@ -211,9 +214,11 @@ class TraceResult(_TracedPath):
     end_state: GeodesicState
     termination: str
     recurrence: dict | None
-    min_distance_series: list  # (arclength, running min distance to singular set)
-                               # at arclength 0 and at each segment end
     chart_index: dict = field(repr=False)  # chart id -> code: the traced surface's
+    # (chart, p0, p1, s0, s1) per segment, the m(T) input until the series is
+    # read; None without record_min_distance
+    distance_records: list | None = field(default=None, repr=False, compare=False)
+    surface: ConeSurface | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def events(self) -> list[TraceEvent]:
@@ -221,6 +226,14 @@ class TraceResult(_TracedPath):
         self.event_records[:] = [_edge_cross_event(*r) if type(r) is tuple else r
                                  for r in self.event_records]
         return self.event_records
+
+    @cached_property
+    def min_distance_series(self) -> list:
+        """(arclength, running min distance to the singular set) at arclength 0
+        and at each segment end, built on first read, which frees
+        ``distance_records``; [] for a trace without them."""
+        records, self.distance_records = self.distance_records, None
+        return [] if records is None else _min_distance_series(self.surface, records)
 
     @property
     def last_event(self) -> TraceEvent:
@@ -259,10 +272,16 @@ class TraceResult(_TracedPath):
         """m(T): the running minimum at the last sample at or before T.
 
         The series holds one sample per segment end, so this is a bisection;
-        inf when nothing was recorded up to T.
+        inf when nothing was recorded up to T. Raises ``DomainError`` for a
+        NaN T and for a trace made without ``record_min_distance``.
         """
-        k = bisect.bisect_right(self.min_distance_series, T + 1e-12, key=lambda row: row[0])
-        return self.min_distance_series[k - 1][1] if k else math.inf
+        if math.isnan(T):
+            raise DomainError(f"T must not be NaN, got {T}")
+        series = self.min_distance_series
+        if not series:
+            raise DomainError("no m(T) series: trace with record_min_distance=True")
+        k = bisect.bisect_right(series, T + 1e-12, key=lambda row: row[0])
+        return series[k - 1][1] if k else math.inf
 
 
 # -- stepping -------------------------------------------------------------------
@@ -682,16 +701,13 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
-    series = []
-    if records is not None:
-        series = _min_distance_series(surface, records or [
-            (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
+    if records == []:
+        records.append((norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0))
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
         event_records=events, total_length=s, end_state=end_state,
-        termination=termination, recurrence=recurrence,
-        min_distance_series=series,
-        chart_index=surface.chart_index)
+        termination=termination, recurrence=recurrence, chart_index=surface.chart_index,
+        distance_records=records, surface=surface)
 
 
 # -- developing map ---------------------------------------------------------------
@@ -700,10 +716,15 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
 @dataclass
 class DevelopedPath:
     points: list                  # developed segment endpoints, start chart frame
-    isometries: list              # per segment: Isometry chart frame -> developed frame
+    frames: list                  # per segment: (c, s, tx, ty), chart frame -> developed frame
     total_length: float
     collinearity_residual: float  # max perpendicular deviation per unit length
     length_residual: float        # | |endpoint - start| - total_length |
+
+    @cached_property
+    def isometries(self) -> list:
+        """Per segment: the ``Isometry`` of its frame, built on first read."""
+        return [Isometry(*f) for f in self.frames]
 
 
 def develop(trace_result: TraceResult) -> DevelopedPath:
@@ -711,15 +732,18 @@ def develop(trace_result: TraceResult) -> DevelopedPath:
 
     For a geodesic the developed polyline is a single straight segment; the
     reported residuals measure how far numerical transport strayed from that.
+    The transitions are composed on floats with the operations of
+    ``Isometry.compose`` and ``Isometry.apply``; ``isometries`` is built from
+    the frames on its first read.
     """
-    G = Isometry.identity()
-    isos = [G]
+    frames = [(1.0, 0.0, 0.0, 0.0)]
+    for t in trace_result.transitions:
+        c, s, tx, ty = frames[-1]
+        frames.append((c * t.c - s * t.s, s * t.c + c * t.s,
+                       c * t.tx - s * t.ty + tx, s * t.tx + c * t.ty + ty))
     pts = [trace_result.segments[0][1]]
-    for k, (cid, a, b) in enumerate(trace_result.segments):
-        pts.append(G.apply(b))
-        if k < len(trace_result.transitions):
-            G = G.compose(trace_result.transitions[k])
-            isos.append(G)
+    pts += [(c * b[0] - s * b[1] + tx, s * b[0] + c * b[1] + ty)
+            for (c, s, tx, ty), (_, _, b) in zip(frames, trace_result.segments)]
     p0, p1 = pts[0], pts[-1]
     total = trace_result.total_length
     chord = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
@@ -729,7 +753,7 @@ def develop(trace_result: TraceResult) -> DevelopedPath:
         resid = dev / total
     else:
         resid = 0.0
-    return DevelopedPath(points=pts, isometries=isos, total_length=total,
+    return DevelopedPath(points=pts, frames=frames, total_length=total,
                          collinearity_residual=resid,
                          length_residual=abs(chord - total))
 

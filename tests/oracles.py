@@ -72,7 +72,6 @@ from conesurf.tracer import (
     TraceResult,
     _arrives_at_corner,
     _edge_cross_event,
-    _min_distance_series,
     _outward_edge,
     _vertex_alignment,
     continuation_sector,
@@ -533,8 +532,8 @@ def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: floa
     chart, more than 1e-9 of arclength later; the earliest such crossing is
     matched, and ``recurrence`` reports {period, detected_at, matched_at}.
     Each check costs O(1) on average, so detection keeps the trace linear in
-    its crossings. The m(T) series is built from the recorded segments after
-    the loop (``_min_distance_series``).
+    its crossings. The m(T) series is built from the recorded segments on its
+    first read (``TraceResult.min_distance_series``).
     """
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
@@ -664,16 +663,13 @@ def reference_trace(surface: ConeSurface, start: GeodesicState, max_length: floa
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
-    series = []
-    if records is not None:
-        series = _min_distance_series(surface, records or [
-            (norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0)])
+    if records == []:
+        records.append((norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0))
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
         event_records=events, total_length=s, end_state=end_state,
-        termination=termination, recurrence=recurrence,
-        min_distance_series=series,
-        chart_index=surface.chart_index)
+        termination=termination, recurrence=recurrence, chart_index=surface.chart_index,
+        distance_records=records, surface=surface)
 
 
 def reference_develop(trace_result) -> tuple[list, list]:

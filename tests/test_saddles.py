@@ -70,6 +70,25 @@ def test_pillowcase_short_saddles(pcase):
     assert len(union) == 4
 
 
+@pytest.mark.parametrize("L, count", [(4.0, 16), (8.0, 60), (16.0, 240), (32.0, 980)])
+def test_pillowcase_counts_half_the_primitive_vectors(pcase, L, count):
+    # The pillowcase is R^2/(2Z)^2 modulo -1 with its cone points the images
+    # of Z^2: a connection from a cone point runs along a primitive vector,
+    # and the angle pi identifies v with -v, so each +- pair counts once.
+    assert len(oracles.primitive_vectors(L)) == 2 * count
+    for base in ("v0", "v1", "v2", "v3"):
+        conns = enumerate_saddles(pcase, base, L)
+        assert len(conns) == count
+        holos = set()
+        for c in conns:
+            p, q = round(c.holonomy[0]), round(c.holonomy[1])
+            assert abs(c.holonomy[0] - p) <= 1e-9 and abs(c.holonomy[1] - q) <= 1e-9
+            assert math.gcd(p, q) == 1 and p * p + q * q <= L * L
+            holos.add((p, q))
+        assert len(holos) == count
+        assert not holos & {(-p, -q) for p, q in holos}
+
+
 def test_enumeration_input_validation(torus, mtorus):
     with pytest.raises(DomainError, match="not singular"):
         enumerate_saddles(torus, "v0", 1.5)

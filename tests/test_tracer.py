@@ -694,6 +694,83 @@ def test_min_distance_culling_matches_per_segment_loop(name, length, request, mo
     assert hops >= 3
 
 
+def test_series_is_built_on_first_read(octagon, monkeypatch):
+    # a default-options trace computes no m(T) until the series is read; the
+    # first read computes it once and frees the records, the second reuses it
+    calls = []
+    real = tracer._min_distance_series
+    monkeypatch.setattr(tracer, "_min_distance_series",
+                        lambda s, recs: calls.append(recs) or real(s, recs))
+    tr = trace(octagon, state("oct", 0.0, 0.0, 1.0, math.pi / 10), 50.0)
+    records = tr.distance_records
+    assert calls == [] and len(records) == sum(a != b for _, a, b in tr.segments)
+    series = tr.min_distance_series
+    assert calls == [records] and tr.distance_records is None
+    assert series == oracles.min_distance_series(octagon, records)
+    assert tr.min_distance_series is series and len(calls) == 1
+    assert tr.min_distance_at(tr.total_length) == series[-1][1]
+    assert len(calls) == 1
+
+
+def test_min_distance_at_rejects_nan_and_unrecorded_traces(octagon):
+    start = state("oct", 0.0, 0.0, 1.0, math.pi / 10)
+    tr = trace(octagon, start, 50.0)
+    with pytest.raises(DomainError, match="NaN"):
+        tr.min_distance_at(math.nan)
+    plain = trace(octagon, start, 50.0, options=tracer.PLAIN_TRACE_OPTIONS)
+    for T in (0.0, 25.0, 50.0, math.nan):
+        with pytest.raises(DomainError):
+            plain.min_distance_at(T)
+    with pytest.raises(DomainError, match="record_min_distance"):
+        plain.min_distance_at(50.0)
+    # in range: the row of the last sample at or before T, as before
+    series = tr.min_distance_series
+    for T in [s for s, _ in series] + [0.5, 12.25, 49.9]:
+        assert tr.min_distance_at(T) == [m for s, m in series if s <= T + 1e-12][-1]
+    assert tr.min_distance_at(-1.0) == math.inf
+    assert tr.min_distance_at(math.inf) == series[-1][1]
+
+
+def test_develop_builds_isometries_on_first_read(octagon, torus, monkeypatch):
+    real = tracer.Isometry
+    built = []
+    monkeypatch.setattr(tracer, "Isometry", lambda *a: built.append(a) or real(*a))
+    for surface, start in ((octagon, state("oct", 0.1, 0.2, 3.0, 1.0)),
+                           (torus, state("sq", 1.0, 0.5, 1.0, 0.3))):
+        res = trace(surface, start, 40.0, options=tracer.PLAIN_TRACE_OPTIONS)
+        built.clear()
+        dev = develop(res)
+        assert built == []
+        points, isos = oracles.reference_develop(res)
+        assert dev.points == points and dev.frames == isos
+        assert [(g.c, g.s, g.tx, g.ty) for g in dev.isometries] == isos
+        assert built == isos
+        assert dev.isometries is dev.isometries and len(built) == len(isos)
+
+
+def test_projected_series_is_the_cover_series(triple_cover, monkeypatch):
+    # the projection builds the cover trace's series from the same records if
+    # the cover trace has not read it, and copies it if it has
+    calls = []
+    real = tracer._min_distance_series
+    monkeypatch.setattr(tracer, "_min_distance_series",
+                        lambda s, recs: calls.append(recs) or real(s, recs))
+    for start in _reference_starts(triple_cover, "triple_cover")[:6]:
+        calls.clear()
+        cover = trace(triple_cover, start, 25.0)
+        unread = covering.project_trace(cover)
+        assert calls == []
+        assert unread.min_distance_series == cover.min_distance_series
+        assert len(calls) == 2 and calls[0] is calls[1]
+        read = covering.project_trace(cover)
+        assert read.min_distance_series == cover.min_distance_series
+        assert read.min_distance_series is not cover.min_distance_series
+        assert len(calls) == 2
+        plain = trace(triple_cover, start, 25.0, options=tracer.PLAIN_TRACE_OPTIONS)
+        assert covering.project_trace(plain).min_distance_series == [] == plain.min_distance_series
+        assert len(calls) == 2
+
+
 @pytest.mark.parametrize("name", ["octagon", "triple_cover", "torus"])
 def test_segment_distances_equal_the_scalar_kernel(name, request, monkeypatch):
     # Many chunks of segments in random charts (chunks of 256 pairs here),
