@@ -14,7 +14,9 @@ prints or writes names the tree:
 - ``--json density`` on the marked torus with the golden-slope target of
   ``configs/golden_target.json`` and bounds 1, 2, 3, 5, 8: the other command
   that measures compact-open distances;
-- ``saddles --csv`` on the octagon at L = 3 and on the marked torus at L = 8;
+- ``saddles --csv`` on the octagon at L = 3 and on the marked torus at L = 8,
+  and the window sweeps that carry holes: the marked torus at L = 21 (5,888
+  holes from ``v0``) and the pillowcase at L = 16 (1,110 from ``v0``);
 - ``--json cylinders --from-saddle 3`` on the marked torus, the octagon and
   the pillowcase;
 - the no-strips experiment with both ``configs/no_strips_*.json``;
@@ -63,6 +65,12 @@ COMMANDS = {
     "saddles_torus_marked_L8": [
         "--quiet", "saddles", "--surface", "surfaces/torus_marked.json", "--max-length", "8",
         "--csv", f"{OUT}/saddles_torus_marked_L8.csv"],
+    "saddles_torus_marked_L21": [
+        "--quiet", "saddles", "--surface", "surfaces/torus_marked.json", "--max-length", "21",
+        "--csv", f"{OUT}/saddles_torus_marked_L21.csv"],
+    "saddles_pillowcase_L16": [
+        "--quiet", "saddles", "--surface", "surfaces/pillowcase.json", "--max-length", "16",
+        "--csv", f"{OUT}/saddles_pillowcase_L16.csv"],
     **{f"cylinders_{name}": ["--json", "cylinders", "--surface", f"surfaces/{name}.json",
                              "--from-saddle", "3"]
        for name in ("torus_marked", "octagon", "pillowcase")},

@@ -354,9 +354,10 @@ class WindowSweep:
     share a bound. The joined window is one ray interval plus holes: a bound
     open on both sides is a ray that ended at a hit, and the window is cut
     there and never follows it, so no ray behind a hit reports a longer
-    connection; a bound closed on either side (a ray through a flat corner, or
-    between two root windows) is a live ray and becomes an ordinary one,
-    followed once even where both windows followed it.
+    connection. A hole cuts a window into parts only where a corner of the
+    copy lies on its ray. A bound closed on either side (a ray through a flat
+    corner, or between two root windows) is a live ray and becomes an
+    ordinary one, followed once even where both windows followed it.
     Equal isometries place the chart at identical floats, so every corner,
     depth, hit and exit edge comes from the same numbers as in separate
     windows; copies that carry rounding merely join less. On a translation
@@ -407,7 +408,15 @@ class WindowSweep:
     def _cut(self, chart, pts, e_in, window):
         """The singular corners where the window's rays end in one chart copy,
         as (depth, vertex) in corner order, and its parts leaving through each
-        edge, as (edge, [lo bound, hi bound, holes])."""
+        edge, as (edge, [lo bound, hi bound, holes]).
+
+        An exit is cast midway between cuts. Within one copy a ray's exit
+        edge changes only at a ray through a corner past its entry: elsewhere
+        the edges it crosses, and their order along it, stay the same. The
+        corners strictly inside the window are stops or lie on holes, so a
+        hole with none within ``tau_hit`` of its ray has one exit on both
+        sides and is kept in its part uncast; a window without holes casts as
+        before."""
         surface, pencil, tol = self.surface, self.pencil, self.surface.tolerances
         tau, tau_exit = tol.tau_hit, tol.tau_exit
         # per edge: start, vector, the |u x e| below which a ray is parallel, 1/length
@@ -456,10 +465,11 @@ class WindowSweep:
             return None
 
         # the corners on each bound, and the clusters of corners strictly inside;
-        # corners on a hole are ignored, like those on an open bound
+        # corners on a hole are ignored, like those on an open bound, and kept aside
+        # (in a tuple, so that a window without holes allocates nothing for them)
         (lo, lo_open), (hi, hi_open), holes = window
         lo_ray, hi_ray = pencil.ray(lo), pencil.ray(hi)
-        on_lo, on_hi, inside = [], [], []
+        on_lo, on_hi, inside, on_holes = [], [], [], ()
         for i, p in enumerate(pts):
             c, d = pencil.locate(p)
             if d <= tau or e_in is not None and i in (e_in, (e_in + 1) % len(pts)):
@@ -470,6 +480,8 @@ class WindowSweep:
                 on_hi.append((c, d, i))
             elif lo < c < hi and not any(_offset(pencil.ray(h), p) <= tau for h in holes):
                 inside.append((c, d, i))
+            elif holes and lo < c < hi:
+                on_holes += (p,)
         stops: list[list] = []
         for v in sorted(inside):
             if stops and _offset(pencil.ray(stops[-1][-1][0]), pts[v[2]]) <= tau:
@@ -485,8 +497,18 @@ class WindowSweep:
         stops = [(g[0][0], g) for g in stops]
         if holes:
             stops = sorted(stops + [(h, None) for h in holes], key=lambda s: s[0])
-        cuts = [lo] + [c for c, _ in stops] + [hi]
-        exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
+            # a hole whose ray carries no corner has one exit on both sides: no cast
+            plain = [g is None and not (on_holes and any(_offset(pencil.ray(c), p) <= tau
+                                                         for p in on_holes))
+                     for c, g in stops]
+            cuts = [lo] + [c for (c, _), skip in zip(stops, plain) if not skip] + [hi]
+            exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
+            for k, skip in enumerate(plain):
+                if skip:
+                    exits.insert(k + 1, exits[k])
+        else:
+            cuts = [lo] + [c for c, _ in stops] + [hi]
+            exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
         parts, start, kept = [], (lo, lo_open), []
         for k, (c, group) in enumerate(stops):
             hit = group and follow(group, False)

@@ -839,30 +839,55 @@ def _sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.ndarray,
     Exact: rx = c*x2 - s*y2, then ``rx + tx``, are ``iso.apply``'s own
     operations in their order, and ``np.minimum`` returns one of its
     operands, so the order of copies does not matter. Torus gluings are
-    translations, one class; the octagon's 41 copies are 41 classes, which
-    save only the reused buffers (they also keep fewer temporaries alive)."""
+    translations, one class; the octagon's 41 copies are 41 classes.
+
+    Copies go least bound first: the distance from 0 to the box of
+    x1 - (rx + tx), y1 - (ry + ty) that the kernel's operations give on the
+    samples' min and max (xy2's box rotated as a box). Rounding is monotone, so only the hypots
+    round apart, far below ``_COPY_MARGIN``: a copy whose bound exceeds the
+    largest value so far by that relative margin lowers none, even at a tie
+    or under the cap, and is skipped with the rest of its class (a class all
+    skipped is not rotated). Non-finite samples skip nothing."""
     names, n = surface.chart_names, len(surface.chart_names)
     keys, group = ([0], None) if n == 1 else np.unique(k1 * n + k2, return_inverse=True)
     dists = np.empty(len(k1))
-    for j, key in enumerate(keys):
+    for j, key in enumerate(keys if len(k1) else ()):
         sel = slice(None) if len(keys) == 1 else group == j
         isos = surface.alignment_isos(names[key // n], names[key % n])
         x1, y1, x2, y2 = xy1[sel, 0], xy1[sel, 1], xy2[sel, 0], xy2[sel, 1]
         best = np.full(len(x1), np.inf if isos else cap)
         qx, qy = np.empty(len(x1)), np.empty(len(x1))
+        ends = [float(f()) for a in (x1, y1, x2, y2) for f in (a.min, a.max)]
+        x1lo, x1hi, y1lo, y1hi, x2lo, x2hi, y2lo, y2hi = ends
+        over = 1.0 + _COPY_MARGIN if math.isfinite(sum(ends)) else math.nan
         classes = {}
         for iso in isos:
             classes.setdefault(_rotation_bits(iso.c, iso.s), []).append(iso)
+        order = []
         for copies in classes.values():
             c, s = copies[0].c, copies[0].s
+            cx, sy = sorted((x2lo * c, x2hi * c)), sorted((y2lo * s, y2hi * s))
+            sx, cy = sorted((x2lo * s, x2hi * s)), sorted((y2lo * c, y2hi * c))
+            rlo, rhi = (cx[0] - sy[1], sx[0] + cy[0]), (cx[1] - sy[0], sx[1] + cy[1])
+            order.append((sorted((math.hypot(
+                max(x1lo - (rhi[0] + iso.tx), (rlo[0] + iso.tx) - x1hi, 0.0),
+                max(y1lo - (rhi[1] + iso.ty), (rlo[1] + iso.ty) - y1hi, 0.0)), k)
+                for k, iso in enumerate(copies)), c, s, copies))
+        top = math.inf      # the largest value so far
+        for bounds, c, s, copies in sorted(order, key=lambda o: o[0][0]):
+            if bounds[0][0] > top * over:
+                break
             rx = np.multiply(x2, c)
             rx -= np.multiply(y2, s, out=qx)
             ry = np.multiply(x2, s)
             ry += np.multiply(y2, c, out=qx)
-            for iso in copies:
-                np.subtract(x1, np.add(rx, iso.tx, out=qx), out=qx)
-                np.subtract(y1, np.add(ry, iso.ty, out=qy), out=qy)
+            for bound, k in bounds:
+                if bound > top * over:
+                    break
+                np.subtract(x1, np.add(rx, copies[k].tx, out=qx), out=qx)
+                np.subtract(y1, np.add(ry, copies[k].ty, out=qy), out=qy)
                 np.minimum(best, np.hypot(qx, qy, out=qx), out=best)
+                top = best.max()
         dists[sel] = np.minimum(best, cap, out=best)
     return dists
 
@@ -876,6 +901,8 @@ class DistanceResult:
     diameter_bound: float
 
 
+# the relative margin by which a copy's bound rules it out (``_sample_distances``)
+_COPY_MARGIN = 1e-12
 # the first ring's half-width; each further ring doubles it (``_DistanceGrid``)
 _FIRST_RING = 0.1
 # covers the rounding of a ring sum against the whole grid's (about 1e-15)

@@ -21,7 +21,9 @@ matched state, a re-trace from the target's point), as the reference for the
 two that the density experiment makes. ``WindowSweep`` is the window sweep
 with one window per part: each window is one ray interval, parts entering the
 same chart copy are never joined, and it shares only the ray offset helper
-with the package. ``reference_trace``, with its ``_ray_exit`` and
+with the package. ``HoleCastSweep`` is the package's sweep with its cut as
+it was before holes were kept uncast: a cast on each side of every hole.
+``reference_trace``, with its ``_ray_exit`` and
 ``_CrossingIndex``, is the package's stepper as it was before its
 per-crossing rewrite (the corner, event and m(T) helpers it calls are the
 package's), and ``reference_develop`` composes the developing map on plain
@@ -60,6 +62,7 @@ from conesurf.errors import (
 )
 from conesurf.geometry import Isometry, norm, point_in_polygon
 from conesurf.surface import KIND_MARKED, ConeSurface, _offset, build_surface
+from conesurf.surface import WindowSweep as _PackageWindowSweep
 from conesurf.tracer import (
     DEFAULT_TRACE_OPTIONS,
     EVENT_CONE_HIT,
@@ -969,6 +972,117 @@ class WindowSweep:
                 parts.append((exits[k], (start, (c, False))))
                 start = (c, True)
         parts.append((exits[-1], (start, (hi, hi_open))))
+        # corner order keeps ties between images of one point stable
+        hits.sort(key=lambda h: h[1])
+        return hits, [(e, part) for e, part in parts if e is not None]
+
+
+# -- the window sweep, a cast on each side of every hole ---------------------------------
+
+
+class HoleCastSweep(_PackageWindowSweep):
+    """The package's window sweep, joins included, whose cut casts an exit ray
+    on each side of every hole: the sweep that keeps a hole without casts
+    where no corner of the copy lies on its ray must yield the same hits and
+    visit the same windows."""
+
+    def _cut(self, chart, pts, e_in, window):
+        """The package's ``WindowSweep._cut`` with a cast on each side of every
+        hole, as before holes whose ray carries no corner were kept uncast."""
+        surface, pencil, tol = self.surface, self.pencil, self.surface.tolerances
+        tau, tau_exit = tol.tau_hit, tol.tau_exit
+        # per edge: start, vector, the |u x e| below which a ray is parallel, 1/length
+        edges = []
+        for a, b, row in zip(pts, pts[1:] + pts[:1], surface.geometry[chart].scalar_edges):
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            edges.append((a[0], a[1], ex, ey, 1e-15 * (abs(ex) + abs(ey)), row[4]))
+
+        def cast(c, margin):
+            # the ray at coordinate c, its entry depth, and the depth and edge of its
+            # first crossing after that at least `margin` from the edge's ends; the
+            # crossing o + t*u == a + s*e solved by Cramer's rule
+            o, u = pencil.ray(c)
+            (ox, oy), (ux, uy) = o, u
+            if e_in is None:
+                t0 = 0.0
+            else:
+                ax, ay, ex, ey, _, _ = edges[e_in]
+                t0 = ((ax - ox) * ey - (ay - oy) * ex) / (ux * ey - uy * ex)
+            after, t, edge = t0 + margin + tau_exit, math.inf, None
+            for j, (ax, ay, ex, ey, flat, inv_len) in enumerate(edges):
+                den = ux * ey - uy * ex
+                if j == e_in or abs(den) <= flat:
+                    continue
+                rx, ry = ax - ox, ay - oy
+                tj = (rx * ey - ry * ex) / den
+                if after < tj < t and (margin * inv_len <= (rx * uy - ry * ux) / den
+                                       <= 1 - margin * inv_len):
+                    t, edge = tj, j
+            return o, u, t0, t, edge
+
+        def follow(group, bound):
+            # the singular corner ending the ray through the group here, if any; a
+            # ray on a window bound may run outside this copy, so that is checked too
+            o, u, t0, block, _ = cast(group[0][0], tau)
+            for _, d, i in sorted(group, key=lambda g: g[1]):
+                if d <= t0 + tau:
+                    continue
+                mid = 0.5 * (t0 + d)
+                if block < d - tau or bound and not point_in_polygon(
+                        pts, (o[0] + mid * u[0], o[1] + mid * u[1]), tau):
+                    return None
+                if surface.corner_class[(chart, i)].singular:
+                    return d, i
+                t0 = d
+            return None
+
+        # the corners on each bound, and the clusters of corners strictly inside;
+        # corners on a hole are ignored, like those on an open bound
+        (lo, lo_open), (hi, hi_open), holes = window
+        lo_ray, hi_ray = pencil.ray(lo), pencil.ray(hi)
+        on_lo, on_hi, inside = [], [], []
+        for i, p in enumerate(pts):
+            c, d = pencil.locate(p)
+            if d <= tau or e_in is not None and i in (e_in, (e_in + 1) % len(pts)):
+                continue
+            if _offset(lo_ray, p) <= tau:
+                on_lo.append((c, d, i))
+            elif _offset(hi_ray, p) <= tau:
+                on_hi.append((c, d, i))
+            elif lo < c < hi and not any(_offset(pencil.ray(h), p) <= tau for h in holes):
+                inside.append((c, d, i))
+        stops: list[list] = []
+        for v in sorted(inside):
+            if stops and _offset(pencil.ray(stops[-1][-1][0]), pts[v[2]]) <= tau:
+                stops[-1].append(v)
+            else:
+                stops.append([v])
+
+        lo_hit = not lo_open and on_lo and follow(on_lo, True)
+        hi_hit = not hi_open and on_hi and follow(on_hi, True)
+        hits = [h for h in (lo_hit, hi_hit) if h]
+        lo_open, hi_open = lo_open or bool(lo_hit), hi_open or bool(hi_hit)
+        # each hole and stop cuts the window; a hole is a stop whose ray has ended
+        stops = [(g[0][0], g) for g in stops]
+        if holes:
+            stops = sorted(stops + [(h, None) for h in holes], key=lambda s: s[0])
+        cuts = [lo] + [c for c, _ in stops] + [hi]
+        exits = [cast(0.5 * (a + b), 0.0)[4] for a, b in zip(cuts, cuts[1:])]
+        parts, start, kept = [], (lo, lo_open), []
+        for k, (c, group) in enumerate(stops):
+            hit = group and follow(group, False)
+            if hit:
+                hits.append(hit)
+            ended = group is None or bool(hit)
+            if exits[k] == exits[k + 1]:
+                if ended:
+                    kept.append(c)
+            else:
+                # the ray through a flat corner goes on with the lower part; where
+                # that part's copies miss it, follow's inside check skips them
+                parts.append((exits[k], [start, (c, ended), tuple(kept)]))
+                start, kept = (c, True), []
+        parts.append((exits[-1], [start, (hi, hi_open), tuple(kept)]))
         # corner order keeps ties between images of one point stable
         hits.sort(key=lambda h: h[1])
         return hits, [(e, part) for e, part in parts if e is not None]

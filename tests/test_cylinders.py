@@ -409,6 +409,18 @@ def test_joined_windows_hit_what_single_windows_hit(request, name, L):
     assert windows <= single_windows
 
 
+@pytest.mark.parametrize("name, L", [("mtorus", 21.0), ("octagon", 8.0), ("pcase", 8.0),
+                                     ("pcover", 4.0), ("notched", 6.0), ("ls", 10.0)])
+def test_kept_holes_hit_what_cast_holes_hit(request, name, L):
+    # a hole whose ray carries no corner of the copy is kept without exit casts;
+    # the same hits (isometries included) and windows as casting on both sides
+    surface = request.getfixturevalue(name)
+    kept, windows = _wedge_sweeps(WindowSweep, surface, L)
+    cast, cast_windows = _wedge_sweeps(oracles.HoleCastSweep, surface, L)
+    assert kept and kept == cast
+    assert windows == cast_windows
+
+
 def test_marked_torus_sweep_visits_quadratically_many_windows(mtorus):
     # 832 connections at L = 21; one window per part visits about 0.86 L^3
     assert _wedge_sweeps(oracles.WindowSweep, mtorus, 21.0)[1] == 8636
@@ -421,10 +433,11 @@ def test_strip_widths_match_single_interval_sweep(request, monkeypatch, name, di
     surface = request.getfixturevalue(name)
     for p, q in directions:
         joined = find_closed_geodesic(surface, (float(p), float(q)))
-        with monkeypatch.context() as m:
-            m.setattr(cylinders, "WindowSweep", oracles.WindowSweep)
-            single = find_closed_geodesic(surface, (float(p), float(q)))
-        assert _cylinder_record(joined) == _cylinder_record(single), (p, q)
+        for sweep in (oracles.WindowSweep, oracles.HoleCastSweep):
+            with monkeypatch.context() as m:
+                m.setattr(cylinders, "WindowSweep", sweep)
+                single = find_closed_geodesic(surface, (float(p), float(q)))
+            assert _cylinder_record(joined) == _cylinder_record(single), (p, q, sweep)
 
 
 def test_strip_width_budget_guard():

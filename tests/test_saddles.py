@@ -140,6 +140,46 @@ def test_octagon_short_saddles_are_the_oriented_sides(octagon):
     assert _rounded(sc.holonomy for sc in conns) == _rounded(sides)
 
 
+def _direction_lengths(conns) -> list[list[float]]:
+    """The sorted lengths of the connections per direction: unit holonomies
+    with the sign flipped to ux > 0 (or ux = 0 < uy), so that v and -v, 0 and
+    pi, share a direction, then sorted by angle and split at gaps > 1e-9."""
+    keyed = []
+    for c in conns:
+        n = math.hypot(*c.holonomy)
+        ux, uy = c.holonomy[0] / n, c.holonomy[1] / n
+        if ux < -1e-9 or abs(ux) <= 1e-9 and uy < 0.0:
+            ux, uy = -ux, -uy
+        keyed.append((math.atan2(uy, ux), c.length))
+    keyed.sort()
+    groups = [[keyed[0]]]
+    for a, length in keyed[1:]:
+        if a - groups[-1][-1][0] <= 1e-9:
+            groups[-1].append((a, length))
+        else:
+            groups.append([(a, length)])
+    return [sorted(length for _, length in g) for g in groups]
+
+
+@pytest.mark.parametrize("L, connections, kinds", [(8.0, 368, (20, 12, 120)),
+                                                   (16.0, 1424, (76, 60, 440))])
+def test_octagon_saddle_directions_follow_the_veech_template(octagon, L, connections, kinds):
+    # Veech 1989 (Invent. Math. 97): every saddle direction of the regular
+    # octagon is parabolic, the image of one of its two cusp directions under
+    # the Veech group, so per direction the lengths from v0 repeat one of the
+    # cusps' templates, cut off at L. An oracle for the fan sweep off the torus.
+    conns = enumerate_saddles(octagon, "v0", L)
+    assert len(conns) == connections
+    templates = ((1.0, 1.0, 1.0 + SQRT2, 1.0 + SQRT2), (1.0, 1.0, SQRT2, SQRT2), (1.0, 1.0))
+    counts = [0, 0, 0]
+    for lengths in _direction_lengths(conns):
+        ratios = [x / lengths[0] for x in lengths]
+        kind = next(k for k, want in enumerate(templates) if len(want) == len(ratios)
+                    and all(abs(r - w) <= 1e-9 for r, w in zip(ratios, want)))
+        counts[kind] += 1
+    assert tuple(counts) == kinds and sum(counts) == {8.0: 152, 16.0: 576}[L]
+
+
 # --------------------------------------------------------------------------
 # Direction spectrum
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Chart-subdivision invariance: the marked torus cut into horizontal strips
 (``oracles.subdivide_torus``) is the same flat surface, so its saddle
-connections, its (2, 1) cylinder and its golden-slope m(T) rows equal the
-uncut torus's."""
+connections, its (2, 1) cylinder, its golden-slope m(T) rows and, on two
+strips, its density rows equal the uncut torus's."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 from conesurf import (
     GeodesicState,
+    density_experiment,
     enumerate_saddles,
     find_closed_geodesic,
     min_distance_experiment,
@@ -51,3 +52,22 @@ def test_strips_keep_the_torus_quantities(uncut, k):
     assert [T for T, _ in rows] == [T for T, _ in want_rows] == [5.0, 20.0]
     for (_, m), (_, want) in zip(rows, want_rows):
         assert abs(m - want) <= 1e-12, (rows, want_rows)
+
+
+def _density_rows(surface, chart):
+    n = math.hypot(1.0, GOLDEN)
+    start = GeodesicState(chart, (0.3, 0.55), (1.0 / n, GOLDEN / n))
+    return density_experiment(surface, start, [1.0, 2.0, 3.0, 5.0], window=3.0).rows
+
+
+def test_two_strips_keep_the_torus_density_rows(mtorus):
+    # The first density rows over more than one chart. Not k = 4: its first row
+    # reads 0.534851 against 0.532446, since the distance kernel minimizes over
+    # the copies within two gluing crossings only (ROADMAP item 13's defect).
+    rows, want = _density_rows(oracles.subdivide_torus(2), "r1"), _density_rows(mtorus, "sq")
+    assert len(rows) == len(want) == 4
+    for row, w in zip(rows, want):
+        assert (row["label"], row["kind"]) == (w["label"], w["kind"])
+        assert row["length_bound"] == w["length_bound"]
+        assert abs(row["distance"] - w["distance"]) <= 1e-12, (rows, want)
+        assert abs(row["approximant_length"] - w["approximant_length"]) <= 1e-12, (rows, want)

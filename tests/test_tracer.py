@@ -900,13 +900,29 @@ def test_geodesic_distance_incomparable_components():
             grid.least(pairs)
 
 
+@pytest.fixture(scope="module")
+def strips10():
+    return oracles.subdivide_torus(10)
+
+
+def _same_bits(*args):
+    got, want = tracer._sample_distances(*args), oracles.reference_sample_distances(*args)
+    assert got.shape == want.shape == (len(args[1]),)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
 @pytest.mark.parametrize("name, copies, classes", [
-    ("mtorus", 13, 1), ("octagon", 41, 41), ("pcase", 26, 13), ("triple_cover", 102, 51)])
-def test_sample_distances_equal_the_reference_kernel(name, copies, classes, request):
+    ("mtorus", 13, 1), ("octagon", 41, 41), ("pcase", 26, 13), ("triple_cover", 102, 51),
+    ("strips10", 130, 50)])
+def test_sample_distances_equal_the_reference_kernel(name, copies, classes, request,
+                                                     monkeypatch):
     # Bit patterns, not values: random samples over every chart pair (six of
-    # the cover's 36 pairs have no alignment), the samples of one pair and of
-    # the unaligned pairs, and a sample equal to its partner (distance 0),
-    # with no cap, the diameter bound and a cap below most distances.
+    # the cover's 36 pairs and half the strips' 100 have no alignment), the
+    # samples of one pair and of the unaligned pairs, and a sample equal to its
+    # partner (distance 0), with no cap, the diameter bound and a cap below
+    # most distances; then samples clustered within 0.05, where the copies'
+    # bounds rule out all but one or two, and no samples at all.
     surface = request.getfixturevalue(name)
     names = surface.chart_names
     isos = [(a, b, iso) for a in names for b in names for iso in surface.alignment_isos(a, b)]
@@ -921,16 +937,35 @@ def test_sample_distances_equal_the_reference_kernel(name, copies, classes, requ
     pair = k1 * len(names) + k2
     unaligned = np.array([not surface.alignment_isos(names[k // len(names)],
                                                      names[k % len(names)]) for k in pair])
-    assert unaligned.any() == (name == "triple_cover")
+    assert unaligned.any() == (name in ("triple_cover", "strips10"))
     diameter = sum(g.diameter for g in surface.geometry.values())
     for cap in (math.inf, diameter, 0.3):
         for sel in (slice(None), pair == pair[0], unaligned):
-            args = (surface, k1[sel], xy1[sel], k2[sel], xy2[sel], cap)
-            want = oracles.reference_sample_distances(*args)
-            got = tracer._sample_distances(*args)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got = _same_bits(surface, k1[sel], xy1[sel], k2[sel], xy2[sel], cap)
         assert (got == cap).all()   # the unaligned samples, the last block
+        for i in range(0, 40, 2):   # clusters: one chart pair, 50 samples each within 0.05
+            jitter = np.array([[rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05)]
+                               for _ in range(100)])
+            _same_bits(surface, np.full(50, k1[i]), xy1[i] + jitter[:50],
+                       np.full(50, k2[i]), xy2[i] + jitter[50:], cap)
+        empty = (np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        _same_bits(surface, *empty, *empty, cap)
     assert tracer._sample_distances(surface, k1, xy1, k2, xy2, math.inf)[0] == 0.0
+    if name == "mtorus":
+        # ties: (0.5, y) is as near to the copies of (0, y) at x = 0 and at x = 1
+        ys = np.linspace(0.1, 0.9, 9)
+        tie = _same_bits(surface, np.zeros(9, dtype=np.int64), np.c_[np.full(9, 0.5), ys],
+                         np.zeros(9, dtype=np.int64), np.c_[np.zeros(9), ys], math.inf)
+        assert (tie == 0.5).all()
+        # the copy bounds skip copies: fewer hypot passes than the 13 copies
+        passes, hypot = [], np.hypot
+        monkeypatch.setattr(np, "hypot", lambda *a, **kw: passes.append(1) or hypot(*a, **kw))
+        jitter = np.array([[rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05)]
+                           for _ in range(200)])
+        zeros = np.zeros(100, dtype=np.int64)
+        tracer._sample_distances(surface, zeros, (0.3, 0.4) + jitter[:100],
+                                 zeros, (0.6, 0.7) + jitter[100:], math.inf)
+        assert 0 < len(passes) < copies
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0])
