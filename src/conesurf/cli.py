@@ -114,13 +114,19 @@ def _parse_direction(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
-def _number(value, field: str, convert=float):
-    """A number read from an input file; ConeSurfaceError naming the field if
-    the value is a list, an object or anything else ``convert`` refuses."""
+def _number(value, field: str, integral: bool = False):
+    """A JSON number from an input file, as a float, or an int when
+    ``integral``; ConeSurfaceError naming the field for anything else (a bool
+    or a string too), an int past the float range, or a fraction if integral."""
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
+        if type(value) not in (int, float):
+            raise TypeError
+        number = float(value)
+    except (TypeError, OverflowError):
         raise ConeSurfaceError(f"{field} must be a number, got {json.dumps(value)}") from None
+    if integral and not number.is_integer():
+        raise ConeSurfaceError(f"{field} must be an integer, got {json.dumps(value)}")
+    return int(value) if integral else number
 
 
 def _state_from_dict(data, name: str) -> GeodesicState:
@@ -373,7 +379,7 @@ def cmd_experiment(args) -> int:
     lengths = [_number(v, f"lengths[{k}]") for k, v in enumerate(raw.get("lengths", []))]
     threshold = _number(raw.get(threshold_key, 0.05), threshold_key)
     window = _number(raw.get("window", 5.0), "window")
-    chain_budget = _number(raw.get("chain_budget", 200), "chain_budget", int)
+    chain_budget = _number(raw.get("chain_budget", 200), "chain_budget", integral=True)
     if not all(math.isfinite(v) for v in [*lengths, threshold, window]):
         raise ConeSurfaceError("lengths, threshold and window must be finite")
     if not lengths or any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -389,8 +395,7 @@ def cmd_experiment(args) -> int:
 
     if args.scenario == "no-strips":
         # the rows come from min_singular_distance_up_to, not the trace's series
-        rep = min_distance_experiment(surface, state, lengths, threshold=threshold,
-                                      options=PLAIN_TRACE_OPTIONS)
+        rep = min_distance_experiment(surface, state, lengths, threshold=threshold)
         metrics = {"rows": [[L, m] for L, m in rep.rows], "threshold": threshold}
         passed = rep.passed
         for L, m in rep.rows:
@@ -494,7 +499,7 @@ def cmd_selftest(args) -> int:
         worst_add = max(worst_add, abs(seg_sum - tr.total_length))
         m_mismatch += _series_mismatches(octagon, tr)
         lengths = [f * tr.total_length for f in (0.07, 0.31, 0.5, 1.0)]
-        rep = min_distance_experiment(octagon, st, lengths, options=PLAIN_TRACE_OPTIONS)
+        rep = min_distance_experiment(octagon, st, lengths)
         row_mismatch += _rows_mismatches(octagon, rep)
     checks.append((f"collinearity <= 1e-8/unit over {n_traces} random octagon traces",
                    worst_col <= 1e-8, f"{worst_col:.3e}"))

@@ -465,8 +465,8 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     one or two connections when the connection inventory is small enough.
     Passes when the best distance is non-increasing in L and the final value
     drops below eta. Length bounds and the window must be finite and
-    positive, and eta finite; otherwise DomainError is raised before any
-    tracing.
+    positive, eta finite and ``chain_budget`` a non-negative integer;
+    otherwise DomainError is raised before any tracing.
 
     Candidates are taken in order of length, and each row reports the first
     least distance among those within its bound. ``tracer._least_distances``
@@ -485,11 +485,13 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
         raise DomainError(f"eta must be finite, got {eta}")
     if not (math.isfinite(window) and window > 0.0):
         raise DomainError(f"window must be finite and positive, got {window}")
+    if (isinstance(chain_budget, bool) or not isinstance(chain_budget, (int, np.integer))
+            or chain_budget < 0):
+        raise DomainError(f"chain_budget must be a non-negative integer, got {chain_budget!r}")
     L_max = lengths[-1]
     diam = surface.max_diameter
 
-    tgt = two_sided_trace(surface, target, window + 2.0 + 2.0 * diam,
-                          options=PLAIN_TRACE_OPTIONS)
+    tgt = two_sided_trace(surface, target, window + 2.0 + 2.0 * diam)
     for side, res in (("forward", tgt.forward), ("backward", tgt.backward)):
         if res.total_length < window:
             raise DomainError(

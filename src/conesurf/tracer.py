@@ -400,7 +400,9 @@ def _segment_distance(cands: np.ndarray, p0, p1, length: float, reach: float) ->
     In closed form, with u = (p1 - p0) / length, a candidate at along-track
     offset t and squared perpendicular distance h2 lies at
     sqrt(h2 + (t - clip(t, 0, reach))^2). A segment of length 0 is its start
-    point. Returns inf when there are no candidates.
+    point. Returns inf when there are no candidates. The reference kernel of
+    the CLI self-test and the tests' oracles; the library calls
+    ``_segment_distances``.
 
     h2 = |w - p0|^2 - t^2 cancels for a candidate near the line, so a result
     m carries an absolute error of order eps * |w - p0|^2 / m; the exported
@@ -476,25 +478,26 @@ def _min_distance_series(surface: ConeSurface, records: list) -> list:
     ``records`` holds (chart, p0, p1, s0, s1) per traced segment, in order;
     the kernel sees the segment with length s1 - s0. The series has a row at
     each s1 and, for a segment of positive length starting at arclength 0,
-    one at 0 first, with reach 0. Each row is the minimum of the kernel values
-    so far, all from one ``_segment_distances`` pass, capped at the max chart
-    diameter, the radius within which the one-ring candidate set (own chart
-    corners plus one unfolded ring) is meaningful.
+    one at 0 first, with reach 0. Each row is the ``_running_minima`` value
+    of its piece.
     """
-    segs, lengths, reaches, at = [], [], [], []
+    pieces = []
     for rec in records:
         s0, s1 = rec[3], rec[4]
         length = s1 - s0
         ends = ((0.0, 0.0), (s1, length)) if s0 == 0.0 and length > 0.0 else ((s1, length),)
-        for s, reach in ends:
-            segs.append(rec)
-            lengths.append(length)
-            reaches.append(reach)
-            at.append(s)
+        pieces += [(rec, length, reach, s) for s, reach in ends]
+    segs, lengths, reaches, at = zip(*pieces)
+    return list(zip(at, _running_minima(surface, segs, lengths, reaches).tolist()))
+
+
+def _running_minima(surface: ConeSurface, segments, lengths, reaches) -> np.ndarray:
+    """Every m(T) the library reports: the running minimum of the pieces'
+    ``_segment_distances``, capped at the max chart diameter, the radius of
+    the one-ring candidates (own chart corners plus one unfolded ring)."""
     # a NaN kernel value never lowers the minimum: fmin skips it
-    best = np.fmin.accumulate(_segment_distances(surface, segs, lengths, reaches))
-    best = np.where(best < np.inf, np.minimum(best, surface.max_diameter), np.inf)
-    return list(zip(at, best.tolist()))
+    best = np.fmin.accumulate(_segment_distances(surface, segments, lengths, reaches))
+    return np.where(best < np.inf, np.minimum(best, surface.max_diameter), np.inf)
 
 
 def _arrives_at_corner(surface: ConeSurface, chart: str, vertex: int, d) -> bool:
@@ -701,8 +704,6 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     else:
         raise TraceNumericalError("step budget exceeded; degenerate trajectory")
 
-    if records == []:
-        records.append((norm_start.chart, norm_start.point, norm_start.point, 0.0, 0.0))
     return TraceResult(
         start=norm_start, segments=segments, transitions=transitions,
         event_records=events, total_length=s, end_state=end_state,
@@ -820,12 +821,13 @@ class TwoSidedPath(_TracedPath):
         return np.where(back, -ts, ts), back.astype(np.int64)
 
 
-def two_sided_trace(surface: ConeSurface, state: GeodesicState, half_length: float, *,
-                    options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TwoSidedPath:
-    fwd = trace(surface, state, half_length, options=options)
+def two_sided_trace(surface: ConeSurface, state: GeodesicState,
+                    half_length: float) -> TwoSidedPath:
+    """Both traces of ``half_length`` from ``state``, with ``PLAIN_TRACE_OPTIONS``."""
+    fwd = trace(surface, state, half_length, options=PLAIN_TRACE_OPTIONS)
     back_state = GeodesicState(state.chart, state.point,
                                (-state.direction[0], -state.direction[1]))
-    bwd = trace(surface, back_state, half_length, options=options)
+    bwd = trace(surface, back_state, half_length, options=PLAIN_TRACE_OPTIONS)
     return TwoSidedPath(fwd, bwd)
 
 
@@ -1118,46 +1120,33 @@ def min_singular_distance_up_to(surface: ConeSurface, trace_result: TraceResult,
 
 def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) -> list:
     """``min_singular_distance_up_to`` at each T of the ascending ``Ts``, in
-    one pass over the segments.
+    one ``_running_minima`` pass.
 
     Segment k starts at s0, the sum of the earlier segments' lengths
     |b - a| in order, and counts for T when s0 < T (every segment starting
-    at 0 counts for T = 0); for T it is cut to the piece of length
-    min(T - s0, |b - a|), and the minimum of the kernel values is capped as
-    in the series. One ``_segment_distances`` pass gives every whole
-    segment's value, and their prefix minima cover the leading segments that
-    lie wholly before T; the scalar kernel runs only on the counting segments
-    after them, usually the one that T cuts short. The values are those of a
-    rescan from 0 for each T, bit for bit.
+    at 0 counts for T = 0), cut to the piece of length min(T - s0, |b - a|).
+    Each T adds the pieces of its counting segments not wholly before an
+    earlier T and reads the running minimum at its last piece. A piece cut
+    at an earlier T is never below the segment's later piece (T - s0, the
+    clip, the square and the sqrt round monotonically), so the values are
+    those of a rescan from 0 for each T, bit for bit.
     """
     segments = trace_result.segments
-    starts, lengths = [], []
-    s0 = 0.0
-    for _, a, b in segments:
-        if s0 >= Ts[-1] and s0 > 0.0:
-            break
-        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
-        starts.append(s0)
-        lengths.append(seg_len)
-        s0 += seg_len
-    whole = _segment_distances(surface, segments[:len(starts)], lengths, lengths)
-    # prefix[k]: the least whole value before segment k; fmin skips a NaN one
-    prefix = np.fmin.accumulate(np.concatenate([[math.inf], whole])).tolist()
-    cap = surface.max_diameter
-    rows = []
-    cut = end = 0     # leading segments wholly before T; those counting for T
+    starts, lengths, ks, reaches, last = [], [], [], [], []
+    cut, s0 = 0, 0.0    # cut: the segments wholly before the previous T
     for T in Ts:
-        while end < len(starts) and (starts[end] < T or starts[end] == 0.0):
-            end += 1
-        while cut < end and T - starts[cut] >= lengths[cut]:
+        while len(starts) < len(segments) and (s0 < T or s0 == 0.0):
+            _, a, b = segments[len(starts)]
+            starts.append(s0)
+            lengths.append(math.hypot(b[0] - a[0], b[1] - a[1]))
+            s0 += lengths[-1]
+        ks += range(cut, len(starts))
+        reaches += [min(T - starts[k], lengths[k]) for k in range(cut, len(starts))]
+        last.append(len(ks) - 1)
+        while cut < len(starts) and T - starts[cut] >= lengths[cut]:
             cut += 1
-        best = prefix[cut]
-        for k in range(cut, end):
-            cid, a, b = segments[k]
-            best = min(best, _segment_distance(surface.singular_images(cid), a, b,
-                                               lengths[k], min(T - starts[k], lengths[k])))
-        rows.append(min(best, cap) if best < math.inf else math.inf)
-    return rows
+    return _running_minima(surface, [segments[k] for k in ks], [lengths[k] for k in ks],
+                           reaches)[last].tolist()
 
 
 @dataclass
@@ -1169,9 +1158,9 @@ class MinDistanceReport:
 
 
 def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
-                            threshold: float | None = None, *,
-                            options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> MinDistanceReport:
-    """Trace once and tabulate m(T) = min distance to the singular set up to T.
+                            threshold: float | None = None) -> MinDistanceReport:
+    """Trace once, with ``PLAIN_TRACE_OPTIONS``, and tabulate m(T) = min
+    distance to the singular set up to T.
 
     All rows come from one pass over the segments (``_distances_up_to``),
     equal to ``min_singular_distance_up_to`` at each length. Lengths and a
@@ -1186,7 +1175,7 @@ def min_distance_experiment(surface: ConeSurface, start: GeodesicState, lengths,
     lengths.sort()
     if not lengths or lengths[0] <= 0.0:
         raise DomainError("lengths must be positive")
-    tr = trace(surface, start, lengths[-1], options=options)
+    tr = trace(surface, start, lengths[-1], options=PLAIN_TRACE_OPTIONS)
     values = _distances_up_to(surface, tr, [min(L, tr.total_length) for L in lengths])
     rows = list(zip(lengths, values))
     monotone = all(rows[i + 1][1] <= rows[i][1] + 1e-15 for i in range(len(rows) - 1))

@@ -323,6 +323,19 @@ def test_density_invalid_window_exits_2(tmp_path, capsys, window):
     ("density", {"target": {**GOLDEN_TARGET, "dx": [1.0]}, "lengths": [1, 2]}, "target.dx"),
     ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "chain_budget": [5]},
      "chain_budget"),
+    # JSON numbers only: a bool or a numeral string is no number
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "chain_budget": True},
+     "chain_budget"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "chain_budget": "5"},
+     "chain_budget"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "eta": True}, "eta"),
+    ("density", {"target": GOLDEN_TARGET, "lengths": [1, 2], "window": "5"}, "window"),
+    ("no-strips", {"start": {**GOLDEN_TARGET, "y": "0.7"}, "lengths": [5, 10],
+                   "threshold": 0.1}, "start.y"),
+    ("no-strips", {"start": GOLDEN_TARGET, "lengths": [5, True], "threshold": 0.1},
+     "lengths[1]"),
+    ("no-strips", {"start": GOLDEN_TARGET, "lengths": [5, 10], "threshold": None},
+     "threshold"),
 ])
 def test_experiment_non_numeric_field_exits_2(tmp_path, capsys, scenario, config, field):
     path = write_json(tmp_path / "cfg.json", config)
@@ -331,6 +344,33 @@ def test_experiment_non_numeric_field_exits_2(tmp_path, capsys, scenario, config
               "--config", path, "--report", str(report)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be a number")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("budget, message", [
+    (2.5, "chain_budget must be an integer, got 2.5"),
+    (float("inf"), "chain_budget must be an integer, got Infinity"),
+    (-1, "chain_budget must be a non-negative integer, got -1"),
+])
+def test_experiment_non_integral_or_negative_chain_budget_exits_2(tmp_path, capsys, budget,
+                                                                  message):
+    path = write_json(tmp_path / "cfg.json",
+                      {"target": GOLDEN_TARGET, "lengths": [1, 2], "chain_budget": budget})
+    report = tmp_path / "report.json"
+    rc = run(["--quiet", "experiment", "density", "--surface", MARKED,
+              "--config", path, "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_density_negative_chain_budget_exits_2(tmp_path, capsys):
+    target = write_json(tmp_path / "target.json", GOLDEN_TARGET)
+    report = tmp_path / "d.json"
+    rc = run(["--quiet", "density", "--surface", MARKED, "--target-spec", target,
+              "--lengths", "1,2", "--chain-budget", "-1", "--report", str(report)])
+    assert rc == 2
+    assert "chain_budget must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not report.exists()
 
 

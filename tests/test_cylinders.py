@@ -19,7 +19,6 @@ from conesurf import (
     ChainPath,
     GeodesicState,
     PeriodicPath,
-    TraceOptions,
     as_generalized,
     build_cover,
     build_surface,
@@ -476,9 +475,6 @@ def test_geodesic_distance_rejects_a_non_finite_window(mtorus, window):
         geodesic_distance(mtorus, pp, pp, window=window)
 
 
-PLAIN = TraceOptions(detect_recurrence=False, record_min_distance=False)
-
-
 @pytest.fixture(scope="module")
 def pcover(pcase):
     return build_cover(pcase, find_monodromy(pcase, 3))[0]
@@ -493,12 +489,12 @@ def _path_kinds(surface):
     v = geo.vertices[1]
     target = two_sided_trace(surface, GeodesicState(
         charts[0], (0.6 * cx + 0.4 * v[0], 0.6 * cy + 0.4 * v[1]), unit(1.0, GOLDEN)),
-        4.0, options=PLAIN)
+        4.0)
     geo = surface.geometry[charts[-1]]
     other = two_sided_trace(surface, GeodesicState(
         charts[-1], (0.7 * geo.centroid[0] + 0.3 * geo.vertices[0][0],
                      0.7 * geo.centroid[1] + 0.3 * geo.vertices[0][1]), unit(-0.3, 1.0)),
-        4.0, options=PLAIN)
+        4.0)
     core = find_closed_geodesic(surface, (2.0, 1.0)).core
     conns = [c for vc in surface.singular_classes for c in enumerate_saddles(surface, vc.id, 1.5)]
     links = next(([a, b] for a in conns for b in conns
@@ -673,7 +669,7 @@ def test_two_sided_positions_follow_a_changed_grid(pcase):
 
 def test_projected_trace_reports_base_chart_codes(pcase, pcover):
     base = two_sided_trace(pcase, GeodesicState("back", (0.3, -0.6), unit(1.0, GOLDEN)),
-                           3.0, options=PLAIN).forward
+                           3.0).forward
     down = project_trace(lift_trace(pcover, base, 2))
     ts = np.linspace(0.0, 3.0, 200)
     (codes, xy), (want_codes, want_xy) = down.positions(ts), base.positions(ts)
@@ -723,6 +719,17 @@ def test_density_rejects_invalid_window(mtorus, monkeypatch, window):
     target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
     with pytest.raises(DomainError, match="window must be finite and positive"):
         density_experiment(mtorus, target, [1.0, 2.0], window=window)
+    assert not traced
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, 200.0, True, "5"])
+def test_density_rejects_a_negative_or_non_integral_chain_budget(mtorus, monkeypatch, budget):
+    # -1 used to skip every chain without a word
+    traced = []
+    monkeypatch.setattr(cylinders, "two_sided_trace", lambda *args, **kw: traced.append(1))
+    target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
+    with pytest.raises(DomainError, match="chain_budget must be a non-negative integer"):
+        density_experiment(mtorus, target, [1.0, 2.0], chain_budget=budget)
     assert not traced
 
 
@@ -865,8 +872,7 @@ def test_mixed_block_least_distances_equal_the_reference_walk(request, name):
 def test_geodesic_distance_rejects_non_finite_anchors(mtorus, monkeypatch, which, value):
     # a two-sided target and a periodic core, whose range checks a
     # non-finite anchor passes, raise before any sample is taken
-    target = two_sided_trace(mtorus, GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN)),
-                             6.0, options=PLAIN)
+    target = two_sided_trace(mtorus, GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN)), 6.0)
     core = PeriodicPath(find_closed_geodesic(mtorus, (2.0, 1.0)).core)
     sampled = []
     monkeypatch.setattr(tracer._Segments, "locate", lambda *args: sampled.append(args))

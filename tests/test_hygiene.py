@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name and every module-level assignment in
+the package and the tests is read, and every private helper is used."""
 
 from __future__ import annotations
 
@@ -80,3 +81,45 @@ def test_orphaned_private_helpers_are_found():
     sources = {"a": "def _used(): pass\ndef _self(n): return _self(n - 1)\nclass _Gone: pass\n",
                "b": "from .a import _used\n"}
     assert orphaned_private_definitions(sources) == ["a._self", "a._Gone"]
+
+
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every name that an assignment at module level binds,
+    dunder names aside, and that no expression in the given sources reads, by
+    a bare name or an attribute, and no import names."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{module}.{sub.id}" for target in targets for sub in ast.walk(target)
+                       if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+                       and not (sub.id.startswith("__") and sub.id.endswith("__"))
+                       and sub.id not in read]
+    return unread
+
+
+def test_every_module_level_name_is_read():
+    # a constant whose last reader went, like a test's own trace options once
+    # the call took none, is deleted with it
+    # the package's __init__ too: a name it re-exports is read by its users
+    paths = [*SOURCES, ROOT / "src" / "conesurf" / "__init__.py"]
+    sources = {f"{p.parent.name}/{p.stem}": p.read_text() for p in paths}
+    assert unread_module_names(sources) == []
+
+
+def test_unread_module_names_are_found():
+    sources = {"a": "A = 1\nB, (C, D) = 2, (3, 4)\n__version__ = '1'\nE: int = 5\nF = 6\n"
+                    "F += 1\ndef f():\n    G = 7\n    return A\n",
+               "b": "from a import C\nimport a\nprint(a.D)\na.E = 8\n"}
+    assert unread_module_names(sources) == ["a.B", "a.E", "a.F"]

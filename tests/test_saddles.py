@@ -162,7 +162,8 @@ def _direction_lengths(conns) -> list[list[float]]:
 
 
 @pytest.mark.parametrize("L, connections, kinds", [(8.0, 368, (20, 12, 120)),
-                                                   (16.0, 1424, (76, 60, 440))])
+                                                   (16.0, 1424, (76, 60, 440)),
+                                                   (32.0, 5680, (284, 260, 1752))])
 def test_octagon_saddle_directions_follow_the_veech_template(octagon, L, connections, kinds):
     # Veech 1989 (Invent. Math. 97): every saddle direction of the regular
     # octagon is parabolic, the image of one of its two cusp directions under
@@ -177,7 +178,7 @@ def test_octagon_saddle_directions_follow_the_veech_template(octagon, L, connect
         kind = next(k for k, want in enumerate(templates) if len(want) == len(ratios)
                     and all(abs(r - w) <= 1e-9 for r, w in zip(ratios, want)))
         counts[kind] += 1
-    assert tuple(counts) == kinds and sum(counts) == {8.0: 152, 16.0: 576}[L]
+    assert tuple(counts) == kinds and sum(counts) == {8.0: 152, 16.0: 576, 32.0: 2296}[L]
 
 
 # --------------------------------------------------------------------------

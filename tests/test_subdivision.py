@@ -1,13 +1,15 @@
 """Chart-subdivision invariance: the marked torus cut into horizontal strips
 (``oracles.subdivide_torus``) is the same flat surface, so its saddle
-connections, its (2, 1) cylinder, its golden-slope m(T) rows and, on two
-strips, its density rows equal the uncut torus's."""
+connections, its (2, 1) cylinder, its m(T) rows and, on two strips, its
+density rows equal the uncut torus's."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesurf import (
     GeodesicState,
@@ -16,6 +18,7 @@ from conesurf import (
     find_closed_geodesic,
     min_distance_experiment,
 )
+from conesurf.corpus import marked_torus
 
 import oracles
 
@@ -52,6 +55,28 @@ def test_strips_keep_the_torus_quantities(uncut, k):
     assert [T for T, _ in rows] == [T for T, _ in want_rows] == [5.0, 20.0]
     for (_, m), (_, want) in zip(rows, want_rows):
         assert abs(m - want) <= 1e-12, (rows, want_rows)
+
+
+TORUS = marked_torus()
+STRIPS = {k: oracles.subdivide_torus(k) for k in (2, 3, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(0.01, 0.99), y=st.floats(0.01, 0.99), angle=st.floats(0.0, 2.0 * math.pi),
+       bounds=st.lists(st.floats(0.1, 30.0), min_size=3, max_size=3))
+def test_strips_keep_the_torus_min_distance_rows(x, y, angle, bounds):
+    # m(T) from any start, in any direction, at any bounds, uses neither the
+    # window sweep nor the density kernel. Not k >= 5: a middle strip's
+    # one-ring candidates hold no marked point, so its rows read inf
+    # (ROADMAP item 13's defect).
+    direction = (math.cos(angle), math.sin(angle))
+    want = min_distance_experiment(TORUS, GeodesicState("sq", (x, y), direction), bounds).rows
+    for k, surface in STRIPS.items():
+        start = GeodesicState(f"r{int(k * y)}", (x, y), direction)
+        rows = min_distance_experiment(surface, start, bounds).rows
+        assert [T for T, _ in rows] == [T for T, _ in want]
+        for (_, m), (_, w) in zip(rows, want):
+            assert abs(m - w) <= 1e-12, (k, rows, want)
 
 
 def _density_rows(surface, chart):

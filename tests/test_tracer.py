@@ -400,7 +400,7 @@ def test_min_distance_series_non_increasing(mtorus):
     rep = min_distance_experiment(mtorus, start, [2.0, 5.0, 10.0, 20.0])
     values = [m for _, m in rep.rows]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-    tr = rep.trace
+    tr = trace(mtorus, start, 20.0)
     assert math.isclose(tr.min_distance_at(20.0), values[-1], rel_tol=1e-9)
     assert tr.min_distance_at(2.0) >= tr.min_distance_at(20.0)
 
@@ -684,8 +684,7 @@ def test_min_distance_culling_matches_per_segment_loop(name, length, request, mo
             seen.add(tr.termination)
             hops += sum(a == b for _, a, b in tr.segments)
         lengths = [length * f for f in (1.0, 0.5, 0.31, 0.07, rng.random())]
-        rep = min_distance_experiment(surface, start, lengths,
-                                      options=tracer.PLAIN_TRACE_OPTIONS)
+        rep = min_distance_experiment(surface, start, lengths)
         total = rep.trace.total_length
         assert rep.rows == [(L, oracles.min_singular_distance_up_to(surface, rep.trace,
                                                                     min(L, total)))
