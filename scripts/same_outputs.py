@@ -14,9 +14,11 @@ prints or writes names the tree:
 - ``--json density`` on the marked torus with the golden-slope target of
   ``configs/golden_target.json`` and bounds 1, 2, 3, 5, 8: the other command
   that measures compact-open distances;
-- ``saddles --csv`` on the octagon at L = 3 and on the marked torus at L = 8,
-  and the window sweeps that carry holes: the marked torus at L = 21 (5,888
-  holes from ``v0``) and the pillowcase at L = 16 (1,110 from ``v0``);
+- ``saddles --csv`` on the octagon at L = 3 and on the marked torus at L = 8;
+  on the octagon at L = 8, 368 connections whose certification fleet leaves
+  the lockstep at edges parallel to its rays; and the window sweeps that
+  carry holes: the marked torus at L = 21 (5,888 holes from ``v0``) and the
+  pillowcase at L = 16 (1,110 from ``v0``);
 - ``--json cylinders --from-saddle 3`` on the marked torus, the octagon and
   the pillowcase;
 - the no-strips experiment with both ``configs/no_strips_*.json``;
@@ -62,6 +64,9 @@ COMMANDS = {
     "saddles_octagon_L3": [
         "--quiet", "saddles", "--surface", "surfaces/octagon.json", "--max-length", "3",
         "--csv", f"{OUT}/saddles_octagon_L3.csv"],
+    "saddles_octagon_L8": [
+        "--quiet", "saddles", "--surface", "surfaces/octagon.json", "--max-length", "8",
+        "--csv", f"{OUT}/saddles_octagon_L8.csv"],
     "saddles_torus_marked_L8": [
         "--quiet", "saddles", "--surface", "surfaces/torus_marked.json", "--max-length", "8",
         "--csv", f"{OUT}/saddles_torus_marked_L8.csv"],

@@ -43,6 +43,7 @@ from .tracer import (
     TraceResult,
     _least_distances,
     _sample_distances,
+    _trace_fleet,
     _TracedPath,
     _unit,
     develop,
@@ -277,27 +278,76 @@ def _recurrence(surface: ConeSurface, state: GeodesicState,
     """Trace to the first self-recurrence: the period and the trace, whose
     ``recurrence`` holds the matched arclength, or None when the trace does
     not recur or its period exceeds the bound."""
-    budget = 2.0 * max_circumference + 4.0 * surface.max_diameter
-    tr = trace(surface, state, budget, options=_CORE_OPTIONS)
+    tr = trace(surface, state, _recurrence_budget(surface, max_circumference),
+               options=_CORE_OPTIONS)
+    period = _period(surface, tr, max_circumference)
+    return None if period is None else (period, tr)
+
+
+def _recurrence_budget(surface: ConeSurface, max_circumference: float) -> float:
+    return 2.0 * max_circumference + 4.0 * surface.max_diameter
+
+
+def _period(surface: ConeSurface, tr: TraceResult, max_circumference: float) -> float | None:
+    """The period of a trace to recurrence, or None (``_recurrence``)."""
     if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
         return None
     period = tr.recurrence["period"]
     if period > max_circumference + surface.tolerances.tau_len:
         return None
-    return period, tr
+    return period
 
 
 def _one_period(surface: ConeSurface, state: GeodesicState,
                 period: float) -> tuple[TraceResult, float] | None:
     """Trace one period from a state: the trace and its gap back to the
     state, or None when it meets a cone point or does not return there."""
-    core = trace(surface, state, period, options=PLAIN_TRACE_OPTIONS)
+    return _closure(surface, state, trace(surface, state, period, options=PLAIN_TRACE_OPTIONS))
+
+
+def _closure(surface: ConeSurface, state: GeodesicState,
+             core: TraceResult) -> tuple[TraceResult, float] | None:
+    """The core traced one period from ``state`` and its gap back to the
+    state, or None (``_one_period``)."""
     if core.termination != EVENT_MAX_LENGTH:
         return None
     gap = _state_gap(surface, state, core.end_state)
     if gap > 100.0 * surface.tolerances.tau_rec:
         return None
     return core, gap
+
+
+def _closed_cores(surface: ConeSurface, chart: str, point, directions: list,
+                  max_circumference: float) -> list:
+    """Per direction, the core of one period from (chart, point), or None
+    where the direction does not close: ``_recurrence`` along the normalized
+    direction, then ``_one_period`` along the direction itself, each as one
+    fleet of traces (``tracer._trace_fleet``). An error raises where a loop
+    over the directions would meet it first."""
+    launches = [GeodesicState(chart, point, normalize(d)) for d in directions]
+    budget = _recurrence_budget(surface, max_circumference)
+    periods = []
+    for tr in _trace_fleet(surface, launches, [budget] * len(launches), _CORE_OPTIONS):
+        if isinstance(tr, Exception):
+            error = tr
+            break
+        periods.append(_period(surface, tr, max_circumference))
+    else:
+        error = None
+    states = [GeodesicState(chart, point, d) for d in directions]
+    closing = [(state, period) for state, period in zip(states, periods) if period is not None]
+    cores = iter(_trace_fleet(surface, [state for state, _ in closing],
+                              [period for _, period in closing]))
+    out = []
+    for state, period in zip(states, periods):
+        core = None if period is None else next(cores)
+        if isinstance(core, Exception):
+            raise core
+        closed = None if core is None else _closure(surface, state, core)
+        out.append(None if closed is None else closed[0])
+    if error is not None:
+        raise error
+    return out
 
 
 def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
@@ -505,16 +555,12 @@ def density_experiment(surface: ConeSurface, target: GeodesicState, lengths, *,
     # closed geodesics through the target start, one per direction mod sign,
     # certified from the anchor so parameter 0 aligns with the target's
     cores = []
-    for d in _inventory_directions(surface, target.chart, connections):
-        rec = _recurrence(surface, GeodesicState(target.chart, target.point, normalize(d)),
-                          L_max)
-        closed = (_one_period(surface, GeodesicState(target.chart, target.point, d), rec[0])
-                  if rec else None)
-        if closed is None:
-            continue
-        label = f"closed[{d[0]:+.6f},{d[1]:+.6f}]"
-        cores.append((closed[0].total_length, "closed_geodesic", label,
-                      PeriodicPath(closed[0]), 0.0))
+    directions = _inventory_directions(surface, target.chart, connections)
+    for d, core in zip(directions, _closed_cores(surface, target.chart, target.point,
+                                                 directions, L_max)):
+        if core is not None:
+            cores.append((core.total_length, "closed_geodesic",
+                          f"closed[{d[0]:+.6f},{d[1]:+.6f}]", PeriodicPath(core), 0.0))
 
     # closed chains of one or two connections
     chains = []

@@ -22,6 +22,7 @@ from .tracer import (
     PLAIN_TRACE_OPTIONS,
     GeodesicState,
     TraceResult,
+    _trace_fleet,
     _unit,
     trace,
 )
@@ -72,22 +73,37 @@ def trace_connection(surface: ConeSurface, corner: CornerRef, direction,
     length (and class, when given); None otherwise. A zero or non-finite
     direction raises ``trace``'s ``ZeroDirection`` before any trace.
     """
+    start, d, max_length = _connection_start(surface, corner, direction, length)
+    tr = trace(surface, start, max_length, options=PLAIN_TRACE_OPTIONS)
+    return _certified(surface, corner, d, length, expected_end, tr)
+
+
+def _connection_start(surface: ConeSurface, corner: CornerRef, direction, length: float):
+    """The start state, unit direction and length bound of the trace that
+    certifies a connection: the stated length plus a slack."""
     chart, k = corner
-    start_cls = surface.corner_class[corner]
-    v = surface.charts[chart][k]
+    surface.corner_class[corner]        # a corner of no class raises KeyError first
     d = _unit(direction)
-    slack = max(1e-7, 1e-9 * length)
-    tr = trace(surface, GeodesicState(chart, v, d), length + slack,
-               options=PLAIN_TRACE_OPTIONS)
+    return GeodesicState(chart, surface.charts[chart][k], d), d, length + _slack(length)
+
+
+def _slack(length: float) -> float:
+    return max(1e-7, 1e-9 * length)
+
+
+def _certified(surface: ConeSurface, corner: CornerRef, d, length: float,
+               expected_end: str | None, tr: TraceResult) -> SaddleConnection | None:
+    """The connection that the trace ``tr`` from ``corner`` along d
+    certifies, or None (``trace_connection``)."""
     if tr.termination != EVENT_CONE_HIT:
         return None
-    if abs(tr.total_length - length) > slack:
+    if abs(tr.total_length - length) > _slack(length):
         return None
     end_cls = tr.last_event.detail["vertex_class"]
     if expected_end is not None and end_cls != expected_end:
         return None
     return SaddleConnection(
-        start=start_cls.id, end=end_cls, length=tr.total_length,
+        start=surface.corner_class[corner].id, end=end_cls, length=tr.total_length,
         holonomy=(tr.total_length * d[0], tr.total_length * d[1]),
         start_corner=corner, direction=d, path=tr, pieces=(tr,))
 
@@ -101,9 +117,12 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleC
     sweep visits. Rays entering one chart copy through one edge share a
     window, so on the marked torus that is O(L^2) windows. Hits are
     deduplicated by (classes, chart-frame holonomy, length) rounded to 1e-9,
-    the first member corner winning, and one ``trace_connection`` turns each
-    into its connection, raising TraceNumericalError if it disagrees. Sorted
-    by length, then angle.
+    the first member corner winning. The first hit is certified by
+    ``trace_connection`` as it is found, the others after the sweeps, by
+    one fleet of its traces (``tracer._trace_fleet``); a hit that does not
+    certify raises TraceNumericalError. The errors raise in the order of a
+    sweep that certifies each hit as it finds it: a certification before
+    the sweep error that follows it. Sorted by length, then angle.
     """
     vc = surface.vertex_class(base)
     if not vc.singular:
@@ -112,23 +131,49 @@ def enumerate_saddles(surface: ConeSurface, base: str, L: float) -> list[SaddleC
     if L <= 0.0 or not math.isfinite(L):
         raise DomainError(f"length bound must be positive and finite, got {L}")
 
-    found: dict[tuple, SaddleConnection] = {}
-    for m_idx, corner in enumerate(vc.members):
-        b = surface.charts[corner[0]][corner[1]]
-        pencil = FanPencil(b, vc.start_rays[m_idx], vc.angles[m_idx])
-        wedge = [(corner[0], Isometry.identity(), ((0.0, False), (vc.angles[m_idx], True)))]
-        for w, dist, c, i, _ in WindowSweep(surface, pencil, wedge, L):
-            end = surface.corner_class[(c, i)].id
-            hx, hy = w[0] - b[0], w[1] - b[1]
-            key = (vc.id, end, round(hx, 9), round(hy, 9), round(dist, 9))
-            if key in found:
-                continue
-            sc = trace_connection(surface, corner, (hx, hy), dist, expected_end=end)
-            if sc is None:
-                raise TraceNumericalError(f"tracing from corner {corner} toward the sweep's hit "
-                                          f"on {end} at ({hx:.12g}, {hy:.12g}) ends elsewhere")
-            found[key] = sc
-    return sorted(found.values(), key=lambda s: (s.length, s.angle))
+    keys: set = set()
+    found: list[SaddleConnection] = []
+    pending, starts = [], []        # per hit after the first: (corner, holonomy, length, end)
+    error = None
+    try:
+        for m_idx, corner in enumerate(vc.members):
+            b = surface.charts[corner[0]][corner[1]]
+            pencil = FanPencil(b, vc.start_rays[m_idx], vc.angles[m_idx])
+            wedge = [(corner[0], Isometry.identity(), ((0.0, False), (vc.angles[m_idx], True)))]
+            for w, dist, c, i, _ in WindowSweep(surface, pencil, wedge, L):
+                end = surface.corner_class[(c, i)].id
+                hx, hy = w[0] - b[0], w[1] - b[1]
+                key = (vc.id, end, round(hx, 9), round(hy, 9), round(dist, 9))
+                if key in keys:
+                    continue
+                keys.add(key)
+                if not found:
+                    found.append(_checked(trace_connection(surface, corner, (hx, hy), dist,
+                                                           expected_end=end),
+                                          corner, (hx, hy), dist, end))
+                else:
+                    pending.append((corner, (hx, hy), dist, end))
+                    starts.append(_connection_start(surface, corner, (hx, hy), dist))
+    except Exception as err:
+        # raised after the certifications of the hits found before it
+        error = err
+    traces = _trace_fleet(surface, [st for st, _, _ in starts], [bound for _, _, bound in starts])
+    for (corner, h, dist, end), (_, d, _), tr in zip(pending, starts, traces):
+        if isinstance(tr, Exception):
+            raise tr
+        found.append(_checked(_certified(surface, corner, d, dist, end, tr), corner, h, dist, end))
+    if error is not None:
+        raise error
+    return sorted(found, key=lambda s: (s.length, s.angle))
+
+
+def _checked(sc: SaddleConnection | None, corner: CornerRef, h, dist: float,
+             end: str) -> SaddleConnection:
+    """The certified connection of a sweep hit, or the error of one that is not."""
+    if sc is None:
+        raise TraceNumericalError(f"tracing from corner {corner} toward the sweep's hit "
+                                  f"on {end} at ({h[0]:.12g}, {h[1]:.12g}) ends elsewhere")
+    return sc
 
 
 def direction_spectrum(surface: ConeSurface, L: float) -> DirectionSpectrum:

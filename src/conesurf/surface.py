@@ -194,6 +194,7 @@ class ConeSurface:
         self.max_diameter: float = max(g.diameter for g in self.geometry.values())
         self._singular_images: dict[str, np.ndarray] = {}
         self._alignments: dict[str, dict[str, list[Isometry]]] = {}
+        self._edge_table = None     # the tracer's lockstep table, built on its first fleet
 
     # -- queries ---------------------------------------------------------------
 

@@ -23,6 +23,24 @@ and an (n, 2) array of points in those charts' frames. A chart code indexes
 traced on (``surface.chart_index`` maps back), so samples are grouped by chart
 pair with integer arithmetic. The samples of many paths are located in one
 pass over their traces' segments.
+
+Fleets. ``_trace_fleet`` traces many independent rays at once, for the
+certification traces of ``saddles.enumerate_saddles`` and the recurrence and
+one-period traces of the density experiment; a single trace (``trace``,
+``find_closed_geodesic``, ``lift_trace``, the CLI) keeps the scalar stepper.
+Each step of the lockstep takes every active ray across one edge: the exits
+against a surface-wide table of edges and gluings, the corner prefilter and
+the gluing maps are numpy passes that make ``trace``'s elementwise
+operations in ``trace``'s order, which round as Python floats do, and the
+arclengths are ``math.hypot`` over lists, since ``np.hypot`` rounds
+differently. A ray that meets a corner gets ``trace``'s own check; a
+terminal cone hit, the max-length end and the earliest recurrence match,
+taken over the ray's crossing history, end it as they end ``trace``. A ray
+that meets any other branch leaves the lockstep and is traced again from its
+start by ``trace``: no exit or an edge hop, an edge within 1e-15 of
+parallel, a flat-corner passage, a value that is not finite. So every
+result is ``trace``'s, bit for bit. A fleet of fewer than
+``_FLEET_MIN_RAYS`` rays is traced by ``trace`` one ray at a time.
 """
 
 from __future__ import annotations
@@ -259,14 +277,22 @@ class TraceResult(_TracedPath):
             raise DomainError(f"path parameters must be finite, got {t}")
         if not -1e-9 <= t <= self.total_length + 1e-9:
             raise InsufficientPath(f"arclength {t:.6g} outside [0, {self.total_length:.6g}]")
-        starts, dirs = self._segments.starts, self._segments.dirs
-        idx = int(np.clip(np.searchsorted(starts, t, side="right") - 1,
-                          0, len(self.segments) - 1))
-        rel = t - starts[idx]
-        cid, a, b = self.segments[idx]
-        u = dirs[idx]
-        return GeodesicState(cid, (a[0] + rel * u[0], a[1] + rel * u[1]),
-                             (float(u[0]), float(u[1])), t)
+        # the last segment that starts at or before t (the first for t < 0),
+        # found by a walk with the floats of _Segments: the running hypot
+        # sum of the segments before it, and its direction (b - a) / |b - a|
+        segments = self.segments
+        start, idx = 0.0, 0
+        for k in range(1, len(segments)):
+            _, a, b = segments[k - 1]
+            after = start + math.hypot(b[0] - a[0], b[1] - a[1])
+            if after > t:
+                break
+            start, idx = after, k
+        cid, a, b = segments[idx]
+        length = max(math.hypot(b[0] - a[0], b[1] - a[1]), 1e-300)
+        u = ((b[0] - a[0]) / length, (b[1] - a[1]) / length)
+        rel = t - start
+        return GeodesicState(cid, (a[0] + rel * u[0], a[1] + rel * u[1]), u, t)
 
     def min_distance_at(self, T: float) -> float:
         """m(T): the running minimum at the last sample at or before T.
@@ -556,17 +582,10 @@ def _unit(direction) -> tuple[float, float]:
         raise ZeroDirection(f"direction {direction} has no usable length") from None
 
 
-def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
-          options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TraceResult:
-    """Trace the geodesic from ``start`` for at most ``max_length``.
-
-    Stops at singular cone hits (unless the class is marked and
-    ``options.stop_on_cone`` is false), at ``max_length``, or -- when
-    ``options.stop_on_recurrence`` -- at the first state recurrence
-    (``TraceOptions``; ``recurrence`` holds {period, detected_at, matched_at}).
-    Events are in order of arclength, the recurrence's at ``detected_at``; an
-    edge crossing is kept as a record until ``events`` is read.
-    """
+def _launch(surface: ConeSurface, start: GeodesicState, max_length: float,
+            options: TraceOptions) -> GeodesicState:
+    """``trace``'s checks of its arguments, in its order, and the state it
+    steps from: the point as floats, the direction divided by its norm."""
     tol = surface.tolerances
     if max_length <= 0.0 or not math.isfinite(max_length):
         raise DomainError(f"max_length must be positive and finite, got {max_length}")
@@ -582,8 +601,54 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     p = (float(start.point[0]), float(start.point[1]))
     if not point_in_polygon(surface.charts[cid], p, tol=tol.tau_hit):
         raise StartOutsideSurface(f"point {p} is outside chart {cid!r}")
-    norm_start = GeodesicState(cid, p, d, 0.0)
+    return GeodesicState(cid, p, d, 0.0)
 
+
+def _corner_at(surface: ConeSurface, cid: str, rows, edge: int, x, d, tau_hit: float):
+    """The corner of the exit edge ``edge`` that a ray along d meets at its
+    exit point x: within tau_hit of x and arrived at from inside its wedge,
+    the edge's start corner first; None when there is none."""
+    for cand in (edge, (edge + 1) % len(rows)):
+        vx, vy = rows[cand][0], rows[cand][1]
+        if math.hypot(x[0] - vx, x[1] - vy) <= tau_hit and _arrives_at_corner(surface, cid,
+                                                                             cand, d):
+            return cand
+    return None
+
+
+def _corner_event(surface: ConeSurface, cid: str, vtx: int, d, s: float,
+                  options: TraceOptions) -> TraceEvent:
+    """The ConeHit or VertexPass event of a ray along d that meets corner
+    ``vtx`` of chart ``cid`` at arclength s; ``detail["terminal"]`` says
+    whether the trace ends there."""
+    vc = surface.corner_class[(cid, vtx)]
+    sector = continuation_sector(surface, vc.id, d, corner=(cid, vtx))
+    terminal = vc.singular and (options.stop_on_cone or vc.kind != KIND_MARKED)
+    return TraceEvent(EVENT_CONE_HIT if vc.singular else EVENT_VERTEX_PASS, s, {
+        "vertex_class": vc.id, "chart": cid, "vertex": vtx,
+        "incoming": d, "terminal": terminal, "sector": sector})
+
+
+# A guard, not a knob: each pass ends at a chart boundary, so a trace of
+# length L makes about L / (chart width) passes (0.7 per unit length on the
+# octagon); only a stalled state gets near 10**7.
+_MAX_STEPS = 10_000_000
+
+
+def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
+          options: TraceOptions = DEFAULT_TRACE_OPTIONS) -> TraceResult:
+    """Trace the geodesic from ``start`` for at most ``max_length``.
+
+    Stops at singular cone hits (unless the class is marked and
+    ``options.stop_on_cone`` is false), at ``max_length``, or -- when
+    ``options.stop_on_recurrence`` -- at the first state recurrence
+    (``TraceOptions``; ``recurrence`` holds {period, detected_at, matched_at}).
+    Events are in order of arclength, the recurrence's at ``detected_at``; an
+    edge crossing is kept as a record until ``events`` is read.
+    """
+    norm_start = _launch(surface, start, max_length, options)
+    cid, p, d = norm_start.chart, norm_start.point, norm_start.direction
+    tol = surface.tolerances
     tau_hit, tau_exit = tol.tau_hit, tol.tau_exit
     geometry, edge_lookup = surface.geometry, surface.edge_lookup
     segments: list = []
@@ -595,13 +660,9 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
     s = 0.0
     termination = None
     end_state = None
-    # A guard, not a knob: each pass ends at a chart boundary, so a trace of
-    # length L makes about L / (chart width) passes (0.7 per unit length on
-    # the octagon); only a stalled state gets near 10**7.
-    max_iter = 10_000_000
 
     hops = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         geo = geometry[cid]
         rows = geo.scalar_edges
         px, py = p
@@ -634,15 +695,11 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         if not done:
             edge, step, _ = hit
             x = (px + step * dx, py + step * dy)
-            for cand in (edge, (edge + 1) % len(rows)):
-                vx, vy = rows[cand][0], rows[cand][1]
-                if (math.hypot(x[0] - vx, x[1] - vy) <= tau_hit
-                        and _arrives_at_corner(surface, cid, cand, d)):
-                    vtx = cand
-                    x = (vx, vy)
-                    step = math.hypot(vx - px, vy - py)
-                    done = step >= remaining
-                    break
+            vtx = _corner_at(surface, cid, rows, edge, x, d, tau_hit)
+            if vtx is not None:
+                x = rows[vtx][:2]
+                step = math.hypot(x[0] - px, x[1] - py)
+                done = step >= remaining
         if done:
             x = (px + remaining * dx, py + remaining * dy)
             if hit is None and not point_in_polygon(geo.vertices, x, tau_hit):
@@ -662,19 +719,14 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         hops = 0
 
         if vtx is not None:
-            vc = surface.corner_class[(cid, vtx)]
-            sector = continuation_sector(surface, vc.id, d, corner=(cid, vtx))
-            terminal = vc.singular and (options.stop_on_cone or vc.kind != KIND_MARKED)
-            kind = EVENT_CONE_HIT if vc.singular else EVENT_VERTEX_PASS
-            events.append(TraceEvent(kind, s, {
-                "vertex_class": vc.id, "chart": cid, "vertex": vtx,
-                "incoming": d, "terminal": terminal, "sector": sector}))
-            if terminal:
+            events.append(_corner_event(surface, cid, vtx, d, s, options))
+            if events[-1].detail["terminal"]:
                 termination = EVENT_CONE_HIT
                 end_state = GeodesicState(cid, x, d, s)
                 break
             # flat passage through a 2*pi corner: straight on, at the sector's start
-            ncid, nvtx, nd = vc.direction_at(sector.start)
+            sector = events[-1].detail["sector"]
+            ncid, nvtx, nd = surface.corner_class[(cid, vtx)].direction_at(sector.start)
             nv = geometry[ncid].scalar_edges[nvtx][:2]
             transitions.append(_vertex_alignment(x, nv, d, nd))
             cid, p, d = ncid, nv, nd
@@ -709,6 +761,283 @@ def trace(surface: ConeSurface, start: GeodesicState, max_length: float, *,
         event_records=events, total_length=s, end_state=end_state,
         termination=termination, recurrence=recurrence, chart_index=surface.chart_index,
         distance_records=records, surface=surface)
+
+
+# -- fleets ---------------------------------------------------------------------------
+
+
+# Fewer rays than this are traced one by one: the lockstep's per-step numpy
+# calls outweigh what they save. Certifying the marked torus's connections
+# from v0 took 10.9 ms in lockstep and 8.7 ms one by one at 48 rays, the same
+# at 72 and 120, and 65.9 against 77.1 ms at 312.
+_FLEET_MIN_RAYS = 64
+
+
+class _EdgeTable:
+    """Every chart's ``scalar_edges`` columns and gluings as (charts, width)
+    arrays indexed by chart code and edge, for ``_trace_fleet``; built on a
+    surface's first fleet.
+
+    A chart with fewer edges than the widest is padded with copies of its
+    edge 0, which give edge 0's exit and so lose the tie to it by index.
+    ``nbs[code * width + edge]`` is the edge's ``EdgeNeighbor`` (None at a
+    pad); ``to``, ``c``, ``s``, ``tx`` and ``ty`` hold its chart code and
+    its isometry's floats.
+    """
+
+    def __init__(self, surface: ConeSurface):
+        names = surface.chart_names.tolist()
+        self.width = max(surface.geometry[c].n for c in names)
+        rows, self.nbs = [], []
+        for c in names:
+            geo = surface.geometry[c]
+            pad = self.width - geo.n
+            rows += list(geo.scalar_edges) + [geo.scalar_edges[0]] * pad
+            self.nbs += [surface.edge_lookup[(c, e)] for e in range(geo.n)] + [None] * pad
+        shape = (len(names), self.width)
+        self.vx, self.vy, self.ex, self.ey, self.inv = (
+            np.array(col, dtype=float).reshape(shape) for col in zip(*rows))
+        self.n = np.array([surface.geometry[c].n for c in names])
+        glue = [nb or self.nbs[0] for nb in self.nbs]
+        self.to = np.array([surface.chart_index[nb.chart] for nb in glue]).reshape(shape)
+        self.c, self.s, self.tx, self.ty = (
+            np.array([getattr(nb.iso, a) for nb in glue]).reshape(shape)
+            for a in ("c", "s", "tx", "ty"))
+
+
+def _fleet_exits(table: _EdgeTable, code, px, py, dx, dy, tau_exit: float, tau_hit: float):
+    """``_ray_exit`` of every ray at once, by its operations on the same
+    floats: per ray the exit edge, the first of least ray parameter on a
+    tie, that parameter, and whether the ray leaves the lockstep. It leaves
+    when it has no exit, when an edge lies within 1e-15 of parallel to it
+    (``_ray_exit``'s own branch) and when a value is not finite."""
+    vx, vy, ex, ey, inv = (a[code] for a in (table.vx, table.vy, table.ex, table.ey,
+                                             table.inv))
+    dxc, dyc = dx[:, None], dy[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = dxc * ey - dyc * ex
+        relx = vx - px[:, None]
+        rely = vy - py[:, None]
+        s = (relx * ey - rely * ex) / denom
+        u = (relx * dyc - rely * dxc) / denom
+        eps = (2.0 * tau_hit) * inv
+        cand = np.where((s > tau_exit) & ~(u < -eps) & ~(u > 1.0 + eps), s, np.inf)
+        edge = cand.argmin(axis=1)
+        step = cand[np.arange(len(edge)), edge]
+        off = (~(step < np.inf) | (np.abs(denom) < 1e-15).any(axis=1)
+               | ~np.isfinite(s + u).all(axis=1))
+    return edge, step, off
+
+
+def _trace_fleet(surface: ConeSurface, starts: list, max_lengths: list,
+                 options: TraceOptions = PLAIN_TRACE_OPTIONS) -> list:
+    """``trace(surface, start, max_length, options=options)`` of each pair of
+    ``starts`` and ``max_lengths``, the rays stepped in lockstep (module
+    docstring, Fleets): per pair, in order, its ``TraceResult`` or the
+    exception that its trace raises, for the caller to raise where its own
+    loop would meet it. A fleet of fewer than ``_FLEET_MIN_RAYS`` rays, one
+    whose options record the m(T) input, and one that detects recurrences
+    without stopping at them are traced ray by ray."""
+    out: list = [None] * len(starts)
+    rays = []       # (index, launch state, max_length) per ray that launches
+    for i, (start, max_length) in enumerate(zip(starts, max_lengths)):
+        try:
+            rays.append((i, _launch(surface, start, max_length, options), max_length))
+        except Exception as err:
+            out[i] = err
+    lockstep = (len(rays) >= _FLEET_MIN_RAYS and not options.record_min_distance
+                and options.detect_recurrence == options.stop_on_recurrence)
+    retrace = _Lockstep(surface, rays, options).run(out) if lockstep else range(len(rays))
+    for k in retrace:
+        i = rays[k][0]
+        try:
+            out[i] = trace(surface, starts[i], max_lengths[i], options=options)
+        except Exception as err:
+            out[i] = err
+    return out
+
+
+class _Lockstep:
+    """The launched rays of one ``_trace_fleet``, stepped together. Each
+    step takes every active ray across one edge; the arrays hold the active
+    rays' positions in ``rays`` and their states, in ``trace``'s floats."""
+
+    def __init__(self, surface: ConeSurface, rays: list, options: TraceOptions):
+        if surface._edge_table is None:
+            surface._edge_table = _EdgeTable(surface)
+        self.surface, self.rays, self.options = surface, rays, options
+        self.table = surface._edge_table
+        n = len(rays)
+        self.ray = np.arange(n)
+        self.code = np.array([surface.chart_index[st.chart] for _, st, _ in rays],
+                             dtype=np.int64)
+        self.px, self.py, self.dx, self.dy = np.array(
+            [st.point + st.direction for _, st, _ in rays], dtype=float).reshape(n, 4).T.copy()
+        self.s = np.zeros(n)
+        self.limit = np.array([float(max_length) for _, _, max_length in rays])
+        self.crossings = []  # per step: rays, codes, start and exit points, edges, arclengths
+        self.ends = {}       # position -> (last segment or None, terminal event, end state)
+        self.recurrences = {}  # position -> recurrence
+        # per position, the states after its crossings: code, x, y, dx, dy, s
+        self.history = np.empty((6, n, 16)) if options.detect_recurrence else None
+
+    def run(self, out: list) -> list:
+        """Steps every ray to its end, puts the results into ``out`` and
+        returns the positions of the rays that left the lockstep."""
+        retrace = []
+        for k in range(_MAX_STEPS):
+            if not len(self.ray):
+                break
+            retrace += self._step(k)
+        else:
+            retrace += self.ray.tolist()
+        self._results(out)
+        return retrace
+
+    def _keep(self, sel) -> None:
+        for name in ("ray", "code", "px", "py", "dx", "dy", "s", "limit"):
+            setattr(self, name, getattr(self, name)[sel])
+
+    def _step(self, k: int) -> list:
+        surface, table, tau_hit = self.surface, self.table, self.surface.tolerances.tau_hit
+        names = surface.chart_names
+        ray, code, px, py, dx, dy = self.ray, self.code, self.px, self.py, self.dx, self.dy
+        edge, step, off = _fleet_exits(table, code, px, py, dx, dy,
+                                       surface.tolerances.tau_exit, tau_hit)
+        remaining = self.limit - self.s
+        with np.errstate(invalid="ignore", over="ignore"):
+            done = step >= remaining
+            x0, x1 = px + step * dx, py + step * dy
+            # a corner within tau_hit of the exit point is within it in each
+            # coordinate: trace's own check then runs for these rays alone
+            near = np.zeros(len(ray), dtype=bool)
+            following = edge + 1
+            following[following == table.n[code]] = 0
+            for corner in (edge, following):
+                near |= ((np.abs(x0 - table.vx[code, corner]) <= tau_hit)
+                         & (np.abs(x1 - table.vy[code, corner]) <= tau_hit))
+        hit = np.zeros(len(ray), dtype=bool)
+        for j in np.flatnonzero(near & ~done & ~off).tolist():
+            cid = names[code[j]]
+            rows = surface.geometry[cid].scalar_edges
+            p, d = (float(px[j]), float(py[j])), (float(dx[j]), float(dy[j]))
+            vtx = _corner_at(surface, cid, rows, int(edge[j]), (float(x0[j]), float(x1[j])),
+                             d, tau_hit)
+            if vtx is None:
+                continue
+            x = rows[vtx][:2]
+            length = math.hypot(x[0] - p[0], x[1] - p[1])
+            if length >= remaining[j]:
+                done[j] = True
+                continue
+            event = _corner_event(surface, cid, vtx, d, float(self.s[j]) + length, self.options)
+            if event.detail["terminal"]:
+                hit[j] = True
+                self.ends[int(ray[j])] = ((cid, p, x), event,
+                                          GeodesicState(cid, x, d, event.arclength))
+            else:
+                off[j] = True       # a flat passage
+        last = np.flatnonzero(done & ~off)
+        if len(last):
+            self._max_length_ends(last, remaining[last])
+        go = np.flatnonzero(~(off | done | hit))
+        retrace = ray[off].tolist()
+        self._keep(go)
+        if len(go):
+            self._cross(k, edge[go], x0[go], x1[go])
+        return retrace
+
+    def _max_length_ends(self, sel, remaining) -> None:
+        names = self.surface.chart_names
+        ray, code = self.ray[sel].tolist(), self.code[sel]
+        px, py, dx, dy = self.px[sel], self.py[sel], self.dx[sel], self.dy[sel]
+        ends = zip(ray, names[code].tolist(), zip(px.tolist(), py.tolist()),
+                   zip((px + remaining * dx).tolist(), (py + remaining * dy).tolist()),
+                   zip(dx.tolist(), dy.tolist()))
+        for r, cid, p, x, d in ends:
+            length = self.rays[r][2]
+            self.ends[r] = ((cid, p, x), TraceEvent(EVENT_MAX_LENGTH, length, {}),
+                            GeodesicState(cid, x, d, length))
+
+    def _cross(self, k: int, edge, x0, x1) -> None:
+        """Takes the remaining rays across their exit edges, as ``trace``
+        does, and checks each new state for a recurrence."""
+        table, code, px, py, dx, dy = self.table, self.code, self.px, self.py, self.dx, self.dy
+        self.s = self.s + np.array(list(map(math.hypot, (x0 - px).tolist(),
+                                            (x1 - py).tolist())))
+        self.crossings.append((self.ray, code, px, py, x0, x1, edge, self.s))
+        # the neighbour's iso applied to the exit point and rotating d, with
+        # trace's operations
+        c, sn = table.c[code, edge], table.s[code, edge]
+        self.code = table.to[code, edge]
+        self.px = c * x0 - sn * x1 + table.tx[code, edge]
+        self.py = sn * x0 + c * x1 + table.ty[code, edge]
+        self.dx, self.dy = c * dx - sn * dy, sn * dx + c * dy
+        if self.history is not None:
+            self._recur(k)
+
+    def _recur(self, k: int) -> None:
+        """Ends each ray whose new state recurs, at its earliest earlier
+        crossing state that matches, as ``_CrossingIndex.match`` finds it:
+        the index has no false negatives, so its match is the least
+        arclength among the stored states that pass the test, the first in
+        crossing order. A ray's states are stored until it recurs."""
+        tau, names = self.surface.tolerances.tau_rec, self.surface.chart_names
+        ray, code, px, py, dx, dy, s = (self.ray, self.code, self.px, self.py, self.dx,
+                                        self.dy, self.s)
+        hist = self.history
+        stop = np.zeros(len(ray), dtype=bool)
+        if k:
+            i, col = np.nonzero(np.abs(hist[1][ray, :k] - px[:, None]) < tau)
+            r = ray[i]
+            ok = ((hist[0][r, col] == code[i]) & (np.abs(hist[2][r, col] - py[i]) < tau)
+                  & (np.abs(hist[3][r, col] - dx[i]) < tau)
+                  & (np.abs(hist[4][r, col] - dy[i]) < tau) & (s[i] - hist[5][r, col] > 1e-9))
+            first, at = np.unique(i[ok], return_index=True)
+            for j, c in zip(first.tolist(), col[ok][at].tolist()):
+                best, now = float(hist[5][ray[j], c]), float(s[j])
+                rec = {"period": now - best, "detected_at": now, "matched_at": best}
+                self.recurrences[int(ray[j])] = rec
+                self.ends[int(ray[j])] = (
+                    None, TraceEvent(EVENT_SELF_RECURRENCE, now, dict(rec)),
+                    GeodesicState(names[code[j]], (float(px[j]), float(py[j])),
+                                  (float(dx[j]), float(dy[j])), now))
+            stop[first] = True
+        if k == hist.shape[2]:
+            self.history = hist = np.concatenate((hist, np.empty_like(hist)), axis=2)
+        for column, values in zip(hist, (code, px, py, dx, dy, s)):
+            column[ray, k] = values
+        if stop.any():
+            self._keep(np.flatnonzero(~stop))
+
+    def _results(self, out: list) -> None:
+        """A ``TraceResult`` per ray that ended in the lockstep, into ``out``."""
+        surface, ends = self.surface, self.ends
+        if self.crossings:
+            ray, code, px, py, x0, x1, edge, s = (np.concatenate(c)
+                                                  for c in zip(*self.crossings))
+        else:
+            ray = code = edge = np.zeros(0, dtype=np.int64)
+            px = py = x0 = x1 = s = np.zeros(0)
+        order = np.argsort(ray, kind="stable")
+        bounds = np.cumsum(np.bincount(ray, minlength=len(self.rays)))
+        first = [0] + bounds.tolist()
+        charts = surface.chart_names[code[order]].tolist()
+        segments = list(zip(charts, zip(px[order].tolist(), py[order].tolist()),
+                            zip(x0[order].tolist(), x1[order].tolist())))
+        nbs = [self.table.nbs[g] for g in (code * self.table.width + edge)[order].tolist()]
+        records = list(zip(s[order].tolist(), charts, edge[order].tolist(), nbs))
+        for pos, (i, start, _) in enumerate(self.rays):
+            if pos not in ends:
+                continue
+            a, b = first[pos], first[pos + 1]
+            last, event, end_state = ends[pos]
+            out[i] = TraceResult(
+                start=start, segments=segments[a:b] + ([last] if last else []),
+                transitions=[nb.inv for nb in nbs[a:b]], event_records=records[a:b] + [event],
+                total_length=end_state.arclength, end_state=end_state,
+                termination=event.kind, recurrence=self.recurrences.get(pos),
+                chart_index=surface.chart_index, distance_records=None, surface=surface)
 
 
 # -- developing map ---------------------------------------------------------------

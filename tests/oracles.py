@@ -15,7 +15,9 @@ tracer's vectorized pass over the segments. ``find_closed_geodesic_eager``
 builds every offset launch state before the first launch and traces the
 bounding saddles within the search, with the package's closing, width and
 boundary steps, as the reference for the search that builds launch states on
-demand and bounding saddles on first read. ``density_cores_three_traces`` closes each density direction
+demand and bounding saddles on first read. ``enumerate_saddles_one_by_one`` certifies each saddle hit with its own trace
+as the sweep finds it, the reference for the order in which the errors of the
+certification fleet raise. ``density_cores_three_traces`` closes each density direction
 with the package's tracer in three traces (recurrence, a re-trace from the
 matched state, a re-trace from the target's point), as the reference for the
 two that the density experiment makes. ``WindowSweep`` is the window sweep
@@ -39,7 +41,9 @@ be counted): the references that the positions pass over many paths' traces
 and the block walk of ``tracer._least_distances`` must equal bit for bit.
 ``subdivide_torus`` cuts the marked torus into strips with the package's
 ``build_surface``: the same flat surface in other charts, whose metric
-quantities must equal the uncut torus's.
+quantities must equal the uncut torus's. ``apply_linear`` maps every chart of
+a surface by a linear map, also with ``build_surface``: its holonomies and
+cylinders must be those of the surface, mapped.
 """
 
 from __future__ import annotations
@@ -789,6 +793,35 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
 # -- density cores, three traces per direction ------------------------------------------
 
 
+def enumerate_saddles_one_by_one(surface, base, L):
+    """``enumerate_saddles`` as it was before its certifications ran as one
+    fleet: the package's window sweep, and ``saddles.trace_connection`` on
+    each new hit as the sweep finds it, raising as soon as one does not
+    certify. The reference for the order in which the fleet's errors raise."""
+    from conesurf import saddles
+    from conesurf.geometry import Isometry
+    from conesurf.surface import FanPencil, WindowSweep
+
+    vc = surface.vertex_class(base)
+    found = {}
+    for m_idx, corner in enumerate(vc.members):
+        b = surface.charts[corner[0]][corner[1]]
+        pencil = FanPencil(b, vc.start_rays[m_idx], vc.angles[m_idx])
+        wedge = [(corner[0], Isometry.identity(), ((0.0, False), (vc.angles[m_idx], True)))]
+        for w, dist, c, i, _ in WindowSweep(surface, pencil, wedge, L):
+            end = surface.corner_class[(c, i)].id
+            hx, hy = w[0] - b[0], w[1] - b[1]
+            key = (vc.id, end, round(hx, 9), round(hy, 9), round(dist, 9))
+            if key in found:
+                continue
+            sc = saddles.trace_connection(surface, corner, (hx, hy), dist, expected_end=end)
+            if sc is None:
+                raise TraceNumericalError(f"tracing from corner {corner} toward the sweep's hit "
+                                          f"on {end} at ({hx:.12g}, {hy:.12g}) ends elsewhere")
+            found[key] = sc
+    return sorted(found.values(), key=lambda s: (s.length, s.angle))
+
+
 def density_cores_three_traces(surface, target, directions, max_circumference):
     """The density experiment's closed cores, one per direction (None when the
     direction does not close), made with three traces each: trace to
@@ -1228,3 +1261,21 @@ def subdivide_torus(k: int) -> ConeSurface:
     gluings = [((f"r{i}", 1), (f"r{i}", 3)) for i in range(k)]
     gluings += [((f"r{i}", 2), (f"r{(i + 1) % k}", 0)) for i in range(k)]
     return build_surface(polys, gluings, marked=[("r0", 0)])
+
+
+def apply_linear(surface: ConeSurface, g) -> ConeSurface:
+    """The surface g.S for a 2 x 2 matrix g = ((a, b), (c, d)) of positive
+    determinant: every chart's vertices mapped by g, with the same gluings,
+    marked corners and tolerances, built by the package's ``build_surface``
+    (chart names with '@', a cover's, allowed). On a translation or
+    half-translation surface g.S is the affine image of S for every such g,
+    and on any surface for a similarity c.R: saddle holonomies and cylinder
+    circumference vectors map by g, and an element of S's Veech group gives
+    a surface isometric to S."""
+    (a, b), (c, d) = g
+    polys = [(cid, [(a * x + b * y, c * x + d * y) for x, y in verts])
+             for cid, verts in surface.charts.items()]
+    return build_surface(polys, [(gl.a, gl.b) for gl in surface.gluings],
+                         marked=surface.marked_corners, tolerances=surface.tolerances,
+                         allow_sheet_ids=any("@" in cid for cid in surface.charts),
+                         allow_disconnected=len(surface.components) > 1)

@@ -936,14 +936,18 @@ def test_density_block_raises_for_its_first_failing_candidate(monkeypatch):
 
 
 def test_density_traces_each_closed_direction_twice(mtorus, monkeypatch):
-    # one trace to recurrence and one period from the target's point
-    calls = []
-    real = cylinders.trace
+    # one trace to recurrence and one period from the target's point, each a
+    # ray of one of two fleets, and no trace outside them
+    calls, fleets = [], []
+    real, real_fleet = cylinders.trace, cylinders._trace_fleet
     monkeypatch.setattr(cylinders, "trace", lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.setattr(cylinders, "_trace_fleet",
+                        lambda surface, starts, *a: fleets.append(len(starts))
+                        or real_fleet(surface, starts, *a))
     target = GeodesicState("sq", (0.31, 0.17), unit(1.0, GOLDEN))
     rep = density_experiment(mtorus, target, [1.0, 2.0, 3.0])
     assert rep.inventory["closed_geodesics"] == 8
-    assert len(calls) == 2 * 8
+    assert fleets == [8, 8] and calls == []
 
 
 @pytest.mark.parametrize("name, chart, point, lengths, window, chain_budget", [
@@ -961,14 +965,14 @@ def test_density_cores_match_three_traces(request, monkeypatch, name, chart, poi
     surface = request.getfixturevalue(name)
     target = _golden_target(surface, chart, point)
     cores = {}
-    one_period = cylinders._one_period
+    closed_cores = cylinders._closed_cores
 
-    def spy(surface, state, period):
-        closed = one_period(surface, state, period)
-        cores[state.direction] = closed[0] if closed else None
-        return closed
+    def spy(surface, chart, point, directions, max_circumference):
+        out = closed_cores(surface, chart, point, directions, max_circumference)
+        cores.update(zip(directions, out))
+        return out
 
-    monkeypatch.setattr(cylinders, "_one_period", spy)
+    monkeypatch.setattr(cylinders, "_closed_cores", spy)
     rep = density_experiment(surface, target, lengths, window=window, chain_budget=chain_budget)
     conns = [c for vc in surface.singular_classes
              for c in enumerate_saddles(surface, vc.id, lengths[-1])]

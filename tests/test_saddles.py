@@ -19,7 +19,7 @@ from conesurf import (
     trace_connection,
 )
 from conesurf import saddles
-from conesurf.corpus import regular_octagon
+from conesurf.corpus import BUILDERS, regular_octagon
 from conesurf.errors import (
     DomainError,
     EndpointMismatch,
@@ -382,3 +382,42 @@ def test_trace_connection_rejects_wrong_data(mtorus):
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     n = math.hypot(1.0, golden)
     assert trace_connection(mtorus, ("sq", 0), (1 / n, golden / n), 3.0) is None
+
+
+def _saddles_outcome(fn):
+    """The connections' data and traces, or the error's type and message."""
+    try:
+        return [(sc.start, sc.end, sc.length, sc.holonomy, sc.start_corner, sc.direction,
+                 sc.path.segments, [(e.kind, e.arclength, e.detail) for e in sc.path.events])
+                for sc in fn()]
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.mark.parametrize("name, budget, fail_above, raised", [
+    ("torus_marked", 50, None, "UnfoldingBudgetExceeded"),
+    ("torus_marked", None, 3.0, "TraceNumericalError"),
+    ("torus_marked", 50, 3.0, "TraceNumericalError"),    # a failing hit before the sweep error
+    ("torus_marked", 50, 7.0, "UnfoldingBudgetExceeded"),  # the sweep error first
+    ("torus_marked", 50, 0.0, "TraceNumericalError"),    # the first hit, by trace_connection
+    ("octagon", 100, 6.0, "TraceNumericalError"),
+    ("octagon", 100, 7.9, "UnfoldingBudgetExceeded"),
+    ("pillowcase", None, 2.0, "TraceNumericalError"),
+])
+def test_saddle_errors_raise_as_in_the_one_by_one_loop(monkeypatch, name, budget, fail_above,
+                                                       raised):
+    # the certification fleet raises the error that certifying each hit as
+    # the sweep finds it meets first, with its type and message: the sweep's
+    # UnfoldingBudgetExceeded under a small unfolding_budget, or the
+    # TraceNumericalError of a hit that does not certify
+    tolerances = dataclasses.replace(DEFAULT_TOLERANCES, unfolding_budget=budget or 10**6)
+    surface = BUILDERS[name](tolerances=tolerances)
+    if fail_above is not None:
+        certified = saddles._certified
+        monkeypatch.setattr(saddles, "_certified", lambda surface, corner, d, length, *a:
+                            None if length > fail_above
+                            else certified(surface, corner, d, length, *a))
+    got = _saddles_outcome(lambda: enumerate_saddles(surface, "v0", 8.0))
+    assert got == _saddles_outcome(lambda: oracles.enumerate_saddles_one_by_one(surface, "v0",
+                                                                                8.0))
+    assert got.startswith(raised + ": ")

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -576,6 +577,24 @@ def test_certification_traces_build_no_crossing_events(mtorus, pcase, triple_cov
     assert cylinders._one_period(mtorus, state("sq", 0.3, 0.2, 2, 1), math.sqrt(5.0))
     covering.lift_trace(triple_cover, trace(pcase, state("front", 0.4, 0.3, 1, 0.377), 3.0))
     assert len(calls) == 4 and built == []
+    # nor do the fleets of enumerate_saddles and of the density cores
+    monkeypatch.setattr(tracer, "_FLEET_MIN_RAYS", 1)
+    fleets = []
+
+    def recorded_fleet(surface, starts, max_lengths, options=tracer.PLAIN_TRACE_OPTIONS):
+        results = tracer._trace_fleet(surface, starts, max_lengths, options)
+        fleets.append((surface, starts, max_lengths, options, results))
+        return results
+
+    for module in (saddles, cylinders):
+        monkeypatch.setattr(module, "_trace_fleet", recorded_fleet)
+    assert len(saddles.enumerate_saddles(mtorus, "v0", 4.0)) == 32
+    directions = [tracer._unit(d) for d in ((2.0, 1.0), (1.0, 0.0), (1.0, 3.0))]
+    assert all(cylinders._closed_cores(mtorus, "sq", (0.3, 0.2), directions, 10.0))
+    assert [len(f[1]) for f in fleets] == [31, 3, 3] and built == []
+    calls += [((surface, start, length), {"options": options}, got)
+              for surface, starts, lengths, options, results in fleets
+              for start, length, got in zip(starts, lengths, results)]
     crossings = 0
     for args, kwargs, got in calls:
         want = oracles.reference_trace(*args, **kwargs)
@@ -868,11 +887,17 @@ def test_state_at_stays_on_its_trace(mtorus):
     for t in (-1.0, -2e-9, 3.0 + 2e-9, 99.0):
         with pytest.raises(InsufficientPath, match="^arclength .* outside \\[0, 3\\]$"):
             tr.state_at(t)
-    # inside, and within locate's slack: the point that positions gives
-    for t in (0.0, 0.4, 1.3, 3.0, 3.0 + 5e-10):
+    # inside, at every segment start and within locate's slack: bit for bit
+    # the point that positions gives and the direction of its segment table
+    table = tr._segments
+    for t in [0.0, 0.4, 1.3, 3.0, 3.0 + 5e-10] + table.starts.tolist():
         codes, xy = tr.positions([t])
         got = tr.state_at(t)
-        assert got.chart == mtorus.chart_names[codes[0]] and got.point == tuple(xy[0]), t
+        k = min(max(int(np.searchsorted(table.starts, t, side="right")) - 1, 0),
+                len(tr.segments) - 1)
+        assert got.chart == mtorus.chart_names[codes[0]], t
+        assert repr(got.point) == repr(tuple(xy[0].tolist())), t
+        assert repr(got.direction) == repr(tuple(table.dirs[k].tolist())), t
     assert tr.state_at(-5e-10).arclength == -5e-10
 
 
@@ -995,3 +1020,199 @@ def test_random_octagon_traces_develop_straight(r, pos, ang, length):
     assert dev.length_residual <= 1e-7
     seg_total = sum(math.dist(a, b) for _, a, b in res.segments)
     assert math.isclose(seg_total, res.total_length, rel_tol=0, abs_tol=1e-7)
+
+
+# --------------------------------------------------------------------------
+# Fleets: the lockstep stepper against trace, bit for bit
+# --------------------------------------------------------------------------
+
+def _outcome(result):
+    """A trace's every output as one string, floats by repr (so -0.0 and 0.0
+    differ), or an error's type and message."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return repr((result.start, result.segments,
+                 [(t.c, t.s, t.tx, t.ty) for t in result.transitions],
+                 [(e.kind, e.arclength, e.detail) for e in result.events],
+                 result.total_length, result.end_state, result.termination, result.recurrence,
+                 result.distance_records, result.min_distance_series))
+
+
+def _traced(surface, start, max_length, options):
+    try:
+        return trace(surface, start, max_length, options=options)
+    except Exception as err:
+        return err
+
+
+# a moderate tau_rec makes a state match two earlier states that do not
+# match each other, so the earliest match is not the latest
+FLEET_TAU_REC = TAU_REC_EDGES + (0.05, 0.45)
+FLEET_OPTIONS = (tracer.PLAIN_TRACE_OPTIONS, cylinders._CORE_OPTIONS,
+                 TraceOptions(record_min_distance=False),
+                 TraceOptions(stop_on_cone=False, detect_recurrence=False,
+                              record_min_distance=False),
+                 TraceOptions())
+
+
+@pytest.fixture(scope="module")
+def fleet_surfaces(torus, mtorus, octagon, pcase, dtriangle, notched):
+    surfaces = {"torus": torus, "mtorus": mtorus, "octagon": octagon, "pcase": pcase,
+                "dtriangle": dtriangle, "notched": notched,
+                "strips": oracles.subdivide_torus(3),
+                **{f"cover{d}": build_cover(pcase, find_monodromy(pcase, d))[0] for d in (3, 5)}}
+    for tau_rec in FLEET_TAU_REC:
+        surfaces[f"mtorus_tau{tau_rec}"] = marked_torus(
+            tolerances=dataclasses.replace(DEFAULT_TOLERANCES, tau_rec=tau_rec))
+    return surfaces
+
+
+_FLEET_STARTS = (_random_start, _corner_start, _hop_start, _rational_start)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["torus", "mtorus", "octagon", "pcase", "dtriangle", "notched",
+                             "strips", "cover3", "cover5"]
+                            + [f"mtorus_tau{t}" for t in FLEET_TAU_REC]),
+       options=st.sampled_from(FLEET_OPTIONS), seed=st.integers(0, 2**32 - 1))
+def test_fleet_rays_equal_their_traces(fleet_surfaces, name, options, seed):
+    # every ray of a fleet: segments, transitions, events, end state,
+    # termination and recurrence equal trace's, or its error does
+    surface = fleet_surfaces[name]
+    if name.startswith("mtorus_tau"):
+        options = cylinders._CORE_OPTIONS
+    rng = random.Random(seed)
+    starts = [rng.choice(_FLEET_STARTS)(surface, rng) for _ in range(12)]
+    lengths = [rng.choice((rng.uniform(0.2, 25.0), float(rng.randint(1, 20)), -1.0, math.inf))
+               if rng.random() < 0.1 else rng.uniform(0.2, 25.0) for _ in starts]
+    starts[rng.randrange(len(starts))] = GeodesicState("nowhere", (0.0, 0.0), (1.0, 0.0))
+    with mock.patch.object(tracer, "_FLEET_MIN_RAYS", 1):
+        got = tracer._trace_fleet(surface, starts, lengths, options)
+    assert len(got) == len(starts)
+    for start, length, result in zip(starts, lengths, got):
+        assert _outcome(result) == _outcome(_traced(surface, start, length, options))
+
+
+def test_fleet_leaves_the_lockstep_on_each_branch(torus, mtorus, monkeypatch):
+    # axis-parallel rays, a flat-corner passage and an edge start that hops
+    # are traced again by trace, the other rays not, all equal to trace's
+    retraced = []
+    real = tracer.trace
+    monkeypatch.setattr(tracer, "trace",
+                        lambda surface, start, *a, **k: retraced.append(start)
+                        or real(surface, start, *a, **k))
+    monkeypatch.setattr(tracer, "_FLEET_MIN_RAYS", 1)
+    cases = {
+        torus: ([state("sq", 0.3, 0.4, 1.0, 0.0), state("sq", 0.3, 0.4, 0.0, -1.0),
+                 state("sq", 0.5, 0.5, 1.0, 1.0)],
+                [state("sq", 0.3, 0.4, 1.0, GOLDEN)]),
+        mtorus: ([state("sq", 0.5, 0.0, 0.3, -1.0)],
+                 [state("sq", 0.5, 0.5, 1.0, 1.0), state("sq", 0.3, 0.4, 2.0, 1.0)]),
+    }
+    for surface, (leaving, staying) in cases.items():
+        for options in (tracer.PLAIN_TRACE_OPTIONS, cylinders._CORE_OPTIONS):
+            retraced.clear()
+            starts = staying + leaving
+            got = tracer._trace_fleet(surface, starts, [7.5] * len(starts), options)
+            assert retraced == leaving
+            for start, result in zip(starts, got):
+                assert _outcome(result) == _outcome(real(surface, start, 7.5, options=options))
+    # the ray at the corner ends at the marked point in the lockstep, a
+    # ConeHit, and passes the flat torus's corner, a VertexPass, in trace
+    corner = state("sq", 0.5, 0.5, 1.0, 1.0)
+    retraced.clear()
+    assert tracer._trace_fleet(mtorus, [corner], [7.5])[0].termination == "ConeHit"
+    assert retraced == []
+    assert "VertexPass" in [e.kind for e in real(torus, corner, 7.5).events]
+
+
+# rays whose recurring state matches two earlier crossing states, which do
+# not match each other, at the tau_rec of their key
+DOUBLE_MATCHES = {
+    0.3: [((0.2452882471098236, 0.9189321250083826), (-0.9206294132661906, 0.3904375538151389)),
+          ((0.7240684292459645, 0.8911061100511821), (0.9271170242981762, 0.37477196167335536))],
+    0.45: [((0.7211041649350144, 0.8789598526229802), (0.29299711643927545, 0.9561133247467424)),
+           ((0.48614688951500695, 0.7146340888725481), (0.5906726312561391, 0.8069112979038955))],
+}
+
+
+def test_fleet_recurrence_is_the_earliest_of_its_matches(monkeypatch):
+    monkeypatch.setattr(tracer, "_FLEET_MIN_RAYS", 1)
+    options = cylinders._CORE_OPTIONS
+    for tau, rays in DOUBLE_MATCHES.items():
+        surface = marked_torus(tolerances=dataclasses.replace(DEFAULT_TOLERANCES, tau_rec=tau))
+        starts = [GeodesicState("sq", p, d) for p, d in rays]
+        got = tracer._trace_fleet(surface, starts, [20.0] * len(starts), options)
+        for start, result in zip(starts, got):
+            want = trace(surface, start, 20.0, options=options)
+            assert _outcome(result) == _outcome(want)
+            # the crossing states that the recurring one matches (on the torus
+            # directions are kept and there is one chart), earliest first
+            end = want.end_state
+            crossings = [e.arclength for e in want.events if e.kind == "EdgeCross"]
+            matches = [s for (_, p, _), s in zip(want.segments[1:], crossings)
+                       if abs(p[0] - end.point[0]) < tau and abs(p[1] - end.point[1]) < tau
+                       and end.arclength - s > 1e-9]
+            assert len(matches) == 2 and want.recurrence["matched_at"] == matches[0]
+
+
+def test_small_fleets_are_traced_one_by_one(mtorus, monkeypatch):
+    retraced = []
+    real = tracer.trace
+    monkeypatch.setattr(tracer, "trace",
+                        lambda surface, start, *a, **k: retraced.append(start)
+                        or real(surface, start, *a, **k))
+    rng = random.Random(5)
+    starts = [_random_start(mtorus, rng) for _ in range(tracer._FLEET_MIN_RAYS)]
+    for fleet in (starts[1:], starts):
+        retraced.clear()
+        got = tracer._trace_fleet(mtorus, fleet, [3.0] * len(fleet))
+        assert retraced == (fleet if len(fleet) < tracer._FLEET_MIN_RAYS else [])
+        assert [_outcome(r) for r in got] == [
+            _outcome(real(mtorus, st, 3.0, options=tracer.PLAIN_TRACE_OPTIONS)) for st in fleet]
+
+
+def _exit_rays(surface):
+    """Per chart: rays from the chart's vertex average at each corner, and
+    rays from each edge's midpoint within 1e-17 of parallel to the edge, to
+    either side; as (chart, x, y, dx, dy)."""
+    rays = []
+    for chart in sorted(surface.charts):
+        verts = surface.charts[chart]
+        cx, cy = (sum(v[0] for v in verts) / len(verts), sum(v[1] for v in verts) / len(verts))
+        for vx, vy in verts:
+            n = math.hypot(vx - cx, vy - cy)
+            rays.append((chart, cx, cy, (vx - cx) / n, (vy - cy) / n))
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            n = math.hypot(bx - ax, by - ay)
+            for sign in (1.0, -1.0):
+                rays.append((chart, (ax + bx) / 2.0, (ay + by) / 2.0,
+                             (bx - ax) / n - sign * 1e-17 * (by - ay) / n,
+                             (by - ay) / n + sign * 1e-17 * (bx - ax) / n))
+    return rays
+
+
+@pytest.mark.parametrize("name, counts", [("torus", (4, 8)), ("pcase", (8, 16)),
+                                          ("notched", (2, 28)), ("octagon", (3, 16))])
+def test_fleet_exits_are_the_ray_exits(request, name, counts):
+    # each ray's exit is _ray_exit's, the first edge of a tie, unless the ray
+    # leaves the lockstep, which every ray within 1e-15 of parallel to an edge does
+    surface = request.getfixturevalue(name)
+    tol = surface.tolerances
+    rays = _exit_rays(surface)
+    code = np.array([surface.chart_index[r[0]] for r in rays])
+    px, py, dx, dy = (np.array([r[k] for r in rays]) for k in range(1, 5))
+    edge, step, off = tracer._fleet_exits(tracer._EdgeTable(surface), code, px, py, dx, dy,
+                                          tol.tau_exit, tol.tau_hit)
+    ties = 0
+    for (chart, *ray), e, s, left in zip(rays, edge.tolist(), step.tolist(), off.tolist()):
+        rows = surface.geometry[chart].scalar_edges
+        want = tracer._ray_exit(rows, *ray, tol.tau_exit, tol.tau_hit)
+        parallel = any(abs(ray[2] * r[3] - ray[3] * r[2]) < 1e-15 for r in rows)
+        assert left or not parallel
+        if not left:
+            assert (e, s) == want[:2]
+            alone = [tracer._ray_exit(rows[k:k + 1], *ray, tol.tau_exit, tol.tau_hit)
+                     for k in range(len(rows))]
+            ties += sum(x is not None and x[1] == s for x in alone) > 1
+    assert (ties, int(off.sum())) == counts
