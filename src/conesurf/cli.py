@@ -181,12 +181,16 @@ def cmd_trace(args) -> int:
     _say(args, f"events: {len(result.event_records)}; collinearity residual "
                f"{dev.collinearity_residual:.3e}/unit; m(T) = {m_final:.12g}")
     if args.csv:
-        rows = [(0.0, result.start.chart, result.start.point[0], result.start.point[1],
-                 result.min_distance_at(0.0))]
-        s = 0.0
-        for cid, a, b in result.segments:
-            s += math.hypot(b[0] - a[0], b[1] - a[1])
-            rows.append((s, cid, b[0], b[1], result.min_distance_at(s)))
+        # each segment reads its own row of the series: one per segment but
+        # the hops (never last), after a row at 0 where one starts at 0
+        series, (_, sums) = result.min_distance_series, result.arclength_table
+        m, row, last = result.min_distance_at(0.0), -1, len(result.segments) - 1
+        rows = [(0.0, result.start.chart, result.start.point[0], result.start.point[1], m)]
+        for k, (cid, a, b) in enumerate(result.segments):
+            if a != b or k == last:
+                row += 2 if sums[k] == 0.0 else 1
+                m = series[row][1]
+            rows.append((sums[k + 1], cid, b[0], b[1], m))
         _write_csv(args.csv, ["arclength", "chart", "x", "y", "m_of_T"], rows)
         _say(args, f"wrote {args.csv}")
     if args.svg:
@@ -495,8 +499,7 @@ def cmd_selftest(args) -> int:
             tr.segments, tr.transitions, tr.end_state)
         dv = develop(tr)
         worst_col = max(worst_col, dv.collinearity_residual)
-        seg_sum = sum(math.hypot(b[0] - a0[0], b[1] - a0[1]) for _, a0, b in tr.segments)
-        worst_add = max(worst_add, abs(seg_sum - tr.total_length))
+        worst_add = max(worst_add, abs(tr.arclength_table[1][-1] - tr.total_length))
         m_mismatch += _series_mismatches(octagon, tr)
         lengths = [f * tr.total_length for f in (0.07, 0.31, 0.5, 1.0)]
         rep = min_distance_experiment(octagon, st, lengths)

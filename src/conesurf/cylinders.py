@@ -1,18 +1,20 @@
 """Flat cylinders: closed geodesics, strip widths, and density approximation.
 
 A closed regular geodesic sits inside a maximal flat cylinder. Closing a
-direction takes two steps: trace until the trajectory revisits its own state
-(the period), then trace one period from a chosen state and check that it
-returns there. The cylinder search certifies from the matched state, the
-density experiment from the target's point, so each closed direction costs
-two traces. Widths come from sweeping vertical rays out of the core with the
-window sweep, on convex and non-convex charts, to the nearest singular
-images. Each boundary is a chain of
-saddle connections joining consecutive boundary witnesses: the sweep records
-the corner and chart copy of every witness, so each connection is one trace
-from its starting witness, made when ``Cylinder.bounding`` is first read. The
-density experiment approximates a target geodesic by closed geodesics and
-closed saddle-connection chains of bounded length.
+direction takes two traces and one check on each: trace until the trajectory
+revisits its own state, and ``_period`` reads the period off it; then trace
+one period from a chosen state, and ``_closure`` checks that it returns
+there. The cylinder search makes the two traces of one ray and certifies
+from the matched state; the density experiment makes each kind as one fleet
+over its directions and certifies from the target's point. Both run the
+same two checks. Widths come from sweeping vertical rays out of the core
+with the window sweep, on convex and non-convex charts, to the nearest
+singular images. Each boundary is a chain of saddle connections joining
+consecutive boundary witnesses: the sweep records the corner and chart copy
+of every witness, so each connection is one trace from its starting
+witness, made when ``Cylinder.bounding`` is first read. The density
+experiment approximates a target geodesic by closed geodesics and closed
+saddle-connection chains of bounded length.
 """
 
 from __future__ import annotations
@@ -202,9 +204,7 @@ def strip_width(surface: ConeSurface, core: TraceResult):
     flip = Isometry(-1.0, 0.0, 0.0, 0.0)   # rotation by pi: right side -> left
 
     dev = develop(core)
-    s = [0.0]
-    for _, a, b in core.segments:
-        s.append(s[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
+    _, s = core.arclength_table
     left_roots, right_roots = [], []
     for j, (cid, _, _) in enumerate(core.segments):
         if s[j + 1] - s[j] <= 1e-12:
@@ -273,23 +273,13 @@ def _boundary_saddles(surface: ConeSurface, witnesses: list[StripWitness], circ:
     return out
 
 
-def _recurrence(surface: ConeSurface, state: GeodesicState,
-                max_circumference: float) -> tuple[float, TraceResult] | None:
-    """Trace to the first self-recurrence: the period and the trace, whose
-    ``recurrence`` holds the matched arclength, or None when the trace does
-    not recur or its period exceeds the bound."""
-    tr = trace(surface, state, _recurrence_budget(surface, max_circumference),
-               options=_CORE_OPTIONS)
-    period = _period(surface, tr, max_circumference)
-    return None if period is None else (period, tr)
-
-
 def _recurrence_budget(surface: ConeSurface, max_circumference: float) -> float:
     return 2.0 * max_circumference + 4.0 * surface.max_diameter
 
 
 def _period(surface: ConeSurface, tr: TraceResult, max_circumference: float) -> float | None:
-    """The period of a trace to recurrence, or None (``_recurrence``)."""
+    """The first closing check: the period of a trace to recurrence, or None
+    when it does not recur or its period exceeds the bound."""
     if tr.termination != EVENT_SELF_RECURRENCE or tr.recurrence is None:
         return None
     period = tr.recurrence["period"]
@@ -298,17 +288,11 @@ def _period(surface: ConeSurface, tr: TraceResult, max_circumference: float) -> 
     return period
 
 
-def _one_period(surface: ConeSurface, state: GeodesicState,
-                period: float) -> tuple[TraceResult, float] | None:
-    """Trace one period from a state: the trace and its gap back to the
-    state, or None when it meets a cone point or does not return there."""
-    return _closure(surface, state, trace(surface, state, period, options=PLAIN_TRACE_OPTIONS))
-
-
 def _closure(surface: ConeSurface, state: GeodesicState,
              core: TraceResult) -> tuple[TraceResult, float] | None:
-    """The core traced one period from ``state`` and its gap back to the
-    state, or None (``_one_period``)."""
+    """The second closing check: the core traced one period from ``state``
+    and its gap back to the state, or None when it meets a cone point or
+    does not return there."""
     if core.termination != EVENT_MAX_LENGTH:
         return None
     gap = _state_gap(surface, state, core.end_state)
@@ -320,10 +304,11 @@ def _closure(surface: ConeSurface, state: GeodesicState,
 def _closed_cores(surface: ConeSurface, chart: str, point, directions: list,
                   max_circumference: float) -> list:
     """Per direction, the core of one period from (chart, point), or None
-    where the direction does not close: ``_recurrence`` along the normalized
-    direction, then ``_one_period`` along the direction itself, each as one
-    fleet of traces (``tracer._trace_fleet``). An error raises where a loop
-    over the directions would meet it first."""
+    where the direction does not close: the checks of
+    ``find_closed_geodesic``, ``_period`` on a trace to recurrence along the
+    normalized direction, then ``_closure`` on one period along the
+    direction itself, each kind of trace one fleet (``tracer._trace_fleet``).
+    An error raises where a loop over the directions would meet it first."""
     launches = [GeodesicState(chart, point, normalize(d)) for d in directions]
     budget = _recurrence_budget(surface, max_circumference)
     periods = []
@@ -359,9 +344,10 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
     The circumference bound must be positive and finite, or DomainError is
     raised before any trace, and a zero or non-finite direction raises
     ZeroDirection there. Traces from the start point (default: a point
-    inside the first chart) until self-recurrence, then certifies one period
-    by re-tracing it from the matched state, which becomes the core's start;
-    ``closure_error`` is the gap between that state and the re-trace's end.
+    inside the first chart) until self-recurrence (``_period``), then
+    certifies one period by re-tracing it from the matched state, which
+    becomes the core's start (``_closure``); ``closure_error`` is the gap
+    between that state and the re-trace's end.
     When the launch runs into a cone point, retries from points moved
     perpendicular to the direction, each built only when the launch before it
     failed, so an offset trace that raises an error other than DomainError
@@ -378,17 +364,19 @@ def find_closed_geodesic(surface: ConeSurface, direction, start=None, *,
         start = (cid, interior_point(surface.charts[cid]))
     chart, point = start
     base = GeodesicState(chart, point, _unit(direction))
+    budget = _recurrence_budget(surface, max_circumference)
     for f in (0.0,) + _JIGGLE_FRACTIONS:
         try:
             state = offset_state(surface, base, f * surface.max_diameter) if f else base
         except DomainError:
             continue
-        rec = _recurrence(surface, state, max_circumference)
-        if rec is None:
+        tr = trace(surface, state, budget, options=_CORE_OPTIONS)
+        period = _period(surface, tr, max_circumference)
+        if period is None:
             continue
-        period, tr = rec
         matched = tr.state_at(tr.recurrence["matched_at"])
-        closed = _one_period(surface, matched, period)
+        closed = _closure(surface, matched,
+                          trace(surface, matched, period, options=PLAIN_TRACE_OPTIONS))
         if closed is None:
             continue
         core, gap = closed

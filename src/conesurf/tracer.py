@@ -11,6 +11,13 @@ straight segment), closed-form self-intersection parameters for passage near a
 small cone point, distance-to-singularities telemetry, and the exponentially
 weighted compact-open distance between two traced paths.
 
+Arclength. A trace's arclength is the running sum from 0.0, in order, of its
+segments' lengths ``math.hypot(b - a)``, the floats that ``trace`` and the
+lockstep add as they step. ``TraceResult.arclength_table`` holds the lengths
+and the n + 1 sums as read-only float64 views, built once on first read, and
+every reader of a trace's arclength reads it, so a crossing, a corner
+passage or a recurrence's ``matched_at`` is one of its sums.
+
 Path protocol. Every path that ``geodesic_distance`` compares -- a
 ``TraceResult``, a ``TwoSidedPath`` here, a ``PeriodicPath`` or ``ChainPath``
 in ``cylinders`` -- is a ``_TracedPath``. It runs through the traces
@@ -45,6 +52,7 @@ result is ``trace``'s, bit for bit. A fleet of fewer than
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
@@ -142,9 +150,9 @@ PLAIN_TRACE_OPTIONS = TraceOptions(detect_recurrence=False, record_min_distance=
 
 class _Segments:
     """The segments of one or more traces, in order: each segment's start
-    arclength along its own trace, start point, unit direction and chart
-    code, with each trace's first segment (``first``, ending in the count)
-    and its total length.
+    arclength along its own trace (its ``arclength_table``), start point,
+    unit direction and chart code, with each trace's first segment
+    (``first``, ending in the count) and its total length.
 
     ``locate`` finds every sample's segment by one ``searchsorted``. Over
     several traces it searches (trace, arclength) keys as complex numbers,
@@ -157,16 +165,14 @@ class _Segments:
 
     def __init__(self, traces):
         segments = [seg for tr in traces for seg in tr.segments]
-        lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in segments]
+        tables = [tr.arclength_table for tr in traces]
+        lengths = np.concatenate([own for own, _ in tables])
         self.first = np.cumsum([0] + [len(tr.segments) for tr in traces])
-        # each trace's running sum, added in the order of np.cumsum
-        self.starts = np.array([
-            s for f, l in itertools.pairwise(self.first.tolist())
-            for s in itertools.islice(itertools.accumulate(lengths[f:l], initial=0.0), l - f)])
+        self.starts = np.concatenate([sums[:-1] for _, sums in tables])
         self.p0 = np.array([a for _, a, _ in segments], dtype=float)
         p1 = np.array([b for _, _, b in segments], dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
-            self.dirs = (p1 - self.p0) / np.maximum(np.array(lengths)[:, None], 1e-300)
+            self.dirs = (p1 - self.p0) / np.maximum(lengths[:, None], 1e-300)
         self.codes = np.array([tr.chart_index[c] for tr in traces for c, _, _ in tr.segments],
                               dtype=np.int64)
         self.totals = np.array([tr.total_length for tr in traces])
@@ -246,6 +252,15 @@ class TraceResult(_TracedPath):
         return self.event_records
 
     @cached_property
+    def arclength_table(self) -> tuple[memoryview, memoryview]:
+        """(lengths, sums), read-only float64 views built on first read
+        (module docstring, Arclength): segment k has length ``lengths[k]``
+        and starts at ``sums[k]``."""
+        lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in self.segments]
+        sums = itertools.accumulate(lengths, initial=0.0)
+        return tuple(memoryview(array.array("d", v)).toreadonly() for v in (lengths, sums))
+
+    @cached_property
     def min_distance_series(self) -> list:
         """(arclength, running min distance to the singular set) at arclength 0
         and at each segment end, built on first read, which frees
@@ -278,20 +293,13 @@ class TraceResult(_TracedPath):
         if not -1e-9 <= t <= self.total_length + 1e-9:
             raise InsufficientPath(f"arclength {t:.6g} outside [0, {self.total_length:.6g}]")
         # the last segment that starts at or before t (the first for t < 0),
-        # found by a walk with the floats of _Segments: the running hypot
-        # sum of the segments before it, and its direction (b - a) / |b - a|
-        segments = self.segments
-        start, idx = 0.0, 0
-        for k in range(1, len(segments)):
-            _, a, b = segments[k - 1]
-            after = start + math.hypot(b[0] - a[0], b[1] - a[1])
-            if after > t:
-                break
-            start, idx = after, k
-        cid, a, b = segments[idx]
-        length = max(math.hypot(b[0] - a[0], b[1] - a[1]), 1e-300)
+        # and its direction (b - a) / |b - a|, as _Segments.locate has them
+        lengths, sums = self.arclength_table
+        k = bisect.bisect_right(sums, t, 1, len(lengths)) - 1
+        cid, a, b = self.segments[k]
+        length = max(lengths[k], 1e-300)
         u = ((b[0] - a[0]) / length, (b[1] - a[1]) / length)
-        rel = t - start
+        rel = t - sums[k]
         return GeodesicState(cid, (a[0] + rel * u[0], a[1] + rel * u[1]), u, t)
 
     def min_distance_at(self, T: float) -> float:
@@ -1451,9 +1459,9 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
     """``min_singular_distance_up_to`` at each T of the ascending ``Ts``, in
     one ``_running_minima`` pass.
 
-    Segment k starts at s0, the sum of the earlier segments' lengths
-    |b - a| in order, and counts for T when s0 < T (every segment starting
-    at 0 counts for T = 0), cut to the piece of length min(T - s0, |b - a|).
+    Segment k, of length |b - a|, starts at s0 (``arclength_table``) and
+    counts for T when s0 < T (every segment starting at 0 counts for T = 0),
+    cut to the piece of length min(T - s0, |b - a|).
     Each T adds the pieces of its counting segments not wholly before an
     earlier T and reads the running minimum at its last piece. A piece cut
     at an earlier T is never below the segment's later piece (T - s0, the
@@ -1461,18 +1469,16 @@ def _distances_up_to(surface: ConeSurface, trace_result: TraceResult, Ts: list) 
     those of a rescan from 0 for each T, bit for bit.
     """
     segments = trace_result.segments
-    starts, lengths, ks, reaches, last = [], [], [], [], []
-    cut, s0 = 0, 0.0    # cut: the segments wholly before the previous T
+    lengths, starts = trace_result.arclength_table
+    ks, reaches, last = [], [], []
+    cut, count = 0, 0   # the segments wholly before the previous T, and counting for T
     for T in Ts:
-        while len(starts) < len(segments) and (s0 < T or s0 == 0.0):
-            _, a, b = segments[len(starts)]
-            starts.append(s0)
-            lengths.append(math.hypot(b[0] - a[0], b[1] - a[1]))
-            s0 += lengths[-1]
-        ks += range(cut, len(starts))
-        reaches += [min(T - starts[k], lengths[k]) for k in range(cut, len(starts))]
+        while count < len(segments) and (starts[count] < T or starts[count] == 0.0):
+            count += 1
+        ks += range(cut, count)
+        reaches += [min(T - starts[k], lengths[k]) for k in range(cut, count)]
         last.append(len(ks) - 1)
-        while cut < len(starts) and T - starts[cut] >= lengths[cut]:
+        while cut < count and T - starts[cut] >= lengths[cut]:
             cut += 1
     return _running_minima(surface, [segments[k] for k in ks], [lengths[k] for k in ks],
                            reaches)[last].tolist()

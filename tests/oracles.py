@@ -750,9 +750,11 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
     """``find_closed_geodesic`` with all offset launch states built before the
     first launch is tried and the bounding saddles traced before it returns,
     through the package's closing, width and boundary steps."""
-    from conesurf.cylinders import (_JIGGLE_FRACTIONS, Cylinder, _boundary_saddles,
-                                    _one_period, _recurrence, offset_state, strip_width)
+    from conesurf.cylinders import (_CORE_OPTIONS, _JIGGLE_FRACTIONS, Cylinder,
+                                    _boundary_saddles, _closure, _period, _recurrence_budget,
+                                    offset_state, strip_width)
     from conesurf.geometry import interior_point, normalize
+    from conesurf.tracer import PLAIN_TRACE_OPTIONS, trace
 
     diam = surface.max_diameter
     if max_circumference is None:
@@ -771,12 +773,14 @@ def find_closed_geodesic_eager(surface, direction, start=None, max_circumference
             continue
 
     for state in attempts:
-        rec = _recurrence(surface, state, max_circumference)
-        if rec is None:
+        tr = trace(surface, state, _recurrence_budget(surface, max_circumference),
+                   options=_CORE_OPTIONS)
+        period = _period(surface, tr, max_circumference)
+        if period is None:
             continue
-        period, tr = rec
         matched = tr.state_at(tr.recurrence["matched_at"])
-        closed = _one_period(surface, matched, period)
+        closed = _closure(surface, matched,
+                          trace(surface, matched, period, options=PLAIN_TRACE_OPTIONS))
         if closed is None:
             continue
         core, gap = closed

@@ -10,7 +10,7 @@ import pytest
 
 import conesurf.cli
 import conesurf.svgout
-from conesurf import tracer
+from conesurf import GeodesicState, TraceOptions, load_surface, tracer
 from conesurf.cli import run
 
 import oracles
@@ -135,6 +135,42 @@ def test_trace_csv_and_svg(tmp_path, capsys):
     assert "polyline" in svg
     out = capsys.readouterr().out
     assert "MaxLengthReached" in out
+
+
+def _csv_trace(tmp_path, surface, chart, x, y, dx, dy, length):
+    """The rows of ``trace --csv`` and the trace the command makes."""
+    csv_path = tmp_path / "t.csv"
+    assert run(["--quiet", "trace", "--surface", surface, "--chart", chart, "--x", repr(x),
+                "--y", repr(y), "--dx", repr(dx), "--dy", repr(dy), "--max-length", repr(length),
+                "--csv", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    tr = tracer.trace(load_surface(surface), GeodesicState(chart, (x, y), (dx, dy)), length,
+                      options=TraceOptions(detect_recurrence=False))
+    return rows, tr
+
+
+def test_trace_csv_rows_read_their_own_segments_past_8192(tmp_path):
+    # each row reads its segment's row of the m(T) series; past arclength
+    # 8,192 the segment's end by its hypot sum lies an ulp of s before the
+    # series key, by more than min_distance_at's slack, and the row at
+    # 19,544.8 read the row before
+    rows, tr = _csv_trace(tmp_path, OCTAGON, "oct", -0.39062251406986315, 0.16180114309601248,
+                          0.4162693556953719, 0.9092413450283483, 20000.0)
+    assert rows[13675] == ["19544.8244698", "oct", "-0.325669678638", "0.923879532511",
+                           "3.50085771987e-05"]
+    # an interior start: no hops, a row at 0, then one per segment
+    assert not any(a == b for _, a, b in tr.segments)
+    assert [r[4] for r in rows] == [conesurf.cli._fmt(m) for _, m in tr.min_distance_series]
+    assert [r[0] for r in rows] == [conesurf.cli._fmt(s) for s in tr.arclength_table[1]]
+
+
+def test_trace_csv_hop_repeats_the_row_before(tmp_path):
+    # from the right edge pointing out, the trace hops to the left edge first
+    rows, tr = _csv_trace(tmp_path, MARKED, "sq", 1.0, 0.5, 1.0, 0.3, 3.0)
+    (_, a, b), series = tr.segments[0], tr.min_distance_series
+    assert a == b and len(rows) == len(series) + 1
+    m = [conesurf.cli._fmt(v) for _, v in series]
+    assert [r[4] for r in rows] == [m[0], m[0]] + m[1:]
 
 
 def test_trace_svg_develops_once(tmp_path, monkeypatch):

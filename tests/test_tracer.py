@@ -557,9 +557,10 @@ def test_stepper_matches_reference_stepper(name, length, request):
 
 def test_certification_traces_build_no_crossing_events(mtorus, pcase, triple_cover,
                                                       monkeypatch):
-    # trace_connection, _recurrence, _one_period and lift_trace read at most the
-    # terminal event, so none of their traces builds an EdgeCross event; a later
-    # read of events builds them, equal to the reference stepper's
+    # trace_connection, find_closed_geodesic's two closing traces and
+    # lift_trace read at most the terminal event, so none of their traces
+    # builds an EdgeCross event; a later read of events builds them, equal to
+    # the reference stepper's
     built = []
     build_event = tracer._edge_cross_event
     monkeypatch.setattr(tracer, "_edge_cross_event",
@@ -573,8 +574,8 @@ def test_certification_traces_build_no_crossing_events(mtorus, pcase, triple_cov
     for module in (saddles, cylinders, covering):
         monkeypatch.setattr(module, "trace", recorded_trace)
     assert saddles.trace_connection(mtorus, ("sq", 0), (2.0, 1.0), math.sqrt(5.0))
-    assert cylinders._recurrence(mtorus, state("sq", 0.3, 0.2, 2, 1), 10.0)
-    assert cylinders._one_period(mtorus, state("sq", 0.3, 0.2, 2, 1), math.sqrt(5.0))
+    assert cylinders.find_closed_geodesic(mtorus, (2.0, 1.0), ("sq", (0.3, 0.2)),
+                                          max_circumference=10.0)
     covering.lift_trace(triple_cover, trace(pcase, state("front", 0.4, 0.3, 1, 0.377), 3.0))
     assert len(calls) == 4 and built == []
     # nor do the fleets of enumerate_saddles and of the density cores
@@ -1170,6 +1171,69 @@ def test_small_fleets_are_traced_one_by_one(mtorus, monkeypatch):
         assert retraced == (fleet if len(fleet) < tracer._FLEET_MIN_RAYS else [])
         assert [_outcome(r) for r in got] == [
             _outcome(real(mtorus, st, 3.0, options=tracer.PLAIN_TRACE_OPTIONS)) for st in fleet]
+
+
+def _check_arclength_table(tr) -> set:
+    """Asserts that the trace's arclength table holds its stepper's own
+    arclengths, bit for bit: each edge crossing (a hop's too), corner passage
+    and cone hit at the next sum, the total length at the last sum unless
+    the trace ran to its max length, and a recurrence at two sums. Returns
+    the kinds of segment ends seen."""
+    lengths, sums = tr.arclength_table
+    assert len(lengths) == len(tr.segments) and len(sums) == len(lengths) + 1
+    assert sums[0] == 0.0
+    ends = [e for e in tr.events if e.kind in ("EdgeCross", "VertexPass", "ConeHit")]
+    assert [e.arclength for e in ends] == list(sums[1:len(ends) + 1])
+    if tr.termination == "MaxLengthReached":
+        assert len(ends) == len(tr.segments) - 1
+    else:
+        assert len(ends) == len(tr.segments) and tr.total_length == sums[-1]
+    if tr.recurrence is not None:
+        assert tr.recurrence["matched_at"] in sums and tr.recurrence["detected_at"] in sums
+    kinds = {e.kind for e in ends}
+    return kinds | {"hop"} if any(a == b for _, a, b in tr.segments) else kinds
+
+
+@pytest.mark.parametrize("name, length", [("octagon", 40.0), ("mtorus", 30.0),
+                                          ("notched", 30.0), ("triple_cover", 25.0)])
+def test_arclength_table_is_the_steppers_arclength(name, length, request, monkeypatch):
+    # scalar traces under every option set, hops from edge starts and flat
+    # passages, and the same starts as lockstep fleets
+    surface = request.getfixturevalue(name)
+    starts = _reference_starts(surface, name)
+    seen, recurring = set(), 0
+    results = [_traced(surface, start, length, options)
+               for options in REFERENCE_OPTIONS for start in starts]
+    monkeypatch.setattr(tracer, "_FLEET_MIN_RAYS", 1)
+    for options in (tracer.PLAIN_TRACE_OPTIONS, cylinders._CORE_OPTIONS):
+        results += tracer._trace_fleet(surface, starts, [length] * len(starts), options)
+    traces = [tr for tr in results if not isinstance(tr, Exception)]
+    assert len(traces) >= len(results) * 3 // 4
+    for tr in traces:
+        seen |= _check_arclength_table(tr)
+        recurring += tr.recurrence is not None
+    assert {"EdgeCross", "hop"} <= seen and recurring > 0
+    assert ("ConeHit" in seen) == bool(surface.singular_classes)
+    if name == "notched":
+        assert "VertexPass" in seen
+
+
+def test_arclength_table_of_lifted_and_projected_traces(pcase, triple_cover):
+    rng = random.Random(20261021)
+    lifted = 0
+    for _ in range(12):
+        tr = trace(pcase, _random_start(pcase, rng), 20.0)
+        try:
+            lift = covering.lift_trace(triple_cover, tr)
+        except covering.BranchPointOnPath:
+            continue
+        _check_arclength_table(lift)
+        assert lift.arclength_table == tr.arclength_table
+        lifted += 1
+        projected = covering.project_trace(lift)
+        _check_arclength_table(projected)
+        assert projected.arclength_table == lift.arclength_table
+    assert lifted >= 4
 
 
 def _exit_rays(surface):
