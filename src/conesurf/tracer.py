@@ -48,6 +48,11 @@ start by ``trace``: no exit or an edge hop, an edge within 1e-15 of
 parallel, a flat-corner passage, a value that is not finite. So every
 result is ``trace``'s, bit for bit. A fleet of fewer than
 ``_FLEET_MIN_RAYS`` rays is traced by ``trace`` one ray at a time.
+A result made in lockstep holds its slice of the fleet's segment arrays
+(``_FleetRows``): its ``segments``, ``transitions`` and ``event_records``
+are built from them on first read, and its ``arclength_table`` and
+positions read them directly; its end state, termination, recurrence,
+total length and ``last_event`` are set when it ends.
 """
 
 from __future__ import annotations
@@ -164,19 +169,16 @@ class _Segments:
     """
 
     def __init__(self, traces):
-        segments = [seg for tr in traces for seg in tr.segments]
+        rows = [tr._segment_rows() for tr in traces]
         tables = [tr.arclength_table for tr in traces]
         lengths = np.concatenate([own for own, _ in tables])
-        self.first = np.cumsum([0] + [len(tr.segments) for tr in traces])
+        self.first = np.cumsum([0] + [len(codes) for codes, _, _ in rows])
         self.starts = np.concatenate([sums[:-1] for _, sums in tables])
-        self.p0 = np.array([a for _, a, _ in segments], dtype=float)
-        p1 = np.array([b for _, _, b in segments], dtype=float)
+        self.codes, self.p0, p1 = (np.concatenate(column) for column in zip(*rows))
         with np.errstate(invalid="ignore", divide="ignore"):
             self.dirs = (p1 - self.p0) / np.maximum(lengths[:, None], 1e-300)
-        self.codes = np.array([tr.chart_index[c] for tr in traces for c, _, _ in tr.segments],
-                              dtype=np.int64)
         self.totals = np.array([tr.total_length for tr in traces])
-        self.keys = np.empty(len(segments), dtype=complex)
+        self.keys = np.empty(len(self.codes), dtype=complex)
         self.keys.real = np.repeat(np.arange(len(traces)), np.diff(self.first))
         self.keys.imag = self.starts
 
@@ -225,15 +227,39 @@ class _TracedPath:
         return self._segments.locate(*self.arclengths(ts))
 
 
+class _FleetBuilt:
+    """A list field of ``TraceResult`` that a fleet's result, made with None
+    for it, builds from the fleet's rows on first read (``_FleetRows``)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)     # so the dataclass field has no default
+        value = obj.__dict__[self.name]
+        if value is None:
+            rows, a, b, event = obj.fleet
+            value = obj.__dict__[self.name] = getattr(rows, self.name)(a, b, event)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass
 class TraceResult(_TracedPath):
     """A traced geodesic. Its ``events`` and ``min_distance_series`` are
-    built from compact records on first read."""
+    built from compact records on first read, and a fleet's result builds
+    ``segments``, ``transitions`` and ``event_records`` from the fleet's
+    rows on first read (module docstring, Fleets)."""
 
     start: GeodesicState
-    segments: list            # (chart_id, (x0, y0), (x1, y1))
-    transitions: list         # per boundary: Isometry mapping next chart -> previous chart frame
-    event_records: list       # events in order; a crossing is (s, chart, edge, nb) until read
+    segments: list = _FleetBuilt()        # (chart_id, (x0, y0), (x1, y1))
+    # per boundary: Isometry mapping next chart -> previous chart frame
+    transitions: list = _FleetBuilt()
+    # events in order; a crossing is (s, chart, edge, nb) until read
+    event_records: list = _FleetBuilt()
     total_length: float
     end_state: GeodesicState
     termination: str
@@ -243,6 +269,8 @@ class TraceResult(_TracedPath):
     # read; None without record_min_distance
     distance_records: list | None = field(default=None, repr=False, compare=False)
     surface: ConeSurface | None = field(default=None, repr=False, compare=False)
+    # a fleet's result: (its fleet's _FleetRows, its rows a:b, its terminal event)
+    fleet: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def events(self) -> list[TraceEvent]:
@@ -251,12 +279,27 @@ class TraceResult(_TracedPath):
                                  for r in self.event_records]
         return self.event_records
 
+    def _segment_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(codes, p0, p1): the segments' chart codes, an int64 array, and
+        their start and end points, (n, 2) arrays; a fleet's result hands
+        over its rows, which are read-only."""
+        if self.fleet is not None:
+            rows, a, b, _ = self.fleet
+            return rows.codes[a:b], rows.p0[a:b], rows.p1[a:b]
+        return (np.array([self.chart_index[c] for c, _, _ in self.segments], dtype=np.int64),
+                np.array([a for _, a, _ in self.segments], dtype=float),
+                np.array([b for _, _, b in self.segments], dtype=float))
+
     @cached_property
     def arclength_table(self) -> tuple[memoryview, memoryview]:
         """(lengths, sums), read-only float64 views built on first read
         (module docstring, Arclength): segment k has length ``lengths[k]``
         and starts at ``sums[k]``."""
-        lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in self.segments]
+        if self.fleet is None:
+            lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for _, a, b in self.segments]
+        else:
+            _, p0, p1 = self._segment_rows()
+            lengths = list(itertools.starmap(math.hypot, (p1 - p0).tolist()))
         sums = itertools.accumulate(lengths, initial=0.0)
         return tuple(memoryview(array.array("d", v)).toreadonly() for v in (lengths, sums))
 
@@ -271,7 +314,7 @@ class TraceResult(_TracedPath):
     @property
     def last_event(self) -> TraceEvent:
         """``events[-1]`` without the crossings: a trace ends with its terminal event."""
-        return self.event_records[-1]
+        return self.event_records[-1] if self.fleet is None else self.fleet[3]
 
     def param_range(self) -> tuple[float, float]:
         return (0.0, self.total_length)
@@ -884,7 +927,8 @@ class _Lockstep:
         self.s = np.zeros(n)
         self.limit = np.array([float(max_length) for _, _, max_length in rays])
         self.crossings = []  # per step: rays, codes, start and exit points, edges, arclengths
-        self.ends = {}       # position -> (last segment or None, terminal event, end state)
+        self.tails = []      # per last segment: position, code, start and end point
+        self.ends = {}       # position -> (terminal event, end state)
         self.recurrences = {}  # position -> recurrence
         # per position, the states after its crossings: code, x, y, dx, dy, s
         self.history = np.empty((6, n, 16)) if options.detect_recurrence else None
@@ -941,8 +985,8 @@ class _Lockstep:
             event = _corner_event(surface, cid, vtx, d, float(self.s[j]) + length, self.options)
             if event.detail["terminal"]:
                 hit[j] = True
-                self.ends[int(ray[j])] = ((cid, p, x), event,
-                                          GeodesicState(cid, x, d, event.arclength))
+                self.ends[int(ray[j])] = (event, GeodesicState(cid, x, d, event.arclength))
+                self.tails.append((int(ray[j]), int(code[j]), p, x))
             else:
                 off[j] = True       # a flat passage
         last = np.flatnonzero(done & ~off)
@@ -959,13 +1003,14 @@ class _Lockstep:
         names = self.surface.chart_names
         ray, code = self.ray[sel].tolist(), self.code[sel]
         px, py, dx, dy = self.px[sel], self.py[sel], self.dx[sel], self.dy[sel]
-        ends = zip(ray, names[code].tolist(), zip(px.tolist(), py.tolist()),
+        ends = zip(ray, code.tolist(), names[code].tolist(), zip(px.tolist(), py.tolist()),
                    zip((px + remaining * dx).tolist(), (py + remaining * dy).tolist()),
                    zip(dx.tolist(), dy.tolist()))
-        for r, cid, p, x, d in ends:
+        for r, k, cid, p, x, d in ends:
             length = self.rays[r][2]
-            self.ends[r] = ((cid, p, x), TraceEvent(EVENT_MAX_LENGTH, length, {}),
+            self.ends[r] = (TraceEvent(EVENT_MAX_LENGTH, length, {}),
                             GeodesicState(cid, x, d, length))
+            self.tails.append((r, k, p, x))
 
     def _cross(self, k: int, edge, x0, x1) -> None:
         """Takes the remaining rays across their exit edges, as ``trace``
@@ -1007,7 +1052,7 @@ class _Lockstep:
                 rec = {"period": now - best, "detected_at": now, "matched_at": best}
                 self.recurrences[int(ray[j])] = rec
                 self.ends[int(ray[j])] = (
-                    None, TraceEvent(EVENT_SELF_RECURRENCE, now, dict(rec)),
+                    TraceEvent(EVENT_SELF_RECURRENCE, now, dict(rec)),
                     GeodesicState(names[code[j]], (float(px[j]), float(py[j])),
                                   (float(dx[j]), float(dy[j])), now))
             stop[first] = True
@@ -1019,33 +1064,64 @@ class _Lockstep:
             self._keep(np.flatnonzero(~stop))
 
     def _results(self, out: list) -> None:
-        """A ``TraceResult`` per ray that ended in the lockstep, into ``out``."""
-        surface, ends = self.surface, self.ends
-        if self.crossings:
-            ray, code, px, py, x0, x1, edge, s = (np.concatenate(c)
-                                                  for c in zip(*self.crossings))
-        else:
-            ray = code = edge = np.zeros(0, dtype=np.int64)
-            px = py = x0 = x1 = s = np.zeros(0)
+        """A ``TraceResult`` per ray that ended in the lockstep, into ``out``,
+        over the fleet's rows (``_FleetRows``): each ray's crossings, then
+        its last segment, which crosses no edge (-1)."""
+        if self.tails:
+            ray, code, p, x = zip(*self.tails)
+            (px, py), (x0, x1) = np.array(p).T, np.array(x).T
+            self.crossings.append((np.array(ray), np.array(code, dtype=np.int64), px, py, x0, x1,
+                                   np.full(len(ray), -1), np.full(len(ray), np.nan)))
+        if not self.crossings:
+            return      # no ray ended in the lockstep: each that did has a row
+        ray, code, px, py, x0, x1, edge, s = (np.concatenate(c) for c in zip(*self.crossings))
         order = np.argsort(ray, kind="stable")
-        bounds = np.cumsum(np.bincount(ray, minlength=len(self.rays)))
-        first = [0] + bounds.tolist()
-        charts = surface.chart_names[code[order]].tolist()
-        segments = list(zip(charts, zip(px[order].tolist(), py[order].tolist()),
-                            zip(x0[order].tolist(), x1[order].tolist())))
-        nbs = [self.table.nbs[g] for g in (code * self.table.width + edge)[order].tolist()]
-        records = list(zip(s[order].tolist(), charts, edge[order].tolist(), nbs))
+        first = [0] + np.cumsum(np.bincount(ray, minlength=len(self.rays))).tolist()
+        rows = _FleetRows(self.surface, self.table, code[order], np.stack((px, py), 1)[order],
+                          np.stack((x0, x1), 1)[order], edge[order], s[order])
         for pos, (i, start, _) in enumerate(self.rays):
-            if pos not in ends:
-                continue
-            a, b = first[pos], first[pos + 1]
-            last, event, end_state = ends[pos]
-            out[i] = TraceResult(
-                start=start, segments=segments[a:b] + ([last] if last else []),
-                transitions=[nb.inv for nb in nbs[a:b]], event_records=records[a:b] + [event],
-                total_length=end_state.arclength, end_state=end_state,
-                termination=event.kind, recurrence=self.recurrences.get(pos),
-                chart_index=surface.chart_index, distance_records=None, surface=surface)
+            if pos in self.ends:
+                event, end_state = self.ends[pos]
+                out[i] = TraceResult(
+                    start=start, segments=None, transitions=None, event_records=None,
+                    total_length=end_state.arclength, end_state=end_state,
+                    termination=event.kind, recurrence=self.recurrences.get(pos),
+                    chart_index=self.surface.chart_index, distance_records=None,
+                    surface=self.surface, fleet=(rows, first[pos], first[pos + 1], event))
+
+
+class _FleetRows:
+    """A fleet's segments sorted by ray, as read-only arrays: chart codes,
+    start and end points, and the edge crossed and the arclength after it
+    (-1 and NaN at a ray's last segment, which crosses no edge). A ray's
+    ``TraceResult`` builds its lists from its rows a:b and its terminal
+    event on first read, the lists that ``trace`` returns, bit for bit."""
+
+    def __init__(self, surface: ConeSurface, table: _EdgeTable, codes, p0, p1, edges, s):
+        self.names, self.table = surface.chart_names, table
+        self.codes, self.p0, self.p1, self.edges, self.s = codes, p0, p1, edges, s
+        for a in (codes, p0, p1, edges, s):
+            a.flags.writeable = False
+
+    def _crossed(self, b: int) -> int:
+        """The end of the crossings of the ray whose rows end at b."""
+        return b - 1 if self.edges[b - 1] < 0 else b
+
+    def _neighbors(self, a: int, c: int) -> list:
+        table = self.table
+        return [table.nbs[g] for g in (self.codes[a:c] * table.width + self.edges[a:c]).tolist()]
+
+    def segments(self, a: int, b: int, event) -> list:
+        return list(zip(self.names[self.codes[a:b]].tolist(), map(tuple, self.p0[a:b].tolist()),
+                        map(tuple, self.p1[a:b].tolist())))
+
+    def transitions(self, a: int, b: int, event) -> list:
+        return [nb.inv for nb in self._neighbors(a, self._crossed(b))]
+
+    def event_records(self, a: int, b: int, event) -> list:
+        c = self._crossed(b)
+        return list(zip(self.s[a:c].tolist(), self.names[self.codes[a:c]].tolist(),
+                        self.edges[a:c].tolist(), self._neighbors(a, c))) + [event]
 
 
 # -- developing map ---------------------------------------------------------------
@@ -1193,7 +1269,8 @@ def _sample_distances(surface: ConeSurface, k1: np.ndarray, xy1: np.ndarray,
     for j, key in enumerate(keys if len(k1) else ()):
         sel = slice(None) if len(keys) == 1 else group == j
         isos = surface.alignment_isos(names[key // n], names[key % n])
-        x1, y1, x2, y2 = xy1[sel, 0], xy1[sel, 1], xy2[sel, 0], xy2[sel, 1]
+        # contiguous columns: reductions and ufuncs on strided views are slower
+        x1, y1, x2, y2 = (np.ascontiguousarray(xy[sel, i]) for xy in (xy1, xy2) for i in (0, 1))
         best = np.full(len(x1), np.inf if isos else cap)
         qx, qy = np.empty(len(x1)), np.empty(len(x1))
         ends = [float(f()) for a in (x1, y1, x2, y2) for f in (a.min, a.max)]

@@ -89,21 +89,37 @@ def test_octagon_veech_twist_keeps_its_connections(octagon):
     _assert_same_vectors(got, _holonomies(octagon, 8.0), 1e-8)
 
 
-@pytest.mark.parametrize("g, landing", [(tuple(zip(*VEECH_TWIST)), 92),
-                                        (_similarity(1.0, math.pi / 4.0), 368)],
-                         ids=["twist_transpose", "rotation_pi_4"])
-def test_octagon_veech_group_keeps_its_holonomies(octagon, g, landing):
-    # the transpose of the twist and the rotation by pi/4 are in the
-    # octagon's Veech group too: the octagon mapped by g has the octagon's
-    # 368 connections of length at most 8, and g maps the octagon's
-    # holonomies onto themselves with multiplicity where the image lands
-    # within 8
-    hol = _holonomies(octagon, 8.0)
-    assert len(hol) == 368
-    _assert_same_vectors(_holonomies(oracles.apply_linear(octagon, g), 8.0), hol, 1e-8)
+def _assert_keeps_holonomies(surface, g, count: int, landing: int) -> None:
+    """g is in the surface's Veech group as far as its ``count`` holonomies
+    of length at most 8, over all its cone points, show: the surface mapped
+    by g has them, and g maps them onto themselves with multiplicity where
+    the image lands within 8, as ``landing`` of them do."""
+    hol = _holonomies(surface, 8.0)
+    assert len(hol) == count
+    _assert_same_vectors(_holonomies(oracles.apply_linear(surface, g), 8.0), hol, 1e-8)
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     inverse = ((g[1][1] / det, -g[0][1] / det), (-g[1][0] / det, g[0][0] / det))
     images = [v for v in (_apply(g, h) for h in hol) if math.hypot(*v) <= 8.0]
     assert len(images) == landing
     _assert_same_vectors(images, [h for h in hol if math.hypot(*_apply(inverse, h)) <= 8.0],
                          1e-8)
+
+
+@pytest.mark.parametrize("g, landing", [(tuple(zip(*VEECH_TWIST)), 92),
+                                        (_similarity(1.0, math.pi / 4.0), 368)],
+                         ids=["twist_transpose", "rotation_pi_4"])
+def test_octagon_veech_group_keeps_its_holonomies(octagon, g, landing):
+    # the transpose of the twist and the rotation by pi/4 are in the
+    # octagon's Veech group too (Veech 1989)
+    _assert_keeps_holonomies(octagon, g, 368, landing)
+
+
+@pytest.mark.parametrize("g, landing", [(((1.0, 1.0), (0.0, 1.0)), 168),
+                                        (((1.0, 2.0), (0.0, 1.0)), 120),
+                                        (((1.0, 0.0), (2.0, 1.0)), 120),
+                                        (_similarity(1.0, math.pi / 2.0), 240)],
+                         ids=["shear_1", "shear_2", "lower_shear_2", "rotation_pi_2"])
+def test_pillowcase_veech_group_keeps_its_holonomies(pcase, g, landing):
+    # the pillowcase of two unit squares: the saddle holonomies of its four
+    # cone points are kept by these elements of its Veech group (Veech 1989)
+    _assert_keeps_holonomies(pcase, g, 240, landing)

@@ -605,6 +605,39 @@ def test_certification_traces_build_no_crossing_events(mtorus, pcase, triple_cov
     assert crossings > 0 and len(built) == crossings
 
 
+FLEET_LISTS = ("segments", "transitions", "event_records")
+
+
+def test_fleet_results_are_built_on_first_read(mtorus, monkeypatch):
+    # the density experiment reads no lists of its certification, recurrence
+    # and one-period traces: the results made in lockstep (not those traced
+    # again by trace) build none; read later, in any order, they are the
+    # reference stepper's
+    monkeypatch.setattr(tracer, "_FLEET_MIN_RAYS", 1)
+    fleets = []
+
+    def recorded_fleet(surface, starts, max_lengths, options=tracer.PLAIN_TRACE_OPTIONS):
+        results = tracer._trace_fleet(surface, starts, max_lengths, options)
+        fleets.append((starts, max_lengths, options, results))
+        return results
+
+    for module in (saddles, cylinders):
+        monkeypatch.setattr(module, "_trace_fleet", recorded_fleet)
+    target = state("sq", 0.41421356237309515, 0.7320508075688772, 1.0, GOLDEN)
+    assert cylinders.density_experiment(mtorus, target, [1.0, 2.0, 3.0, 5.0, 8.0]).passed
+    assert [options.detect_recurrence for *_, options, _ in fleets] == [False, True, False]
+    rays = [(start, length, options, tr) for starts, lengths, options, results in fleets
+            for start, length, tr in zip(starts, lengths, results)]
+    lockstep = [tr for *_, tr in rays if tr.fleet is not None]
+    assert len(rays) == 239 and len(lockstep) > 200
+    assert all(vars(tr)[name] is None for tr in lockstep for name in FLEET_LISTS)
+    for k, (start, length, options, tr) in enumerate(rays):
+        for name in FLEET_LISTS[k % 3:] + FLEET_LISTS[:k % 3]:
+            getattr(tr, name)
+        assert _outcome(tr) == _outcome(oracles.reference_trace(mtorus, start, length,
+                                                                options=options))
+
+
 @pytest.mark.parametrize("name, length", REFERENCE_CORPUS)
 def test_last_event_is_the_last_of_the_events(name, length, request):
     # last_event, read before events, equals events[-1] for every termination,
@@ -1089,9 +1122,27 @@ def test_fleet_rays_equal_their_traces(fleet_surfaces, name, options, seed):
     starts[rng.randrange(len(starts))] = GeodesicState("nowhere", (0.0, 0.0), (1.0, 0.0))
     with mock.patch.object(tracer, "_FLEET_MIN_RAYS", 1):
         got = tracer._trace_fleet(surface, starts, lengths, options)
+        # the same fleet, its arclengths and positions read before its lists
+        probed = [_probe(result) for result in tracer._trace_fleet(surface, starts, lengths,
+                                                                   options)]
     assert len(got) == len(starts)
-    for start, length, result in zip(starts, lengths, got):
-        assert _outcome(result) == _outcome(_traced(surface, start, length, options))
+    for start, length, result, probe in zip(starts, lengths, got, probed):
+        want = _traced(surface, start, length, options)
+        assert _outcome(result) == _outcome(want)
+        assert probe == _probe(result) == _probe(want)
+
+
+def _probe(result):
+    """A trace's arclength table, states and positions, floats by repr, read
+    in that order; an error's type and message."""
+    if isinstance(result, Exception):
+        return _outcome(result)
+    lengths, sums = result.arclength_table
+    ts = sorted({0.0, result.total_length / 3.0, result.total_length, *sums[1:-1:3]})
+    ts = [t for t in ts if t <= result.total_length]
+    codes, xy = result.positions(ts)
+    return repr((list(lengths), list(sums), [result.state_at(t) for t in ts], codes.tolist(),
+                 xy.tolist()))
 
 
 def test_fleet_leaves_the_lockstep_on_each_branch(torus, mtorus, monkeypatch):
